@@ -14,6 +14,8 @@ the Q and P bases; its normalization 1/sqrt(N) is forced by unitarity and
 confirmed by inner products of sampled basis states on the N x N grid.
 """
 
+import math
+
 import numpy as np
 
 from torusq import (
@@ -21,6 +23,7 @@ from torusq import (
     clock_matrix,
     dft_basis_change,
     grid_matrix_elements,
+    make_geometry,
     physical_grid_overlaps,
     shift_matrix,
     table1_matrices,
@@ -30,12 +33,14 @@ from torusq import (
 )
 
 N = 4
+side = math.sqrt(N)
+geometry = make_geometry(side, side, 1.0)  # the symmetric torus a = b, h = 1
 print(f"physical dimension N = {N}")
 print("\nclock matrix:")
 with np.printoptions(precision=3, suppress=True):
-    print(clock_matrix(N).entries)
+    print(clock_matrix(N))
 print("shift matrix:")
-print(shift_matrix(N).entries.real.astype(int))
+print(shift_matrix(N).real.astype(int))
 
 omega = weyl_commutation_check(N)
 print("\nWeyl phase omega =", omega, " (omega^N =", omega**N, ")")
@@ -43,17 +48,17 @@ print("\nWeyl phase omega =", omega, " (omega^N =", omega**N, ")")
 # The full eight-cell action table, verified as grid identities on the
 # physical N x N grid where the label equivalences are exact.
 print("\naction-table verification:")
-for res in table1_verify(N):
+for res in table1_verify(geometry):
     print(f"  {res.name:32s} residual {res.max_residual:.2e}  pass={res.passed}")
 
 # Matrix elements of the grid operators between sampled basis states
 # reproduce the clock and shift entries.
-me = grid_matrix_elements(GridShift.EXP_PLEFT, N)
+me = grid_matrix_elements(GridShift.EXP_PLEFT, geometry)
 print("\n|grid matrix elements - shift| max:",
-      np.abs(me - shift_matrix(N).entries).max())
+      np.abs(me - shift_matrix(N)).max())
 
 # The basis change: unitary, and intertwines the two representations.
-K = dft_basis_change(N).entries
+K = dft_basis_change(N)
 print("\n|K^H K - I| max:", np.abs(K.conj().T @ K - np.eye(N)).max())
 for which in GridShift:
     mp, mq = table1_matrices(which, N)
@@ -61,7 +66,7 @@ for which in GridShift:
 
 # The inner-product oracle: overlaps of sampled basis states on the N x N
 # grid equal K / sqrt(N) entrywise, for every shadow index s.
-overlaps = physical_grid_overlaps(N)
+overlaps = physical_grid_overlaps(geometry)
 resid = max(np.abs(overlaps[:, s, :] - K / np.sqrt(N)).max() for s in range(N))
 print("grid-overlap oracle residual:", resid)
 

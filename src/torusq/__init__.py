@@ -10,6 +10,7 @@ discrete Fourier basis change.
 from .symbolic import (
     BilinearPhaseTerm,
     OperatorKind,
+    OperatorRow,
     WaveFunction,
     apply_operator,
     commutator_apply,
@@ -42,9 +43,8 @@ from .torus import (
     transition_function,
 )
 from .finite import (
+    LABEL_ACTION,
     EquivalenceLabel,
-    FiniteOperator,
-    FiniteState,
     clock_matrix,
     dft_basis_change,
     grid_matrix_elements,
@@ -66,12 +66,12 @@ __all__ = [
     "CheckResult",
     "DisplacementLabel",
     "EquivalenceLabel",
-    "FiniteOperator",
-    "FiniteState",
     "GaugeField",
     "GridFunction",
     "GridShift",
+    "LABEL_ACTION",
     "OperatorKind",
+    "OperatorRow",
     "TorusGeometry",
     "VerificationReport",
     "WaveFunction",

@@ -18,15 +18,13 @@ from .finite import reduce_label
 from .report import CheckResult, VerificationReport
 from .suites import DEFAULT_TOL, SUITES, run_suites
 from .torus import (
+    area_mismatch,
     holonomy,
     make_geometry,
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
 )
-
-QUANTIZE_TOL = 1e-12
-
 
 def _positive_float(text: str) -> float:
     try:
@@ -129,20 +127,19 @@ def _resolve_geometry(args):
 def cmd_quantize(args) -> int:
     geometry = make_geometry(args.a, args.b, args.h)
     hol = holonomy(geometry)
-    residual = abs(hol - 1.0)
+    ratio = geometry.a * geometry.b / geometry.h
+    # The same test make_geometry applies, so the verdict equals geometry.quantized.
+    _, distance, tolerance = area_mismatch(geometry.a, geometry.b, geometry.h)
     check = CheckResult(
         name="area_quantization",
-        params={"area_over_h": geometry.a * geometry.b / geometry.h,
-                "holonomy": [hol.real, hol.imag]},
-        max_residual=residual,
-        tolerance=QUANTIZE_TOL,
-        passed=geometry.quantized,
+        params={"area_over_h": ratio, "holonomy": [hol.real, hol.imag]},
+        max_residual=distance,
+        tolerance=tolerance,
     )
     report = _report(geometry, [check])
     if args.json:
         sys.stdout.write(report.to_json() + "\n")
     else:
-        ratio = geometry.a * geometry.b / geometry.h
         sys.stdout.write(f"area/h = {ratio!r}\n")
         if geometry.quantized:
             sys.stdout.write(f"N = {geometry.N}\n")
@@ -167,8 +164,7 @@ def cmd_dump(args) -> int:
     geometry = _resolve_geometry(args)
     n, m = args.n, args.m
     if args.reduce:
-        label = reduce_label(n, m, args.N)
-        n, m = label.n, label.m
+        n, m = reduce_label(n, m, args.N).n, 0
     if not (0 <= n < args.N and 0 <= m < args.N):
         raise ValueError(
             f"labels out of range: need 0 <= n,m < {args.N}, got n={n} m={m} "

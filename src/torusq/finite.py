@@ -15,6 +15,7 @@ sampled basis states on the physical N x N grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +25,9 @@ from .report import CheckResult
 from .torus import (
     GridShift,
     TorusGeometry,
+    _require_quantized,
     grid_shift_operator,
     inner_product,
-    make_geometry,
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
@@ -39,99 +40,45 @@ TRACE_TOL = 1e-10
 @dataclass(frozen=True)
 class EquivalenceLabel:
     """Canonical representative of a basis-label equivalence class:
-    0 <= n < modulus and m fixed to 0."""
+    0 <= n < modulus, with the shadow label m fixed to 0."""
 
     n: int
-    m: int
     modulus: int
+
+
+def _require_dimension(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
 
 
 def reduce_label(n: int, m: int, N: int) -> EquivalenceLabel:
     """Reduce (n, m) to the canonical class representative (n mod N, 0).
 
-    Total on all integers; negative labels reduce to the least nonnegative
-    residue.
+    The shadow label m does not survive the reduction.  Total on all
+    integers; negative labels reduce to the least nonnegative residue.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    return EquivalenceLabel(n % N, 0, N)
+    _require_dimension(N)
+    return EquivalenceLabel(n % N, N)
 
 
-@dataclass(frozen=True)
-class FiniteState:
-    """An N-component state vector tagged with its basis."""
-
-    basis: str
-    components: np.ndarray
-
-    def __post_init__(self):
-        if self.basis not in ("Q", "P"):
-            raise ValueError(f"basis must be 'Q' or 'P', got {self.basis!r}")
-        comps = np.asarray(self.components, dtype=complex).reshape(-1)
-        if comps.size < 1:
-            raise ValueError("state must have dimension at least 1")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def dim(self) -> int:
-        return self.components.size
-
-
-@dataclass(frozen=True)
-class FiniteOperator:
-    """A dense N x N complex matrix tagged with its basis."""
-
-    basis: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.basis not in ("Q", "P"):
-            raise ValueError(f"basis must be 'Q' or 'P', got {self.basis!r}")
-        ent = np.asarray(self.entries, dtype=complex)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1] or ent.shape[0] < 1:
-            raise ValueError(f"entries must be a square matrix, got shape {ent.shape}")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, state: FiniteState) -> FiniteState:
-        if state.dim != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, state {state.dim}")
-        return FiniteState(self.basis, self.entries @ state.components)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "basis": self.basis,
-            "entries": [[v.real, v.imag] for v in self.entries.reshape(-1)],
-        }
-
-
-def clock_matrix(N: int) -> FiniteOperator:
+def clock_matrix(N: int) -> np.ndarray:
     """diag(e^{2 pi i n / N}), n = 0..N-1, in the Q basis.
 
     Represents exp(2 pi i Q_LEFT / b): diagonal on the Q-basis states with
     the N-th roots of unity as eigenvalues.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    return FiniteOperator("Q", np.diag(np.exp(2j * np.pi * np.arange(N) / N)))
+    _require_dimension(N)
+    return np.diag(np.exp(2j * np.pi * np.arange(N) / N))
 
 
-def shift_matrix(N: int) -> FiniteOperator:
+def shift_matrix(N: int) -> np.ndarray:
     """Cyclic permutation sending basis index n to n+1 (mod N), in the Q basis.
 
     Represents exp(-2 pi i P_LEFT / a).  Entries are exactly 0 and 1, so its
     N-th power is exactly the identity.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    entries = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        entries[(j + 1) % N, j] = 1.0
-    return FiniteOperator("Q", entries)
+    _require_dimension(N)
+    return np.roll(np.eye(N, dtype=complex), 1, axis=0)
 
 
 def weyl_commutation_check(N: int, tol: float = DEFAULT_TOL) -> complex:
@@ -143,8 +90,8 @@ def weyl_commutation_check(N: int, tol: float = DEFAULT_TOL) -> complex:
     omega is a primitive N-th root of unity for N > 1, and the N-th power of
     either operator commutes with the other.
     """
-    C = clock_matrix(N).entries
-    S = shift_matrix(N).entries
+    C = clock_matrix(N)
+    S = shift_matrix(N)
     left = C @ S
     right = S @ C
     mask = np.abs(right) > 0.5
@@ -157,7 +104,7 @@ def weyl_commutation_check(N: int, tol: float = DEFAULT_TOL) -> complex:
     return omega
 
 
-def dft_basis_change(N: int) -> FiniteOperator:
+def dft_basis_change(N: int) -> np.ndarray:
     """The unitary K mapping P-basis coefficient vectors to Q-basis ones.
 
     K[n][s] = e^{2 pi i n s / N} / sqrt(N), at the canonical m = 0
@@ -168,104 +115,95 @@ def dft_basis_change(N: int) -> FiniteOperator:
     confirmed against inner products of sampled basis states on the physical
     grid (see physical_grid_overlaps).
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    _require_dimension(N)
     idx = np.arange(N)
-    entries = np.exp(2j * np.pi * np.outer(idx, idx) / N) / math.sqrt(N)
-    return FiniteOperator("Q", entries)
+    return np.exp(2j * np.pi * np.outer(idx, idx) / N) / math.sqrt(N)
+
+
+# The action table: how each exponentiated operator acts on the primed labels
+# of both bases, label 0 being n (s in the P basis) and label 1 being m (r).
+# An entry (label, sign) multiplies the state by e^{sign 2 pi i label / N};
+# (label, RAISE) raises that label by one.  The basis factories are built
+# independently of this table, so table1_verify compares it against them.
+RAISE = 0
+LABEL_ACTION = {
+    GridShift.EXP_PLEFT: {"P": (1, -1), "Q": (0, RAISE)},
+    GridShift.EXP_QLEFT: {"P": (1, RAISE), "Q": (0, +1)},
+    GridShift.EXP_PRIGHT: {"P": (0, RAISE), "Q": (1, -1)},
+    GridShift.EXP_QRIGHT: {"P": (0, +1), "Q": (1, RAISE)},
+}
+# The label that survives the reduction to the physical space.
+PHYSICAL_LABEL = {"P": 1, "Q": 0}
+_FACTORIES = {"P": make_torus_P_basis, "Q": make_torus_Q_basis}
+
+
+def _label_phase(sign: int, label, N: int):
+    return np.exp(sign * 2j * np.pi * label / N)
 
 
 def table1_matrices(which: GridShift, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(P-basis matrix, Q-basis matrix) of one exponentiated operator on the
-    physical labels.
+    physical labels, read from LABEL_ACTION.
 
-    In the P basis the physical label is m; exp(-2 pi i P_LEFT / a) is
-    diagonal with entries e^{-2 pi i m / N} and exp(2 pi i Q_LEFT / b) shifts
-    m by one.  In the Q basis the physical label is n; the same operators act
-    as the cyclic shift of n and the clock diagonal e^{2 pi i n / N}.  The
-    right-invariant pair moves only shadow labels, hence acts as the identity
-    on the physical space.
+    An action on the physical label is the clock-type diagonal of its phase
+    or the cyclic shift; an action on the shadow label is the identity on the
+    physical space.
     """
-    C = clock_matrix(N).entries
-    S = shift_matrix(N).entries
-    eye = np.eye(N, dtype=complex)
-    if which is GridShift.EXP_PLEFT:
-        return np.diag(np.exp(-2j * np.pi * np.arange(N) / N)), S
-    if which is GridShift.EXP_QLEFT:
-        return S, C
-    if which is GridShift.EXP_PRIGHT:
-        return eye, eye
-    if which is GridShift.EXP_QRIGHT:
-        return eye, eye
-    raise ValueError(f"unknown grid shift {which}")
+    out = []
+    for basis, (label, sign) in LABEL_ACTION[which].items():
+        if label != PHYSICAL_LABEL[basis]:
+            out.append(np.eye(N, dtype=complex))
+        elif sign == RAISE:
+            out.append(shift_matrix(N))
+        else:
+            out.append(np.diag(_label_phase(sign, np.arange(N), N)))
+    return tuple(out)
 
 
-def _default_geometry(N: int, h: float = 1.0) -> TorusGeometry:
-    # Symmetric quantized torus a = b = sqrt(N h).
-    side = math.sqrt(N * h)
-    return make_geometry(side, side, h)
-
-
-# Expected (phase, shifted label) for each of the eight operator/basis cells,
-# in the primed label convention for both bases.
-_CELLS = (
-    ("exp_pleft", GridShift.EXP_PLEFT, "P", lambda n, m, N: (np.exp(-2j * np.pi * m / N), (n, m))),
-    ("exp_pleft", GridShift.EXP_PLEFT, "Q", lambda n, m, N: (1.0 + 0j, (n + 1, m))),
-    ("exp_qleft", GridShift.EXP_QLEFT, "P", lambda n, m, N: (1.0 + 0j, (n, m + 1))),
-    ("exp_qleft", GridShift.EXP_QLEFT, "Q", lambda n, m, N: (np.exp(2j * np.pi * n / N), (n, m))),
-    ("exp_pright", GridShift.EXP_PRIGHT, "P", lambda n, m, N: (1.0 + 0j, (n + 1, m))),
-    ("exp_pright", GridShift.EXP_PRIGHT, "Q", lambda n, m, N: (np.exp(-2j * np.pi * m / N), (n, m))),
-    ("exp_qright", GridShift.EXP_QRIGHT, "P", lambda n, m, N: (np.exp(2j * np.pi * n / N), (n, m))),
-    ("exp_qright", GridShift.EXP_QRIGHT, "Q", lambda n, m, N: (1.0 + 0j, (n, m + 1))),
-)
-
-
-def table1_verify(N: int, M: int | None = None, h: float = 1.0) -> list[CheckResult]:
+def table1_verify(geometry: TorusGeometry, M: int | None = None,
+                  tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Verify all eight operator/basis action cells as grid identities.
 
     For every label pair (n, m) in [0, N)^2 and each exponentiated operator,
     the sampled primed basis state is pushed through grid_shift_operator and
-    compared with the tabulated phase times the sampled state with the
+    compared with the LABEL_ACTION phase times the sampled state with the
     shifted (unreduced) label.  Runs on the physical grid M = N by default,
     where the label equivalences hold exactly on samples.  Failures are
     reported, not raised.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    geometry = _default_geometry(N, h)
+    N = _require_quantized(geometry)
     if M is None:
         M = N
+    params = {**geometry.to_dict(), "M": M}
     results = []
-    for opname, which, basis, expected in _CELLS:
-        factory = make_torus_P_basis if basis == "P" else make_torus_Q_basis
-        worst = 0.0
-        for n in range(N):
-            for m in range(N):
-                state = sample(factory(geometry, n, m, primed=True), geometry, M)
+    for which, cells in LABEL_ACTION.items():
+        for basis, (label, sign) in cells.items():
+            factory = _FACTORIES[basis]
+            worst = 0.0
+            for labels in itertools.product(range(N), repeat=2):
+                state = sample(factory(geometry, *labels, primed=True), geometry, M)
                 moved = grid_shift_operator(which, state)
-                phase, (n2, m2) = expected(n, m, N)
-                target = sample(factory(geometry, n2, m2, primed=True), geometry, M)
+                shifted = list(labels)
+                if sign == RAISE:
+                    shifted[label] += 1
+                    phase = 1.0
+                else:
+                    phase = _label_phase(sign, labels[label], N)
+                target = sample(factory(geometry, *shifted, primed=True), geometry, M)
                 worst = max(worst, float(np.abs(moved.values - phase * target.values).max()))
-        results.append(
-            CheckResult(
-                name=f"table1/{opname}/{basis}-basis",
-                params={"N": N, "M": M, "h": h},
-                max_residual=worst,
-                tolerance=DEFAULT_TOL,
-                passed=worst <= DEFAULT_TOL,
-            )
-        )
+            results.append(CheckResult(f"table1/{which.name.lower()}/{basis}-basis",
+                                       params, worst, tol))
     return results
 
 
-def physical_grid_overlaps(N: int, h: float = 1.0) -> np.ndarray:
+def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     """Inner products O[n, s, r] = <sampled Q-basis n, m=0 | sampled P-basis s, r>
     on the physical grid M = N, both bases in the primed convention.
 
     This is the independent oracle for dft_basis_change: the overlaps equal
     e^{2 pi i n r / N} / N for every shadow index s, i.e. K[n][r] / sqrt(N).
     """
-    geometry = _default_geometry(N, h)
+    N = _require_quantized(geometry)
     out = np.zeros((N, N, N), dtype=complex)
     qs = [sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N) for n in range(N)]
     for s in range(N):
@@ -276,10 +214,10 @@ def physical_grid_overlaps(N: int, h: float = 1.0) -> np.ndarray:
     return out
 
 
-def grid_matrix_elements(which: GridShift, N: int, h: float = 1.0) -> np.ndarray:
+def grid_matrix_elements(which: GridShift, geometry: TorusGeometry) -> np.ndarray:
     """Matrix elements <sampled Q-basis n, 0 | operator | sampled Q-basis n', 0>
     on the physical grid M = N; reproduces the clock/shift entries."""
-    geometry = _default_geometry(N, h)
+    N = _require_quantized(geometry)
     states = [sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N) for n in range(N)]
     out = np.zeros((N, N), dtype=complex)
     for col, st in enumerate(states):
@@ -296,8 +234,7 @@ def trace_obstruction_demo(N: int, trials: int = 100, seed: int = 0) -> CheckRes
     roundoff relative to the Frobenius norms), while the identity would need
     trace i hbar N != 0.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    _require_dimension(N)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -315,5 +252,4 @@ def trace_obstruction_demo(N: int, trials: int = 100, seed: int = 0) -> CheckRes
         },
         max_residual=worst,
         tolerance=TRACE_TOL,
-        passed=worst <= TRACE_TOL,
     )

@@ -11,17 +11,30 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class CheckResult:
-    """One verification check: a named residual against a tolerance."""
+    """One verification check: a named residual against a tolerance.
+
+    The verdict is derived, never stored: with mode "le" the check passes
+    when the residual is at most the tolerance; with mode "gt" (detection
+    checks, which must see a mismatch) when it exceeds it.
+    """
 
     name: str
     params: dict
     max_residual: float
     tolerance: float
-    passed: bool
+    mode: str = "le"
 
     def __post_init__(self):
         if not (math.isfinite(self.max_residual) and self.max_residual >= 0.0):
             raise ValueError(f"residual must be a nonnegative finite number, got {self.max_residual}")
+        if self.mode not in ("le", "gt"):
+            raise ValueError(f"mode must be 'le' or 'gt', got {self.mode!r}")
+
+    @property
+    def passed(self) -> bool:
+        if self.mode == "gt":
+            return self.max_residual > self.tolerance
+        return self.max_residual <= self.tolerance
 
     def to_dict(self) -> dict:
         return {

@@ -8,6 +8,8 @@ coefficient-exact contracts of the symbolic layer actually hold bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .finite import (
@@ -21,7 +23,7 @@ from .finite import (
     weyl_commutation_check,
 )
 from .report import CheckResult
-from .symbolic import BilinearPhaseTerm, OperatorKind, WaveFunction, commutator_apply
+from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
@@ -33,31 +35,6 @@ from .torus import (
 )
 
 _SUITE_SEED = 714025
-
-
-def _dyadic(rng, lo=-8, hi=8, denom=8.0):
-    return float(rng.integers(lo, hi + 1)) / denom
-
-
-def _random_wavefunction(rng, hbar: float = 1.0) -> WaveFunction:
-    terms = []
-    for _ in range(int(rng.integers(1, 4))):
-        pref = {}
-        for _ in range(int(rng.integers(1, 4))):
-            mon = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            pref[mon] = complex(_dyadic(rng), _dyadic(rng))
-        amp = complex(1 + int(rng.integers(0, 4)), int(rng.integers(-2, 3)))
-        terms.append(
-            BilinearPhaseTerm(
-                amp,
-                _dyadic(rng), _dyadic(rng), _dyadic(rng), _dyadic(rng),
-                prefactor=pref, hbar=hbar,
-            )
-        )
-    wf = WaveFunction(terms, hbar=hbar)
-    if wf.is_zero():
-        return WaveFunction.single(1.0, 0.0, 0.5, -0.25, 1.0, hbar=hbar)
-    return wf
 
 
 def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -77,18 +54,17 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     worst_mixed = 0.0
     count = 20
     for _ in range(count):
-        wf = _random_wavefunction(rng)
+        wf = random_wavefunction(rng)
         target = wf.scale(1j * wf.hbar)
         for pair in canonical:
             resid = commutator_apply(*pair, wf).max_coeff_residual(target)
             worst_canonical = max(worst_canonical, resid)
         for pair in mixed:
             worst_mixed = max(worst_mixed, commutator_apply(*pair, wf).max_abs_coeff())
+    params = {"count": count, "hbar": 1.0}
     return [
-        CheckResult("commutators/canonical_pairs", {"count": count, "hbar": 1.0},
-                    worst_canonical, tol, worst_canonical <= tol),
-        CheckResult("commutators/mixed_pairs", {"count": count, "hbar": 1.0},
-                    worst_mixed, tol, worst_mixed <= tol),
+        CheckResult("commutators/canonical_pairs", params, worst_canonical, tol),
+        CheckResult("commutators/mixed_pairs", params, worst_mixed, tol),
     ]
 
 
@@ -113,19 +89,16 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL,
                for n in range(N) for m in range(N)]
     rq = _gram_residual(qstates)
     rp = _gram_residual(pstates)
-    params = {"N": N, "M": M}
+    params = {**geometry.to_dict(), "M": M}
     return [
-        CheckResult("orthonormality/q_basis_gram", params, rq, tol, rq <= tol),
-        CheckResult("orthonormality/p_basis_gram", params, rp, tol, rp <= tol),
+        CheckResult("orthonormality/q_basis_gram", params, rq, tol),
+        CheckResult("orthonormality/p_basis_gram", params, rp, tol),
     ]
 
 
 def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """All eight operator/basis cells as grid identities on the physical grid."""
-    N = geometry.N
-    if N is None:
-        raise ValueError("table1 suite requires a quantized geometry")
-    return table1_verify(N, h=geometry.h)
+    return table1_verify(geometry, tol=tol)
 
 
 def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -133,16 +106,17 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
     N = geometry.N
     if N is None:
         raise ValueError("weyl suite requires a quantized geometry")
-    C = clock_matrix(N).entries
-    S = shift_matrix(N).entries
+    C = clock_matrix(N)
+    S = shift_matrix(N)
     eye = np.eye(N)
     omega = weyl_commutation_check(N, tol)
     r_order = abs(omega**N - 1.0)
-    if N == 1:
-        separation = 2.0
-    else:
-        separation = min(abs(omega**k - 1.0) for k in range(1, N))
-    r_primitive = 0.0 if (N == 1 or separation > 0.1) else 0.1 - separation
+    # A primitive root keeps every power omega^k, 0 < k < N, at least
+    # 2 sin(pi/N) away from 1; a non-primitive one returns to 1 at some k.
+    # Half that separation tells the two apart at every N.
+    separation = min((abs(omega**k - 1.0) for k in range(1, N)), default=2.0)
+    threshold = math.sin(math.pi / N)
+    r_primitive = max(0.0, threshold - separation)
     r_cu = float(np.abs(C.conj().T @ C - eye).max())
     r_su = float(np.abs(S.conj().T @ S - eye).max())
     SN = np.linalg.matrix_power(S, N)
@@ -150,14 +124,14 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
     r_commute = float(np.abs(C @ SN - SN @ C).max())
     params = {"N": N, "omega": [omega.real, omega.imag]}
     return [
-        CheckResult("weyl/scalar_phase_order", params, r_order, tol, r_order <= tol),
-        CheckResult("weyl/phase_primitive", {**params, "min_separation": separation},
-                    r_primitive, 0.0, r_primitive <= 0.0),
-        CheckResult("weyl/clock_unitary", {"N": N}, r_cu, tol, r_cu <= tol),
-        CheckResult("weyl/shift_unitary", {"N": N}, r_su, tol, r_su <= tol),
-        CheckResult("weyl/shift_nth_power_identity", {"N": N}, r_shift_order, 0.0,
-                    r_shift_order == 0.0),
-        CheckResult("weyl/nth_power_commutes", {"N": N}, r_commute, tol, r_commute <= tol),
+        CheckResult("weyl/scalar_phase_order", params, r_order, tol),
+        CheckResult("weyl/phase_primitive",
+                    {**params, "min_separation": separation, "threshold": threshold},
+                    r_primitive, 0.0),
+        CheckResult("weyl/clock_unitary", {"N": N}, r_cu, tol),
+        CheckResult("weyl/shift_unitary", {"N": N}, r_su, tol),
+        CheckResult("weyl/shift_nth_power_identity", {"N": N}, r_shift_order, 0.0),
+        CheckResult("weyl/nth_power_commutes", {"N": N}, r_commute, tol),
     ]
 
 
@@ -167,26 +141,23 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL,
     N = geometry.N
     if N is None:
         raise ValueError("dft suite requires a quantized geometry")
-    K = dft_basis_change(N).entries
+    K = dft_basis_change(N)
     r_unitary = float(np.abs(K.conj().T @ K - np.eye(N)).max())
-    checks = [
-        CheckResult("dft/unitary", {"N": N}, r_unitary, tol, r_unitary <= tol),
-    ]
+    checks = [CheckResult("dft/unitary", {"N": N}, r_unitary, tol)]
     for which in GridShift:
         mp, mq = table1_matrices(which, N)
         resid = float(np.abs(K @ mp - mq @ K).max())
-        checks.append(
-            CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N},
-                        resid, tol, resid <= tol)
-        )
-    overlaps = physical_grid_overlaps(N, h=geometry.h)
+        checks.append(CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N}, resid, tol))
+    overlaps = physical_grid_overlaps(geometry)
     expected = K / np.sqrt(N)  # overlap of unit grid states carries 1/sqrt(N)
     r_oracle = 0.0
     for s in range(N):
         r_oracle = max(r_oracle, float(np.abs(overlaps[:, s, :] - expected).max()))
+    # Each overlap is a sum of N^2 sampled phases whose roundoff grows with N,
+    # so the oracle keeps its own fixed tolerance instead of --tolerance.
     checks.append(
-        CheckResult("dft/grid_overlap_oracle", {"N": N, "M": N},
-                    r_oracle, oracle_tol, r_oracle <= oracle_tol)
+        CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
+                    r_oracle, oracle_tol)
     )
     return checks
 
@@ -197,7 +168,7 @@ def suite_charts(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Chec
     if N is None:
         raise ValueError("charts suite requires a quantized geometry")
     labels = [(0, 0)] if N == 1 else [(0, 0), (1, 1)]
-    checks = [chart_consistency_check(geometry, n, m) for n, m in labels]
+    checks = [chart_consistency_check(geometry, n, m, tol=tol) for n, m in labels]
     # Negative control on a half-integer area: with the gauge factor omitted
     # the seam mismatch must be plainly visible.
     broken = make_geometry(geometry.a, geometry.b * (N + 0.5) / N, geometry.h)

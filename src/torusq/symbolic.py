@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,13 +40,33 @@ PHASE_MERGE_TOL = 1e-12
 EIGEN_RATIO_TOL = 1e-10
 
 
-class OperatorKind(Enum):
-    """The four first-order operators acting on phase-space wave functions."""
+class OperatorRow(NamedTuple):
+    """One operator X = [other coordinate] + sign * i hbar d/d(axis), as data.
 
-    Q_LEFT = "Q_LEFT"
-    P_LEFT = "P_LEFT"
-    Q_RIGHT = "Q_RIGHT"
-    P_RIGHT = "P_RIGHT"
+    axis is the differentiated variable (0 for q, 1 for p), sign the sign of
+    its i hbar derivative, and multiplies says whether X also multiplies by
+    the other coordinate.  The exponential of X is exp(exp_sign * i s X / hbar).
+    """
+
+    axis: int
+    sign: int
+    multiplies: bool
+    exp_sign: int
+
+
+class OperatorKind(Enum):
+    """The four first-order operators acting on phase-space wave functions.
+
+    Each member's value is its OperatorRow; apply_operator,
+    exp_operator_apply and the grid maps of torusq.torus derive their
+    actions from these rows alone.  Only P_LEFT exponentiates with
+    exp(-i s X / hbar), so that positive s raises basis labels for all four.
+    """
+
+    Q_LEFT = OperatorRow(axis=1, sign=+1, multiplies=True, exp_sign=+1)    # q + i hbar d/dp
+    P_LEFT = OperatorRow(axis=0, sign=-1, multiplies=False, exp_sign=-1)   # -i hbar d/dq
+    Q_RIGHT = OperatorRow(axis=1, sign=+1, multiplies=False, exp_sign=+1)  # i hbar d/dp
+    P_RIGHT = OperatorRow(axis=0, sign=+1, multiplies=True, exp_sign=+1)   # p + i hbar d/dq
 
 
 @dataclass(frozen=True)
@@ -256,15 +276,20 @@ class WaveFunction:
 def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
     """Apply one of the four operators, exactly.
 
-    Differentiation lowers prefactor exponents and pulls down the phase
-    gradient; multiplication by q or p raises the polynomial degree by one.
-    The coefficient arithmetic below is fused so that no division by hbar
-    ever occurs, which keeps results exact for exactly representable inputs.
+    With x the row's axis, y the other coordinate and the phase gradient
+    d_x phase = c_x + cqp y, the row's operator maps P e^{i phase/hbar} to
+
+        ((multiplies - sign cqp) y - sign c_x) P + sign i hbar dP/dx
+
+    times the same phase.  Differentiation lowers prefactor exponents and
+    multiplication by y raises them by one.  No division by hbar occurs,
+    which keeps results exact for exactly representable inputs.
     """
+    axis, sign, multiplies, _ = kind.value
     out_terms = []
     for t in wf.terms:
-        c0, cq, cp, cqp = t.phase_key
-        hbar = t.hbar
+        c_x = t.phase_key[1 + axis]
+        y_coeff = float(multiplies) - sign * t.cqp
         pref: dict = {}
 
         def acc(mon, val):
@@ -272,35 +297,14 @@ def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
                 pref[mon] = pref.get(mon, 0j) + val
 
         for (a, b), c in t.prefactor.items():
-            if kind is OperatorKind.Q_LEFT:
-                # (q (1 - cqp) - cp) P + i hbar dP/dp
-                acc((a + 1, b), c * (1.0 - cqp))
-                acc((a, b), -c * cp)
-                if b:
-                    acc((a, b - 1), c * (1j * hbar * b))
-            elif kind is OperatorKind.P_LEFT:
-                # (cq + cqp p) P - i hbar dP/dq
-                acc((a, b), c * cq)
-                acc((a, b + 1), c * cqp)
-                if a:
-                    acc((a - 1, b), -c * (1j * hbar * a))
-            elif kind is OperatorKind.Q_RIGHT:
-                # i hbar dP/dp - (cp + cqp q) P
-                acc((a, b), -c * cp)
-                acc((a + 1, b), -c * cqp)
-                if b:
-                    acc((a, b - 1), c * (1j * hbar * b))
-            elif kind is OperatorKind.P_RIGHT:
-                # (p (1 - cqp) - cq) P + i hbar dP/dq
-                acc((a, b + 1), c * (1.0 - cqp))
-                acc((a, b), -c * cq)
-                if a:
-                    acc((a - 1, b), c * (1j * hbar * a))
-            else:  # pragma: no cover
-                raise ValueError(f"unknown operator kind {kind}")
+            acc((a + axis, b + 1 - axis), c * y_coeff)
+            acc((a, b), -c * (sign * c_x))
+            degree = (a, b)[axis]
+            if degree:
+                acc((a - 1 + axis, b - axis), c * (sign * 1j * t.hbar * degree))
         if pref:
             out_terms.append(
-                BilinearPhaseTerm(1.0 + 0.0j, c0, cq, cp, cqp, prefactor=pref, hbar=hbar)
+                BilinearPhaseTerm(1.0 + 0.0j, *t.phase_key, prefactor=pref, hbar=t.hbar)
             )
     return WaveFunction(out_terms, hbar=wf.hbar)
 
@@ -354,14 +358,47 @@ def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
     return WaveFunction(out_terms, hbar=wf.hbar)
 
 
-def _translate(wf: WaveFunction, sq: float, sp: float) -> WaveFunction:
-    """f(q, p) -> f(q - sq, p - sp), exactly (binomial prefactor expansion)."""
+def exp_affine_map(kind: OperatorKind,
+                   coefficient: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The exponential of `kind` with coefficient s as an affine substitution.
+
+    Returns ((sq, sp), (aq, ap)) such that exp(exp_sign * i s X / hbar) maps
+    f(q, p) to e^{i (aq q + ap p)/hbar} f(q - sq, p - sp): a translation by
+    exp_sign * sign * s along the row's axis, and a linear phase
+    exp_sign * s in the other coordinate when the row multiplies by it.
+    """
+    axis, sign, multiplies, exp_sign = kind.value
+    shift = [0.0, 0.0]
+    phase = [0.0, 0.0]
+    shift[axis] = exp_sign * sign * coefficient
+    if multiplies:
+        phase[1 - axis] = exp_sign * coefficient
+    return tuple(shift), tuple(phase)
+
+
+def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction) -> WaveFunction:
+    """Apply the exponential of an operator as an exact affine substitution.
+
+    With s = coefficient, the rows of OperatorKind give
+
+        Q_RIGHT: exp(+i s Q_RIGHT / hbar)  f(q, p) -> f(q, p - s)
+        P_LEFT:  exp(-i s P_LEFT / hbar)   f(q, p) -> f(q - s, p)
+        Q_LEFT:  exp(+i s Q_LEFT / hbar)   f(q, p) -> e^{i s q/hbar} f(q, p - s)
+        P_RIGHT: exp(+i s P_RIGHT / hbar)  f(q, p) -> e^{i s p/hbar} f(q - s, p)
+
+    (see exp_affine_map).  Each map agrees term by term with the operator
+    Taylor series because the family is closed under translations and
+    linear-phase multiplication; no input can leave the family, so there is
+    no rejection path.  The phase and the translation act on different
+    coordinates, so they commute and are applied in one pass: the phase
+    coefficients are added first, then the binomial expansion of the
+    prefactor and the shifted phase polynomial give f(q - sq, p - sp).
+    """
+    (sq, sp), (aq, ap) = exp_affine_map(kind, float(coefficient))
     out_terms = []
     for t in wf.terms:
-        c0, cq, cp, cqp = t.phase_key
-        new_c0 = c0 - cq * sq - cp * sp + cqp * sq * sp
-        new_cq = cq - cqp * sp
-        new_cp = cp - cqp * sq
+        c0, cqp = t.c0, t.cqp
+        cq, cp = t.cq + aq, t.cp + ap
         pref: dict = {}
         for (a, b), c in t.prefactor.items():
             for ia in range(a + 1):
@@ -376,49 +413,16 @@ def _translate(wf: WaveFunction, sq: float, sp: float) -> WaveFunction:
                     pref[mon] = pref.get(mon, 0j) + c * qfac * pfac
         out_terms.append(
             BilinearPhaseTerm(
-                1.0 + 0.0j, new_c0, new_cq, new_cp, cqp, prefactor=pref, hbar=t.hbar
+                1.0 + 0.0j,
+                c0 - cq * sq - cp * sp + cqp * sq * sp,
+                cq - cqp * sp,
+                cp - cqp * sq,
+                cqp,
+                prefactor=pref,
+                hbar=t.hbar,
             )
         )
     return WaveFunction(out_terms, hbar=wf.hbar)
-
-
-def _multiply_linear_phase(wf: WaveFunction, sq: float, sp: float) -> WaveFunction:
-    """Multiply by exp(i (sq*q + sp*p) / hbar)."""
-    out_terms = [
-        BilinearPhaseTerm(
-            1.0 + 0.0j, t.c0, t.cq + sq, t.cp + sp, t.cqp, prefactor=t.prefactor, hbar=t.hbar
-        )
-        for t in wf.terms
-    ]
-    return WaveFunction(out_terms, hbar=wf.hbar)
-
-
-def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction) -> WaveFunction:
-    """Apply the exponential of an operator as an exact affine substitution.
-
-    With s = coefficient, the conventions are
-
-        Q_RIGHT: exp(+i s Q_RIGHT / hbar)  f(q, p) -> f(q, p - s)
-        P_LEFT:  exp(-i s P_LEFT / hbar)   f(q, p) -> f(q - s, p)
-        Q_LEFT:  exp(+i s Q_LEFT / hbar)   f(q, p) -> e^{i s q/hbar} f(q, p - s)
-        P_RIGHT: exp(+i s P_RIGHT / hbar)  f(q, p) -> e^{i s p/hbar} f(q - s, p)
-
-    The sign in the P_LEFT case is chosen so that positive s shifts basis
-    labels upward.  Each map agrees term by term with the operator Taylor
-    series because the family is closed under translations and linear-phase
-    multiplication; no input can leave the family, so there is no rejection
-    path.
-    """
-    s = float(coefficient)
-    if kind is OperatorKind.Q_RIGHT:
-        return _translate(wf, 0.0, s)
-    if kind is OperatorKind.P_LEFT:
-        return _translate(wf, s, 0.0)
-    if kind is OperatorKind.Q_LEFT:
-        return _translate(_multiply_linear_phase(wf, s, 0.0), 0.0, s)
-    if kind is OperatorKind.P_RIGHT:
-        return _translate(_multiply_linear_phase(wf, 0.0, s), s, 0.0)
-    raise ValueError(f"unknown operator kind {kind}")
 
 
 def is_eigenstate(kind: OperatorKind, wf: WaveFunction, rel_tol: float = EIGEN_RATIO_TOL):
@@ -449,3 +453,40 @@ def is_eigenstate(kind: OperatorKind, wf: WaveFunction, rel_tol: float = EIGEN_R
             elif abs(cand - lam) > rel_tol * max(1.0, abs(lam)):
                 return None
     return lam
+
+
+# -- seeded random family members -----------------------------------------
+
+def dyadic(rng) -> float:
+    """A random integer in [-8, 8] over 8."""
+    return float(rng.integers(-8, 9)) / 8.0
+
+
+def random_wavefunction(rng, hbar: float = 1.0) -> WaveFunction:
+    """A random nonzero canonical family member with dyadic coefficients.
+
+    rng is a numpy Generator.  The member has up to 3 terms of up to 3
+    monomials of degree at most 2 in each variable.  Every product and sum the
+    operators form from such inputs is exactly representable in binary
+    floating point, so coefficient identities hold with literally zero residual.
+    """
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        pref = {}
+        for _ in range(int(rng.integers(1, 4))):
+            mon = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+            pref[mon] = complex(dyadic(rng), dyadic(rng))
+        amp_re = 0.0
+        while amp_re == 0.0:
+            amp_re = dyadic(rng)
+        terms.append(
+            BilinearPhaseTerm(
+                complex(amp_re, dyadic(rng)),
+                dyadic(rng), dyadic(rng), dyadic(rng), dyadic(rng),
+                prefactor=pref, hbar=hbar,
+            )
+        )
+    wf = WaveFunction(terms, hbar=hbar)
+    if wf.is_zero():
+        return WaveFunction.single(1.0, 0.0, 0.25, -0.5, 1.0, hbar=hbar)
+    return wf

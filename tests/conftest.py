@@ -4,43 +4,20 @@ Random inputs are drawn from dyadic rationals (small integers over a power of
 two) so that every product and sum in the symbolic layer is exactly
 representable in binary floating point.  Coefficient-exact assertions are
 then meaningful: residuals are compared against literal zero, not a
-tolerance.
+tolerance.  The generators live in torusq.symbolic, where the commutators
+suite uses them too.
 """
 
-from torusq.symbolic import BilinearPhaseTerm, WaveFunction
+import math
+
+from torusq.symbolic import dyadic, random_wavefunction  # noqa: F401
+from torusq.torus import make_geometry
 
 
-def dyadic(rng, lo=-8, hi=8, denom=8.0):
-    return float(rng.integers(lo, hi + 1)) / denom
-
-
-def dyadic_nonzero(rng, lo=-8, hi=8, denom=8.0):
-    while True:
-        v = dyadic(rng, lo, hi, denom)
-        if v != 0.0:
-            return v
-
-
-def random_wavefunction(rng, hbar=1.0, max_terms=3, max_monomials=3, max_degree=2):
-    """A random nonzero canonical family member with dyadic coefficients."""
-    terms = []
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        pref = {}
-        for _ in range(int(rng.integers(1, max_monomials + 1))):
-            mon = (int(rng.integers(0, max_degree + 1)), int(rng.integers(0, max_degree + 1)))
-            pref[mon] = complex(dyadic(rng), dyadic(rng))
-        amp = complex(dyadic_nonzero(rng), dyadic(rng))
-        terms.append(
-            BilinearPhaseTerm(
-                amp,
-                dyadic(rng), dyadic(rng), dyadic(rng), dyadic(rng),
-                prefactor=pref, hbar=hbar,
-            )
-        )
-    wf = WaveFunction(terms, hbar=hbar)
-    if wf.is_zero():
-        return WaveFunction.single(1.0, 0.0, 0.25, -0.5, 1.0, hbar=hbar)
-    return wf
+def square_torus(N, h=1.0):
+    """The symmetric quantized torus a = b = sqrt(N h)."""
+    side = math.sqrt(N * h)
+    return make_geometry(side, side, h)
 
 
 def random_points(rng, count, scale=2.0):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import dyadic, random_wavefunction
+from conftest import dyadic, random_wavefunction, square_torus
 from torusq.finite import (
     clock_matrix,
     dft_basis_change,
@@ -69,11 +69,6 @@ def run_cli(*args, timeout=120):
 def conclude(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def square_torus(N, h=1.0):
-    side = math.sqrt(N * h)
-    return make_geometry(side, side, h)
 
 
 def test_criterion_01_symbolic_heisenberg_algebra():
@@ -230,7 +225,7 @@ def test_criterion_05_torus_orthonormality():
 def test_criterion_06_operator_action_table():
     worst = 0.0
     for N in (1, 2, 4):
-        for res in table1_verify(N):
+        for res in table1_verify(square_torus(N)):
             worst = max(worst, res.max_residual)
             assert res.passed, (res.name, res.max_residual)
     conclude(
@@ -250,7 +245,7 @@ def test_criterion_07_weyl_commutation():
     worst_unitary = 0.0
     shift_exact = True
     for N in range(1, 65):
-        C, S = clock_matrix(N).entries, shift_matrix(N).entries
+        C, S = clock_matrix(N), shift_matrix(N)
         eye = np.eye(N)
         worst_unitary = max(
             worst_unitary,
@@ -271,12 +266,12 @@ def test_criterion_08_dft_relation():
     worst_intertwine = 0.0
     worst_oracle = 0.0
     for N in (1, 2, 3, 4, 8):
-        K = dft_basis_change(N).entries
+        K = dft_basis_change(N)
         worst_unitary = max(worst_unitary, float(np.abs(K.conj().T @ K - np.eye(N)).max()))
         for which in GridShift:
             mp, mq = table1_matrices(which, N)
             worst_intertwine = max(worst_intertwine, float(np.abs(K @ mp - mq @ K).max()))
-        overlaps = physical_grid_overlaps(N)
+        overlaps = physical_grid_overlaps(square_torus(N))
         expected = K / math.sqrt(N)
         for s in range(N):
             worst_oracle = max(worst_oracle, float(np.abs(overlaps[:, s, :] - expected).max()))

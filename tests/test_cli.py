@@ -40,11 +40,30 @@ class TestQuantize:
         hol = check["params"]["holonomy"]
         assert abs(hol[0] - (-1.0)) < 1e-12 and abs(hol[1]) < 1e-12
 
+    def test_verdict_agrees_with_residual_and_exit_code(self):
+        # a*b/h within the detection tolerance of an integer is quantized;
+        # the reported residual and tolerance must say so too.
+        cases = [("1.0000000001", "1", 0), ("2", "3", 0), ("1", "0.5", 1),
+                 ("1.00001", "1", 1), ("1e-200", "1e-200", 1)]
+        for a, b, code in cases:
+            res = run_cli("quantize", "--a", a, "--b", b, "--h", "1", "--json")
+            assert res.returncode == code, (a, b)
+            check = json.loads(res.stdout)["checks"][0]
+            assert check["pass"] is (code == 0), (a, b)
+            assert check["pass"] is (check["max_residual"] <= check["tolerance"]), (a, b)
+
     def test_invalid_input_exits_2(self):
         res = run_cli("quantize", "--a", "-1", "--b", "1", "--h", "1")
         assert res.returncode == 2
         res = run_cli("quantize", "--a", "zzz", "--b", "1", "--h", "1")
         assert res.returncode == 2
+
+    def test_overflowing_area_exits_2(self):
+        # a*b/h overflows to inf: an input error, not a traceback.
+        res = run_cli("quantize", "--a", "1e200", "--b", "1e200", "--h", "1")
+        assert res.returncode == 2
+        assert "not finite" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestVerify:
@@ -82,6 +101,29 @@ class TestVerify:
     def test_geometry_override_accepted_when_consistent(self):
         res = run_cli("verify", "--N", "2", "--suite", "orthonormality", "--a", "1", "--b", "2")
         assert res.returncode == 0
+
+    def test_suites_check_the_overridden_geometry(self):
+        for suite in ("table1", "dft"):
+            res = run_cli("verify", "--N", "2", "--a", "1", "--b", "2", "--suite", suite, "--json")
+            assert res.returncode == 0, suite
+            report = json.loads(res.stdout)
+            assert report["overall_pass"] is True
+            geometric = [c for c in report["checks"]
+                         if c["check"].startswith("table1/") or c["check"] == "dft/grid_overlap_oracle"]
+            assert geometric
+            for check in geometric:
+                assert (check["params"]["a"], check["params"]["b"]) == (1.0, 2.0), check["check"]
+
+    def test_tolerance_reaches_table1_and_charts(self):
+        for suite in ("table1", "charts"):
+            res = run_cli("verify", "--N", "4", "--suite", suite, "--tolerance", "1e-30", "--json")
+            assert res.returncode == 1, suite
+            report = json.loads(res.stdout)
+            failed = [c["check"] for c in report["checks"] if not c["pass"]]
+            assert failed, suite
+            for check in report["checks"]:
+                if check["check"] != "chart_mismatch_without_transition":
+                    assert check["tolerance"] == 1e-30, check["check"]
 
     def test_reports_byte_stable_modulo_timestamp(self):
         first = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import square_torus
 from torusq.finite import (
-    FiniteOperator,
-    FiniteState,
+    EquivalenceLabel,
     clock_matrix,
     dft_basis_change,
     grid_matrix_elements,
@@ -17,11 +17,12 @@ from torusq.finite import (
     trace_obstruction_demo,
     weyl_commutation_check,
 )
+from torusq.report import CheckResult
+from torusq.suites import suite_weyl
 from torusq.torus import (
     GridShift,
     grid_shift_operator,
     inner_product,
-    make_geometry,
     make_torus_Q_basis,
     sample,
 )
@@ -30,14 +31,14 @@ from torusq.torus import (
 class TestReduceLabel:
     def test_examples(self):
         assert reduce_label(7, 3, 4) == reduce_label(3, 0, 4)
-        assert reduce_label(7, 3, 4).n == 3 and reduce_label(7, 3, 4).m == 0
+        assert reduce_label(7, 3, 4) == EquivalenceLabel(3, 4)
         assert reduce_label(-1, 0, 4).n == 3
         assert reduce_label(0, 0, 1).n == 0
 
     def test_total_on_integers(self):
         for n in range(-9, 10):
             lab = reduce_label(n, 5, 3)
-            assert 0 <= lab.n < 3 and lab.m == 0
+            assert 0 <= lab.n < 3 and lab == reduce_label(n, 0, 3)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -46,30 +47,27 @@ class TestReduceLabel:
 
 class TestClockShift:
     def test_clock_small_cases(self):
-        assert np.array_equal(clock_matrix(1).entries, np.eye(1))
-        c2 = clock_matrix(2).entries
+        assert np.array_equal(clock_matrix(1), np.eye(1))
+        c2 = clock_matrix(2)
         assert np.abs(c2 - np.diag([1.0, -1.0])).max() <= 1e-15
 
     def test_clock_order(self):
         for N in (1, 2, 3, 8, 64):
-            C = clock_matrix(N).entries
+            C = clock_matrix(N)
             assert np.abs(np.linalg.matrix_power(C, N) - np.eye(N)).max() <= 1e-12
 
     def test_shift_is_exact_cyclic_permutation(self):
-        S = shift_matrix(3).entries
+        S = shift_matrix(3)
         assert np.array_equal(S, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex))
         assert np.array_equal(np.linalg.matrix_power(S, 3), np.eye(3))
 
     def test_shift_wraps_state(self):
-        S = shift_matrix(3)
-        state = FiniteState("Q", [0, 0, 1])
-        moved = S.apply(state)
-        assert np.array_equal(moved.components, np.array([1, 0, 0], dtype=complex))
+        moved = shift_matrix(3) @ np.array([0, 0, 1], dtype=complex)
+        assert np.array_equal(moved, np.array([1, 0, 0], dtype=complex))
 
     def test_unitarity(self):
         for N in (1, 2, 5, 16, 64):
-            for op in (clock_matrix(N), shift_matrix(N)):
-                U = op.entries
+            for U in (clock_matrix(N), shift_matrix(N)):
                 assert np.abs(U.conj().T @ U - np.eye(N)).max() <= 1e-12
 
     def test_validation(self):
@@ -78,16 +76,9 @@ class TestClockShift:
         with pytest.raises(ValueError):
             shift_matrix(-2)
         with pytest.raises(ValueError):
-            FiniteOperator("X", np.eye(2))
+            dft_basis_change(0)
         with pytest.raises(ValueError):
-            shift_matrix(3).apply(FiniteState("Q", [1, 0]))
-
-    def test_operator_json_export(self):
-        data = clock_matrix(2).to_dict()
-        assert data["dim"] == 2 and data["basis"] == "Q"
-        assert len(data["entries"]) == 4  # row-major flat [re, im] pairs
-        assert data["entries"][0] == [1.0, 0.0]
-        assert data["entries"][3][0] == pytest.approx(-1.0)
+            shift_matrix(3) @ np.array([1, 0], dtype=complex)
 
 
 class TestWeylCommutation:
@@ -108,34 +99,41 @@ class TestWeylCommutation:
             for k in range(1, N):
                 assert abs(omega**k - 1.0) > 0.1
 
+    @pytest.mark.parametrize("N", [63, 64, 128])
+    def test_weyl_suite_passes_where_roots_crowd(self, N):
+        # Consecutive N-th roots of unity lie 2 sin(pi/N) apart, below 0.1
+        # from N = 63 on; the primitivity threshold must follow N.
+        for check in suite_weyl(square_torus(N)):
+            assert check.passed, (check.name, check.max_residual, check.params)
+
     def test_nth_power_commutes(self):
         for N in (2, 3, 8):
-            C = clock_matrix(N).entries
-            SN = np.linalg.matrix_power(shift_matrix(N).entries, N)
+            C = clock_matrix(N)
+            SN = np.linalg.matrix_power(shift_matrix(N), N)
             assert np.abs(C @ SN - SN @ C).max() <= 1e-12
 
 
 class TestDftBasisChange:
     def test_dimension_one(self):
-        K = dft_basis_change(1).entries
+        K = dft_basis_change(1)
         assert K.shape == (1, 1) and abs(abs(K[0, 0]) - 1.0) <= 1e-15
 
     def test_unitary(self):
         for N in (1, 2, 3, 4, 8):
-            K = dft_basis_change(N).entries
+            K = dft_basis_change(N)
             assert np.abs(K.conj().T @ K - np.eye(N)).max() <= 1e-12
 
     def test_intertwines_shift_with_p_basis_diagonal(self):
         # K . diag(e^{-2 pi i m / N}) = shift . K
         N = 4
-        K = dft_basis_change(N).entries
+        K = dft_basis_change(N)
         D = np.diag(np.exp(-2j * np.pi * np.arange(N) / N))
-        S = shift_matrix(N).entries
+        S = shift_matrix(N)
         assert np.abs(K @ D - S @ K).max() <= 1e-12
 
     def test_intertwines_all_table_cells(self):
         for N in (1, 2, 3, 4, 8):
-            K = dft_basis_change(N).entries
+            K = dft_basis_change(N)
             for which in GridShift:
                 mp, mq = table1_matrices(which, N)
                 assert np.abs(K @ mp - mq @ K).max() <= 1e-12
@@ -144,8 +142,8 @@ class TestDftBasisChange:
         # Inner products of sampled basis states on the physical grid agree
         # with the closed form on every entry, for every shadow index.
         for N in (1, 2, 3, 4, 8):
-            overlaps = physical_grid_overlaps(N)
-            K = dft_basis_change(N).entries
+            overlaps = physical_grid_overlaps(square_torus(N))
+            K = dft_basis_change(N)
             expected = K / math.sqrt(N)
             for s in range(N):
                 assert np.abs(overlaps[:, s, :] - expected).max() <= 1e-10
@@ -154,31 +152,30 @@ class TestDftBasisChange:
 class TestTable1:
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_all_cells_pass(self, N):
-        results = table1_verify(N)
+        results = table1_verify(square_torus(N))
         assert len(results) == 8
         for res in results:
             assert res.passed, (res.name, res.max_residual)
             assert res.max_residual <= 1e-12
 
     def test_dimension_one_is_trivial(self):
-        for res in table1_verify(1):
+        for res in table1_verify(square_torus(1)):
             assert res.max_residual <= 1e-15
 
 
 class TestCrossModuleConsistency:
     @pytest.mark.parametrize("N", [2, 3, 4, 8])
     def test_grid_matrix_elements_match_clock_and_shift(self, N):
-        me_shift = grid_matrix_elements(GridShift.EXP_PLEFT, N)
-        me_clock = grid_matrix_elements(GridShift.EXP_QLEFT, N)
-        assert np.abs(me_shift - shift_matrix(N).entries).max() <= 1e-12
-        assert np.abs(me_clock - clock_matrix(N).entries).max() <= 1e-12
+        me_shift = grid_matrix_elements(GridShift.EXP_PLEFT, square_torus(N))
+        me_clock = grid_matrix_elements(GridShift.EXP_QLEFT, square_torus(N))
+        assert np.abs(me_shift - shift_matrix(N)).max() <= 1e-12
+        assert np.abs(me_clock - clock_matrix(N)).max() <= 1e-12
 
     def test_matrix_elements_independent_of_shadow_label(self):
         # The physical words never see m: matrix elements taken in the m = 0
         # sheet agree with those taken in any other fixed-m sheet.
         N = 4
-        side = math.sqrt(N)
-        geometry = make_geometry(side, side, 1.0)
+        geometry = square_torus(N)
 
         def elements(m, which):
             states = [
@@ -200,12 +197,12 @@ class TestCrossModuleConsistency:
 
 class TestTraceObstruction:
     def test_clock_shift_commutator_is_traceless(self):
-        C = clock_matrix(2).entries
-        S = shift_matrix(2).entries
+        C = clock_matrix(2)
+        S = shift_matrix(2)
         assert abs(np.trace(C @ S - S @ C)) <= 1e-12
 
     def test_equal_operators_commute_exactly(self):
-        A = clock_matrix(5).entries
+        A = clock_matrix(5)
         assert abs(np.trace(A @ A - A @ A)) == 0.0
 
     @pytest.mark.parametrize("N", [2, 3, 8])
@@ -220,3 +217,11 @@ class TestTraceObstruction:
         assert set(data) == {"check", "params", "max_residual", "tolerance", "pass"}
         assert data["check"] == "trace_obstruction"
         assert data["params"]["N"] == 3
+
+    def test_verdict_follows_residual_and_mode(self):
+        assert CheckResult("c", {}, 0.1, 0.1).passed
+        assert not CheckResult("c", {}, 0.2, 0.1).passed
+        assert CheckResult("c", {}, 0.2, 0.1, mode="gt").passed
+        assert not CheckResult("c", {}, 0.1, 0.1, mode="gt").passed
+        with pytest.raises(ValueError):
+            CheckResult("c", {}, 0.0, 0.1, mode="eq")

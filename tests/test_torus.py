@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import square_torus
 from torusq.plane import GaugeField
-from torusq.symbolic import OperatorKind, is_eigenstate
+from torusq.symbolic import OperatorKind, exp_operator_apply, is_eigenstate
 from torusq.torus import (
     ChartPair,
     GridFunction,
     GridShift,
     chart_consistency_check,
+    grid_shift_coefficient,
     grid_shift_operator,
     holonomy,
     inner_product,
@@ -20,11 +22,6 @@ from torusq.torus import (
     sample,
     transition_function,
 )
-
-
-def square_torus(N, h=1.0):
-    side = math.sqrt(N * h)
-    return make_geometry(side, side, h)
 
 
 def boundary_loop_integral(geometry, steps=10_000):
@@ -284,6 +281,21 @@ class TestInnerProduct:
 
 
 class TestGridShifts:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_grid_map_samples_the_symbolic_exponential(self, N):
+        # The grid and symbolic layers derive their maps from the same
+        # operator rows; on the physical grid they must agree on every state.
+        g = square_torus(N)
+        for which in GridShift:
+            kind, s = grid_shift_coefficient(which, g)
+            for factory in (make_torus_P_basis, make_torus_Q_basis):
+                for n in range(N):
+                    for m in range(N):
+                        state = factory(g, n, m, primed=True)
+                        symbolic = sample(exp_operator_apply(kind, s, state), g, N)
+                        grid = grid_shift_operator(which, sample(state, g, N))
+                        assert np.abs(symbolic.values - grid.values).max() <= 1e-12
+
     def test_shift_actions_on_physical_grid(self):
         # On the M = N grid the four exponentials act exactly as tabulated.
         for N in (1, 2, 4):
