@@ -23,11 +23,11 @@ import numpy as np
 
 from .report import CheckResult
 from .torus import (
+    GridFunction,
     GridShift,
     TorusGeometry,
     _require_quantized,
     grid_shift_operator,
-    inner_product,
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
@@ -170,30 +170,58 @@ def table1_verify(geometry: TorusGeometry, M: int | None = None,
     shifted (unreduced) label.  Runs on the physical grid M = N by default,
     where the label equivalences hold exactly on samples.  Failures are
     reported, not raised.
+
+    Each labelled state (n, m), 0 <= n, m <= N, is sampled once per basis,
+    (N+1)^2 samples in all, and at most one row of N + 2 sampled states is
+    held at a time.  A phase cell compares with the source state itself, a
+    raising cell with the separately sampled state at (n+1, m) or (n, m+1),
+    never with a roll of the source.
     """
     N = _require_quantized(geometry)
     if M is None:
         M = N
     params = {**geometry.to_dict(), "M": M}
-    results = []
-    for which, cells in LABEL_ACTION.items():
-        for basis, (label, sign) in cells.items():
-            factory = _FACTORIES[basis]
-            worst = 0.0
-            for labels in itertools.product(range(N), repeat=2):
-                state = sample(factory(geometry, *labels, primed=True), geometry, M)
-                moved = grid_shift_operator(which, state)
-                shifted = list(labels)
-                if sign == RAISE:
-                    shifted[label] += 1
-                    phase = 1.0
-                else:
-                    phase = _label_phase(sign, labels[label], N)
-                target = sample(factory(geometry, *shifted, primed=True), geometry, M)
-                worst = max(worst, float(np.abs(moved.values - phase * target.values).max()))
-            results.append(CheckResult(f"table1/{which.name.lower()}/{basis}-basis",
-                                       params, worst, tol))
-    return results
+
+    def sampled(factory, n, m):
+        return sample(factory(geometry, n, m, primed=True), geometry, M)
+
+    worst = dict.fromkeys(itertools.product(LABEL_ACTION, _FACTORIES), 0.0)
+    for basis, factory in _FACTORIES.items():
+        # row[m] holds state (n, m) until column m of row n is checked, then
+        # (n+1, m).
+        row = [sampled(factory, 0, m) for m in range(N + 1)]
+        for n in range(N):
+            for m in range(N):
+                state, above = row[m], sampled(factory, n + 1, m)
+                for which, cells in LABEL_ACTION.items():
+                    label, sign = cells[basis]
+                    moved = grid_shift_operator(which, state)
+                    if sign == RAISE:
+                        target, phase = (above, row[m + 1])[label], 1.0
+                    else:
+                        target, phase = state, _label_phase(sign, (n, m)[label], N)
+                    residual = float(np.abs(moved.values - phase * target.values).max())
+                    worst[which, basis] = max(worst[which, basis], residual)
+                row[m] = above
+            row[N] = sampled(factory, n + 1, N)
+    return [CheckResult(f"table1/{which.name.lower()}/{basis}-basis", params,
+                        worst[which, basis], tol)
+            for which, cells in LABEL_ACTION.items() for basis in cells]
+
+
+def _q_basis_bras(geometry: TorusGeometry) -> np.ndarray:
+    """The sampled primed Q-basis states (n, 0), n = 0..N-1, on the physical
+    grid M = N, conjugated and flattened into the rows of one (N, N^2) array.
+
+    bras @ ket.values.ravel() / N^2 holds inner_product(Q-basis n, ket) for
+    every n at once.
+    """
+    N = _require_quantized(geometry)
+    bras = np.empty((N, N * N), dtype=complex)
+    for n in range(N):
+        state = sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N)
+        np.conjugate(state.values.ravel(), out=bras[n])
+    return bras
 
 
 def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
@@ -202,15 +230,16 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
 
     This is the independent oracle for dft_basis_change: the overlaps equal
     e^{2 pi i n r / N} / N for every shadow index s, i.e. K[n][r] / sqrt(N).
+    Each of the N^2 sampled P-basis kets gives O[:, s, r] in one
+    matrix-vector product with the Q-basis bras; memory is O(N^3).
     """
     N = _require_quantized(geometry)
-    out = np.zeros((N, N, N), dtype=complex)
-    qs = [sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N) for n in range(N)]
+    bras = _q_basis_bras(geometry)
+    out = np.empty((N, N, N), dtype=complex)
     for s in range(N):
         for r in range(N):
-            ph = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
-            for n in range(N):
-                out[n, s, r] = inner_product(qs[n], ph)
+            ket = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
+            out[:, s, r] = bras @ ket.values.ravel() / (N * N)
     return out
 
 
@@ -218,12 +247,11 @@ def grid_matrix_elements(which: GridShift, geometry: TorusGeometry) -> np.ndarra
     """Matrix elements <sampled Q-basis n, 0 | operator | sampled Q-basis n', 0>
     on the physical grid M = N; reproduces the clock/shift entries."""
     N = _require_quantized(geometry)
-    states = [sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N) for n in range(N)]
-    out = np.zeros((N, N), dtype=complex)
-    for col, st in enumerate(states):
-        moved = grid_shift_operator(which, st)
-        for row, bra in enumerate(states):
-            out[row, col] = inner_product(bra, moved)
+    bras = _q_basis_bras(geometry)
+    out = np.empty((N, N), dtype=complex)
+    for col in range(N):
+        ket = GridFunction(geometry, N, bras[col].conj().reshape(N, N))
+        out[:, col] = bras @ grid_shift_operator(which, ket).values.ravel() / (N * N)
     return out
 
 

@@ -106,7 +106,8 @@ class BilinearPhaseTerm:
         p = np.asarray(p, dtype=float)
         poly = np.zeros(np.broadcast(q, p).shape, dtype=complex)
         for (dq, dp), c in self.prefactor.items():
-            poly = poly + c * q**dq * p**dp
+            # The constant monomial needs no q**0 * p**0 arrays.
+            poly = poly + (c if dq == dp == 0 else c * q**dq * p**dp)
         phase = self.c0 + self.cq * q + self.cp * p + self.cqp * q * p
         out = self.amplitude * poly * np.exp(1j * phase / self.hbar)
         if out.ndim == 0:

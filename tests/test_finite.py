@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import square_torus
+from torusq import finite
 from torusq.finite import (
+    LABEL_ACTION,
+    RAISE,
     EquivalenceLabel,
     clock_matrix,
     dft_basis_change,
@@ -23,9 +27,28 @@ from torusq.torus import (
     GridShift,
     grid_shift_operator,
     inner_product,
+    make_geometry,
+    make_torus_P_basis,
     make_torus_Q_basis,
     sample,
 )
+
+
+def non_square_torus(N):
+    """a = 1, b = 2, with h chosen so that a*b/h = N."""
+    return make_geometry(1.0, 2.0, 2.0 / N)
+
+
+def counting_sample(monkeypatch):
+    """Replace finite.sample with a wrapper that counts its calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(finite, "sample", counted)
+    return calls
 
 
 class TestReduceLabel:
@@ -148,6 +171,49 @@ class TestDftBasisChange:
             for s in range(N):
                 assert np.abs(overlaps[:, s, :] - expected).max() <= 1e-10
 
+    @pytest.mark.parametrize("N", [1, 3, 4])
+    def test_grid_overlaps_equal_direct_inner_products(self, N):
+        geometry = non_square_torus(N)
+        overlaps = physical_grid_overlaps(geometry)
+        qs = [sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N)
+              for n in range(N)]
+        direct = np.zeros((N, N, N), dtype=complex)
+        for s, r in itertools.product(range(N), repeat=2):
+            ket = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
+            for n in range(N):
+                direct[n, s, r] = inner_product(qs[n], ket)
+        assert np.abs(overlaps - direct).max() <= 1e-14
+
+    def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
+        N = 4
+        calls = counting_sample(monkeypatch)
+        physical_grid_overlaps(square_torus(N))
+        assert len(calls) == N + N * N
+
+
+def reference_table1_residuals(geometry, M):
+    """Every cell's worst residual, sampling source and target separately
+    for each cell and label pair: the straightforward form of the check."""
+    N = geometry.N
+    factories = {"P": make_torus_P_basis, "Q": make_torus_Q_basis}
+    out = {}
+    for which, cells in LABEL_ACTION.items():
+        for basis, (label, sign) in cells.items():
+            worst = 0.0
+            for labels in itertools.product(range(N), repeat=2):
+                state = sample(factories[basis](geometry, *labels, primed=True), geometry, M)
+                moved = grid_shift_operator(which, state)
+                shifted = list(labels)
+                if sign == RAISE:
+                    shifted[label] += 1
+                    phase = 1.0
+                else:
+                    phase = np.exp(sign * 2j * np.pi * labels[label] / N)
+                target = sample(factories[basis](geometry, *shifted, primed=True), geometry, M)
+                worst = max(worst, float(np.abs(moved.values - phase * target.values).max()))
+            out[f"table1/{which.name.lower()}/{basis}-basis"] = worst
+    return out
+
 
 class TestTable1:
     @pytest.mark.parametrize("N", [1, 2, 4])
@@ -161,6 +227,47 @@ class TestTable1:
     def test_dimension_one_is_trivial(self):
         for res in table1_verify(square_torus(1)):
             assert res.max_residual <= 1e-15
+
+    @pytest.mark.parametrize("shape", [square_torus, non_square_torus])
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_residuals_match_reference_bit_for_bit(self, N, refine, shape):
+        geometry = shape(N)
+        M = refine * N
+        results = table1_verify(geometry, M=M)
+        assert {r.name: r.max_residual for r in results} == reference_table1_residuals(geometry, M)
+        failing = sorted(r.name for r in results if not r.passed)
+        if refine == 1:
+            assert failing == []
+        else:
+            # Off the physical grid the wrapped strip of a Q-basis section is
+            # misrepresented: every Q-basis cell fails, by about 2.
+            assert failing == sorted(r.name for r in results if r.name.endswith("Q-basis"))
+            for r in results:
+                if not r.passed:
+                    assert abs(r.max_residual - 2.0) <= 1e-6
+
+    def test_samples_each_state_once(self, monkeypatch):
+        N = 4
+        calls = counting_sample(monkeypatch)
+        assert all(r.passed for r in table1_verify(square_torus(N)))
+        assert len(calls) <= 2 * (N + 1) ** 2
+
+    @pytest.mark.parametrize("which, basis, corrupted", [
+        (GridShift.EXP_QLEFT, "Q", (0, -1)),      # phase sign flipped
+        (GridShift.EXP_QRIGHT, "P", (0, -1)),     # phase sign flipped
+        (GridShift.EXP_PLEFT, "Q", (1, RAISE)),   # raises m instead of n
+        (GridShift.EXP_PRIGHT, "P", (1, RAISE)),  # raises r instead of s
+        (GridShift.EXP_QLEFT, "P", (0, RAISE)),   # raises s instead of r
+    ])
+    def test_corrupted_cell_fails_alone(self, monkeypatch, which, basis, corrupted):
+        table = {w: dict(cells) for w, cells in LABEL_ACTION.items()}
+        table[which][basis] = corrupted
+        monkeypatch.setattr(finite, "LABEL_ACTION", table)
+        results = table1_verify(non_square_torus(4))
+        assert len(results) == 8
+        failing = [r.name for r in results if not r.passed]
+        assert failing == [f"table1/{which.name.lower()}/{basis}-basis"]
 
 
 class TestCrossModuleConsistency:
