@@ -40,6 +40,7 @@ from .torus import (
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
+    sample_bras,
     transition_function,
 )
 from .finite import (
@@ -98,6 +99,7 @@ __all__ = [
     "physical_grid_overlaps",
     "reduce_label",
     "sample",
+    "sample_bras",
     "shift_matrix",
     "table1_matrices",
     "table1_verify",

@@ -170,8 +170,6 @@ def cmd_dump(args) -> int:
             f"labels out of range: need 0 <= n,m < {args.N}, got n={n} m={m} "
             "(pass --reduce to fold them first)"
         )
-    if args.M % args.N != 0:
-        raise ValueError(f"--M must be a multiple of N={args.N}, got {args.M}")
     factory = make_torus_Q_basis if args.kind == "qbasis" else make_torus_P_basis
     grid = sample(factory(geometry, n, m, primed=args.primed), geometry, args.M)
     if args.out:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import CheckResult
+from .report import DEFAULT_TOL, CheckResult
 from .torus import (
     GridFunction,
     GridShift,
@@ -31,9 +31,9 @@ from .torus import (
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
+    sample_bras,
 )
 
-DEFAULT_TOL = 1e-12
 TRACE_TOL = 1e-10
 
 
@@ -209,21 +209,6 @@ def table1_verify(geometry: TorusGeometry, M: int | None = None,
             for which, cells in LABEL_ACTION.items() for basis in cells]
 
 
-def _q_basis_bras(geometry: TorusGeometry) -> np.ndarray:
-    """The sampled primed Q-basis states (n, 0), n = 0..N-1, on the physical
-    grid M = N, conjugated and flattened into the rows of one (N, N^2) array.
-
-    bras @ ket.values.ravel() / N^2 holds inner_product(Q-basis n, ket) for
-    every n at once.
-    """
-    N = _require_quantized(geometry)
-    bras = np.empty((N, N * N), dtype=complex)
-    for n in range(N):
-        state = sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N)
-        np.conjugate(state.values.ravel(), out=bras[n])
-    return bras
-
-
 def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     """Inner products O[n, s, r] = <sampled Q-basis n, m=0 | sampled P-basis s, r>
     on the physical grid M = N, both bases in the primed convention.
@@ -231,10 +216,12 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     This is the independent oracle for dft_basis_change: the overlaps equal
     e^{2 pi i n r / N} / N for every shadow index s, i.e. K[n][r] / sqrt(N).
     Each of the N^2 sampled P-basis kets gives O[:, s, r] in one
-    matrix-vector product with the Q-basis bras; memory is O(N^3).
+    matrix-vector product with the (N, N^2) array of Q-basis bras
+    (sample_bras); memory is O(N^3).
     """
     N = _require_quantized(geometry)
-    bras = _q_basis_bras(geometry)
+    bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
+                       geometry, N)
     out = np.empty((N, N, N), dtype=complex)
     for s in range(N):
         for r in range(N):
@@ -247,7 +234,8 @@ def grid_matrix_elements(which: GridShift, geometry: TorusGeometry) -> np.ndarra
     """Matrix elements <sampled Q-basis n, 0 | operator | sampled Q-basis n', 0>
     on the physical grid M = N; reproduces the clock/shift entries."""
     N = _require_quantized(geometry)
-    bras = _q_basis_bras(geometry)
+    bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
+                       geometry, N)
     out = np.empty((N, N), dtype=complex)
     for col in range(N):
         ket = GridFunction(geometry, N, bras[col].conj().reshape(N, N))

@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
+# Residual tolerance of a check unless the caller passes its own.
+DEFAULT_TOL = 1e-12
+
 
 @dataclass
 class CheckResult:
@@ -73,5 +76,5 @@ class VerificationReport:
             "overall_pass": self.overall_pass,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)

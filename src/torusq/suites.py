@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .finite import (
-    DEFAULT_TOL,
     clock_matrix,
     dft_basis_change,
     physical_grid_overlaps,
@@ -22,19 +21,24 @@ from .finite import (
     table1_verify,
     weyl_commutation_check,
 )
-from .report import CheckResult
+from .report import DEFAULT_TOL, CheckResult
 from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
+    _require_quantized,
     chart_consistency_check,
     make_geometry,
     make_torus_P_basis,
     make_torus_Q_basis,
-    sample,
+    sample_bras,
 )
 
 _SUITE_SEED = 714025
+
+# Each grid-overlap oracle entry is a sum of N^2 sampled phases whose roundoff
+# grows with N, so the oracle keeps this fixed tolerance instead of --tolerance.
+ORACLE_TOL = 1e-10
 
 
 def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -68,27 +72,25 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     ]
 
 
-def _gram_residual(states) -> float:
-    M2 = states[0].M ** 2
-    V = np.stack([s.values.reshape(-1) for s in states])
-    gram = (V.conj() @ V.T) / M2
+def _gram_residual(states, geometry: TorusGeometry, M: int) -> float:
+    bras = sample_bras(states, geometry, M)
+    gram = bras @ bras.conj().T / (M * M)
     return float(np.abs(gram - np.eye(len(states))).max())
 
 
-def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL,
-                         M: int | None = None) -> list[CheckResult]:
-    """Gram matrices of both N^2-member bases equal the identity."""
-    N = geometry.N
-    if N is None:
-        raise ValueError("orthonormality suite requires a quantized geometry")
-    if M is None:
-        M = 8 * N
-    qstates = [sample(make_torus_Q_basis(geometry, n, m, primed=True), geometry, M)
-               for n in range(N) for m in range(N)]
-    pstates = [sample(make_torus_P_basis(geometry, n, m), geometry, M)
-               for n in range(N) for m in range(N)]
-    rq = _gram_residual(qstates)
-    rp = _gram_residual(pstates)
+def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
+    """Gram matrices of both N^2-member bases equal the identity, by
+    quadrature on the M = 8N grid.
+
+    One basis is held at a time, as its (N^2, M^2) array of bras and that
+    array's conjugate.
+    """
+    N = _require_quantized(geometry)
+    M = 8 * N
+    labels = [(n, m) for n in range(N) for m in range(N)]
+    rq = _gram_residual([make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
+                        geometry, M)
+    rp = _gram_residual([make_torus_P_basis(geometry, n, m) for n, m in labels], geometry, M)
     params = {**geometry.to_dict(), "M": M}
     return [
         CheckResult("orthonormality/q_basis_gram", params, rq, tol),
@@ -103,9 +105,7 @@ def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Chec
 
 def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Clock/shift commutation phase and unitarity."""
-    N = geometry.N
-    if N is None:
-        raise ValueError("weyl suite requires a quantized geometry")
+    N = _require_quantized(geometry)
     C = clock_matrix(N)
     S = shift_matrix(N)
     eye = np.eye(N)
@@ -135,12 +135,9 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
     ]
 
 
-def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL,
-              oracle_tol: float = 1e-10) -> list[CheckResult]:
+def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Unitarity, intertwining, and grid-overlap oracle for the basis change."""
-    N = geometry.N
-    if N is None:
-        raise ValueError("dft suite requires a quantized geometry")
+    N = _require_quantized(geometry)
     K = dft_basis_change(N)
     r_unitary = float(np.abs(K.conj().T @ K - np.eye(N)).max())
     checks = [CheckResult("dft/unitary", {"N": N}, r_unitary, tol)]
@@ -153,20 +150,16 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL,
     r_oracle = 0.0
     for s in range(N):
         r_oracle = max(r_oracle, float(np.abs(overlaps[:, s, :] - expected).max()))
-    # Each overlap is a sum of N^2 sampled phases whose roundoff grows with N,
-    # so the oracle keeps its own fixed tolerance instead of --tolerance.
     checks.append(
         CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
-                    r_oracle, oracle_tol)
+                    r_oracle, ORACLE_TOL)
     )
     return checks
 
 
 def suite_charts(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Two-chart gauge consistency, plus detection of an omitted transition."""
-    N = geometry.N
-    if N is None:
-        raise ValueError("charts suite requires a quantized geometry")
+    N = _require_quantized(geometry)
     labels = [(0, 0)] if N == 1 else [(0, 0), (1, 1)]
     checks = [chart_consistency_check(geometry, n, m, tol=tol) for n, m in labels]
     # Negative control on a half-integer area: with the gauge factor omitted
@@ -185,13 +178,11 @@ SUITES = {
     "charts": suite_charts,
 }
 
-SUITE_ORDER = ("commutators", "orthonormality", "table1", "weyl", "dft", "charts")
-
 
 def run_suites(selector: str, geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in the order of SUITES."""
     if selector == "all":
-        names = SUITE_ORDER
+        names = SUITES
     elif selector in SUITES:
         names = (selector,)
     else:

@@ -174,8 +174,8 @@ class WaveFunction:
         pref = prefactor if prefactor is not None else {(0, 0): 1.0 + 0.0j}
         return cls([BilinearPhaseTerm(amplitude, c0, cq, cp, cqp, pref, hbar)])
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs_coeff() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs_coeff() == 0.0
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient magnitude over all terms and monomials."""
@@ -426,7 +426,7 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
     return WaveFunction(out_terms, hbar=wf.hbar)
 
 
-def is_eigenstate(kind: OperatorKind, wf: WaveFunction, rel_tol: float = EIGEN_RATIO_TOL):
+def is_eigenstate(kind: OperatorKind, wf: WaveFunction):
     """Eigenvalue of `kind` on `wf` when one exists, else None.
 
     Applies the operator and runs a ratio test over canonical coefficients:
@@ -451,7 +451,7 @@ def is_eigenstate(kind: OperatorKind, wf: WaveFunction, rel_tol: float = EIGEN_R
             cand = ta.prefactor[mon] / cw
             if lam is None:
                 lam = cand
-            elif abs(cand - lam) > rel_tol * max(1.0, abs(lam)):
+            elif abs(cand - lam) > EIGEN_RATIO_TOL * max(1.0, abs(lam)):
                 return None
     return lam
 

@@ -28,14 +28,12 @@ from enum import Enum
 
 import numpy as np
 
-from .report import CheckResult
+from .report import DEFAULT_TOL, CheckResult
 from .symbolic import BilinearPhaseTerm, OperatorKind, WaveFunction, exp_affine_map
 
 # a*b/h counts as an integer when within this relative tolerance; inputs may
 # arrive as decimal text.
 N_DETECT_REL_TOL = 1e-9
-
-DEFAULT_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,12 @@ def _require_quantized(geometry: TorusGeometry) -> int:
     return geometry.N
 
 
+def _require_grid(geometry: TorusGeometry, M: int) -> None:
+    N = _require_quantized(geometry)
+    if M <= 0 or M % N != 0:
+        raise ValueError(f"M must be a positive multiple of N={N}, got M={M}")
+
+
 def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> BilinearPhaseTerm:
     # Raw Q-basis phase polynomial; valid pointwise for any geometry, which
     # the chart diagnostics rely on.  With hbar = h/2pi the pq coefficient is
@@ -173,9 +177,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        N = _require_quantized(self.geometry)
-        if self.M <= 0 or self.M % N != 0:
-            raise ValueError(f"M must be a positive multiple of N={N}, got M={self.M}")
+        _require_grid(self.geometry, self.M)
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.M, self.M):
             raise ValueError(f"values must have shape ({self.M}, {self.M}), got {vals.shape}")
@@ -215,13 +217,26 @@ class GridFunction:
 def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> GridFunction:
     """Sample a wave function on the uniform M x M grid over one fundamental
     domain.  M must be a positive multiple of N."""
-    N = _require_quantized(geometry)
-    if M <= 0 or M % N != 0:
-        raise ValueError(f"M must be a positive multiple of N={N}, got M={M}")
+    _require_grid(geometry, M)
     q = np.arange(M) * (geometry.b / M)
     p = np.arange(M) * (geometry.a / M)
     values = wf.evaluate(q[None, :], p[:, None])
     return GridFunction(geometry, M, values)
+
+
+def sample_bras(states, geometry: TorusGeometry, M: int) -> np.ndarray:
+    """Sample each wave function of the sequence `states` on the M x M grid
+    and write its conjugate, flattened, into one row of a (len(states), M^2)
+    array.
+
+    bras @ g.values.ravel() / M^2 holds inner_product(sample(state), g) for
+    every state at once.
+    """
+    _require_grid(geometry, M)
+    bras = np.empty((len(states), M * M), dtype=complex)
+    for row, wf in zip(bras, states):
+        np.conjugate(sample(wf, geometry, M).values.ravel(), out=row)
+    return bras
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
@@ -319,11 +334,10 @@ def chart_consistency_check(
     m: int,
     delta: float | None = None,
     apply_transition: bool = True,
-    num_p: int = 64,
-    num_q: int = 16,
-    tol: float = DEFAULT_CHECK_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> CheckResult:
-    """Sample the Q-basis state in both charts on the seam overlap strip.
+    """Sample the Q-basis state in both charts on the seam overlap strip, at
+    16 values of q across the strip and 64 of p over one period.
 
     With apply_transition=True (requires a quantized geometry) the seam
     comparison multiplies the chart-I values by the transition factor and the
@@ -344,8 +358,8 @@ def chart_consistency_check(
     # lets the omission diagnostic run on non-quantized tori.
     wf = WaveFunction([_torus_q_term(geometry, n, m, primed=False)], hbar=geometry.hbar)
 
-    ps = np.arange(num_p) * (geometry.a / num_p)
-    seam_q = np.linspace(charts.seam_overlap[0], charts.seam_overlap[1], num_q)
+    ps = np.arange(64) * (geometry.a / 64)
+    seam_q = np.linspace(charts.seam_overlap[0], charts.seam_overlap[1], 16)
     qg, pg = np.meshgrid(seam_q, ps, indexing="ij")
     chart_one = wf.evaluate(qg, pg)
     chart_two = wf.evaluate(qg + geometry.b, pg)

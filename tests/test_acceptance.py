@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from torusq.plane import (
     make_plane_Q_basis,
     path_phase,
 )
+from torusq.suites import suite_orthonormality
 from torusq.symbolic import (
     OperatorKind,
     apply_operator,
@@ -219,6 +221,24 @@ def test_criterion_05_torus_orthonormality():
         "criterion 5: torus orthonormality (both bases, N in {1,2,3,4,8}, M=8N)",
         worst <= 1e-12 and elapsed < 10.0,
         f"Gram residual {worst:.2e} in {elapsed:.2f}s",
+    )
+
+
+def test_criterion_05_gram_holds_one_basis_at_a_time():
+    # One basis sampled at M = 8N is an (N^2, M^2) complex array; the suite
+    # may hold it and its conjugate, not both bases or extra stacked copies.
+    N = 8
+    basis_bytes = N * N * (8 * N) ** 2 * 16
+    tracemalloc.start()
+    try:
+        checks = suite_orthonormality(square_torus(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    conclude(
+        "criterion 5: orthonormality memory (N=8, M=8N)",
+        all(c.passed for c in checks) and peak <= 2.5 * basis_bytes,
+        f"peak {peak / basis_bytes:.2f} x one basis array",
     )
 
 

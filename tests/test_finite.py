@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import square_torus
-from torusq import finite
+from torusq import finite, torus
 from torusq.finite import (
     LABEL_ACTION,
     RAISE,
@@ -40,7 +40,8 @@ def non_square_torus(N):
 
 
 def counting_sample(monkeypatch):
-    """Replace finite.sample with a wrapper that counts its calls."""
+    """Replace sample, as finite calls it and as torus.sample_bras calls it,
+    with a wrapper that counts its calls."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -48,6 +49,7 @@ def counting_sample(monkeypatch):
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(finite, "sample", counted)
+    monkeypatch.setattr(torus, "sample", counted)
     return calls
 
 

@@ -20,6 +20,7 @@ from torusq.torus import (
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
+    sample_bras,
     transition_function,
 )
 
@@ -226,6 +227,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(wf, g, 0)
 
+    def test_bras_validation_precedes_allocation(self):
+        # A (4, M^2) array at M = 10^6 + 1 cannot be allocated: an M that is
+        # not a multiple of N must be refused before the array is requested.
+        g = square_torus(2)
+        states = [make_torus_P_basis(g, 0, m) for m in range(4)]
+        for M in (3, 10**6 + 1, 0):
+            with pytest.raises(ValueError):
+                sample_bras(states, g, M)
+        with pytest.raises(ValueError):
+            sample_bras(states, make_geometry(1.0, 0.5, 1.0), 4)  # not quantized
+
     def test_grid_layout(self):
         g = make_geometry(2.0, 4.0, 1.0)
         wf = make_torus_P_basis(g, 1, 1)
@@ -256,6 +268,19 @@ class TestInnerProduct:
                   for n in range(N) for m in range(N)]
             gram = np.array([[inner_product(x, y) for y in qs] for x in qs])
             assert np.abs(gram - np.eye(N * N)).max() <= 1e-12
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_bras_give_inner_products(self, factor):
+        g = make_geometry(1.0, 2.0, 0.4)  # N = 5 on a non-square torus
+        M = factor * g.N
+        states = ([make_torus_Q_basis(g, n, m, primed=True) for n in range(5) for m in (0, 3)]
+                  + [make_torus_P_basis(g, n, m) for n in (1, 4) for m in range(5)])
+        bras = sample_bras(states, g, M)
+        assert bras.shape == (len(states), M * M)
+        for ket in (make_torus_Q_basis(g, 2, 3, primed=True), make_torus_P_basis(g, 4, 1)):
+            k = sample(ket, g, M)
+            want = np.array([inner_product(sample(wf, g, M), k) for wf in states])
+            assert np.abs(bras @ k.values.ravel() / (M * M) - want).max() <= 1e-15
 
     def test_conjugate_symmetry_and_positivity(self):
         g = square_torus(2)
