@@ -1,9 +1,9 @@
 """Command-line front end: quantize, verify, and dump subcommands.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or input
-error.  Reports are emitted as human-readable tables or, with --json, as the
-versioned JSON schema; for identical inputs the output is byte-stable apart
-from the timestamp field.
+error, including a request too large for memory.  Reports are emitted as
+human-readable tables or, with --json, as the versioned JSON schema; for
+identical inputs the output is byte-stable apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "dump":
             return cmd_dump(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
     return 2  # pragma: no cover
 

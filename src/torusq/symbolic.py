@@ -30,9 +30,9 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-# Two phase-coefficient tuples are treated as identical when all four entries
-# agree within this absolute tolerance.  Inputs are exact small rationals in
-# practice; the tolerance only absorbs roundoff from arithmetic.
+# Width of the merge cells: two phase tuples are merged when every entry
+# rounds to the same multiple of it.  Inputs are exact small rationals in
+# practice; the cells only absorb roundoff from arithmetic.
 PHASE_MERGE_TOL = 1e-12
 
 # Relative tolerance for the eigenvalue ratio test.  All in-scope
@@ -75,7 +75,9 @@ class BilinearPhaseTerm:
 
     The phase polynomial is c0 + cq*q + cp*p + cqp*q*p with real coefficients
     carrying units of action (they are divided by hbar on evaluation).  The
-    prefactor maps exponent pairs (dq, dp) to complex coefficients.
+    prefactor maps exponent pairs (dq, dp) to complex coefficients.  Phase
+    coefficients k are stored as floats, -0.0 as 0.0; k / PHASE_MERGE_TOL
+    must be finite.
     """
 
     amplitude: complex
@@ -89,6 +91,11 @@ class BilinearPhaseTerm:
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        for name in ("c0", "cq", "cp", "cqp"):
+            k = float(getattr(self, name)) or 0.0  # -0.0 becomes 0.0
+            if not math.isfinite(k / PHASE_MERGE_TOL):
+                raise ValueError(f"phase coefficient {name}={k} has no finite merge cell")
+            object.__setattr__(self, name, k)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         pref = {
             (int(dq), int(dp)): complex(c)
@@ -115,21 +122,15 @@ class BilinearPhaseTerm:
         return out
 
 
-def _merge_key(key, groups):
-    """Index of the group whose phase key matches within PHASE_MERGE_TOL."""
-    for i, (gkey, _) in enumerate(groups):
-        if all(abs(key[j] - gkey[j]) <= PHASE_MERGE_TOL for j in range(4)):
-            return i
-    return -1
-
-
 class WaveFunction:
     """A finite sum of BilinearPhaseTerm sharing one hbar.
 
-    Instances are canonical: terms with matching phase tuples are merged by
-    polynomial addition, zero coefficients are dropped, amplitudes are folded
-    into the prefactor, and terms are sorted by (c0, cq, cp, cqp).  The zero
-    wave function has an empty term list.
+    Instances are canonical: terms whose phase tuples share the merge cell
+    round(k / PHASE_MERGE_TOL) in every entry k are merged by polynomial
+    addition under the cell's smallest tuple, whatever the input order; zero
+    coefficients are dropped, amplitudes are folded into the prefactor, and
+    terms are sorted by (c0, cq, cp, cqp).  The zero wave function has an
+    empty term list.
     """
 
     __slots__ = ("hbar", "terms")
@@ -142,21 +143,19 @@ class WaveFunction:
             hbar = terms[0].hbar
         if hbar <= 0:
             raise ValueError(f"hbar must be positive, got {hbar}")
-        groups: list[tuple[tuple, dict]] = []
-        for t in terms:
+        # Sorted input opens each cell with its smallest key, in ascending order.
+        cells: dict[tuple, tuple[tuple, dict]] = {}
+        for t in sorted(terms, key=lambda t: t.phase_key):
             if t.hbar != hbar:
                 raise ValueError("all terms must share one hbar")
             if t.amplitude == 0:
                 continue
-            i = _merge_key(t.phase_key, groups)
-            if i < 0:
-                groups.append((t.phase_key, {}))
-                i = len(groups) - 1
-            pref = groups[i][1]
+            cell = tuple(round(k / PHASE_MERGE_TOL) for k in t.phase_key)
+            pref = cells.setdefault(cell, (t.phase_key, {}))[1]
             for mon, c in t.prefactor.items():
                 pref[mon] = pref.get(mon, 0j) + t.amplitude * c
         canon = []
-        for key, pref in sorted(groups, key=lambda g: g[0]):
+        for key, pref in cells.values():
             pref = {mon: c for mon, c in sorted(pref.items()) if c != 0}
             if pref:
                 canon.append(
@@ -175,7 +174,7 @@ class WaveFunction:
         return cls([BilinearPhaseTerm(amplitude, c0, cq, cp, cqp, pref, hbar)])
 
     def is_zero(self) -> bool:
-        return self.max_abs_coeff() == 0.0
+        return not self.terms
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient magnitude over all terms and monomials."""
@@ -198,8 +197,6 @@ class WaveFunction:
 
     def scale(self, factor: complex) -> "WaveFunction":
         factor = complex(factor)
-        if factor == 0:
-            return WaveFunction.zero(self.hbar)
         return WaveFunction(
             [
                 BilinearPhaseTerm(factor, *t.phase_key, prefactor=t.prefactor, hbar=self.hbar)
@@ -222,7 +219,10 @@ class WaveFunction:
     __rmul__ = __mul__
 
     def max_coeff_residual(self, other: "WaveFunction") -> float:
-        """Largest coefficient of (self - other); zero iff coefficient-equal."""
+        """Largest coefficient of (self - other); zero iff coefficient-equal.
+
+        Terms whose phase tuples share a merge cell are compared as one term.
+        """
         return (self - other).max_abs_coeff()
 
     # -- canonical JSON serialization ------------------------------------
@@ -430,9 +430,9 @@ def is_eigenstate(kind: OperatorKind, wf: WaveFunction):
     """Eigenvalue of `kind` on `wf` when one exists, else None.
 
     Applies the operator and runs a ratio test over canonical coefficients:
-    the result must have the same phase tuples and monomial support as the
-    input with one constant complex ratio throughout.  Returns 0j when the
-    operator annihilates the state.
+    the result must keep every term (apply_operator copies the phase tuples)
+    and its monomial support, with one constant complex ratio throughout.
+    Returns 0j when the operator annihilates the state.
     """
     if wf.is_zero():
         raise ValueError("eigenvalue requested for the zero wave function")
@@ -443,8 +443,6 @@ def is_eigenstate(kind: OperatorKind, wf: WaveFunction):
         return None
     lam = None
     for ta, tw in zip(applied.terms, wf.terms):
-        if any(abs(ta.phase_key[i] - tw.phase_key[i]) > PHASE_MERGE_TOL for i in range(4)):
-            return None
         if set(ta.prefactor) != set(tw.prefactor):
             return None
         for mon, cw in tw.prefactor.items():

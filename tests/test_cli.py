@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from torusq import cli
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -170,6 +172,18 @@ class TestDump:
     def test_m_not_multiple_exits_2(self):
         res = run_cli("dump", "qbasis", "--N", "2", "--n", "0", "--m", "0", "--M", "7")
         assert res.returncode == 2
+
+    def test_grid_too_large_for_memory_exits_2(self, monkeypatch, capsys):
+        # Stands in for numpy's allocation failure; no huge grid is requested.
+        def sample(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "sample", sample)
+        code = cli.main(["dump", "qbasis", "--N", "2", "--n", "0", "--m", "0", "--M", "1000000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: Unable to allocate 14.6 TiB for an array\n"
+        assert "Traceback" not in err
 
     def test_out_file(self, tmp_path):
         dest = tmp_path / "grid.csv"

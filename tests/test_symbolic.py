@@ -1,10 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from conftest import dyadic, random_points, random_wavefunction
+from conftest import dyadic, random_points, random_wavefunction, square_torus
 from torusq.symbolic import (
+    PHASE_MERGE_TOL,
     BilinearPhaseTerm,
     OperatorKind,
     WaveFunction,
@@ -14,6 +16,7 @@ from torusq.symbolic import (
     exp_operator_apply,
     is_eigenstate,
 )
+from torusq.torus import make_torus_P_basis, make_torus_Q_basis
 
 Q_LEFT, P_LEFT = OperatorKind.Q_LEFT, OperatorKind.P_LEFT
 Q_RIGHT, P_RIGHT = OperatorKind.Q_RIGHT, OperatorKind.P_RIGHT
@@ -69,6 +72,74 @@ class TestConstruction:
             1j * (0.5 - 1.0 * q + 0.25 * p + q * p) / 0.5
         )
         assert abs(t.evaluate(q, p) - expected) < 1e-15
+
+
+class TestCanonicalForm:
+    def test_json_independent_of_term_order(self):
+        rng = np.random.default_rng(23)
+        lists = []
+        for _ in range(10):
+            terms = [t for _ in range(3) for t in random_wavefunction(rng).terms]
+            # Repeat some terms with keys moved by roundoff so that cells merge.
+            for t in terms[:2]:
+                nudged = [float(np.nextafter(k, np.inf)) for k in t.phase_key]
+                terms.append(BilinearPhaseTerm(0.5, *nudged, prefactor=t.prefactor))
+            lists.append(terms)
+        # Keys spread over up to two merge widths; -0.0 and 0.0 are one key.
+        lists.append([BilinearPhaseTerm(1.0, c0, 0.0, 0.0, 0.0)
+                      for c0 in (0.0, 0.6 * PHASE_MERGE_TOL, 1.2 * PHASE_MERGE_TOL)])
+        lists.append([BilinearPhaseTerm(1.0, 0.0, -0.0, 0.0, 0.0),
+                      BilinearPhaseTerm(2.0, 0, 0.0, 0.0, 0.0)])
+        for terms in lists:
+            want = WaveFunction(terms).to_json()
+            for _ in range(12):
+                order = rng.permutation(len(terms))
+                assert WaveFunction([terms[i] for i in order]).to_json() == want
+
+    def test_merge_cell_and_stored_key(self):
+        eps = PHASE_MERGE_TOL
+        wf = WaveFunction([BilinearPhaseTerm(1.0, 0.3 * eps, 0.0, 0.0, 0.0),
+                           BilinearPhaseTerm(1.0, 0.1 * eps, 0.0, 0.0, 0.0),
+                           BilinearPhaseTerm(1.0, 0.7 * eps, 0.0, 0.0, 0.0)])
+        assert [t.phase_key for t in wf.terms] == [(0.1 * eps, 0.0, 0.0, 0.0),
+                                                   (0.7 * eps, 0.0, 0.0, 0.0)]
+        assert [t.prefactor for t in wf.terms] == [{(0, 0): 2.0 + 0j}, {(0, 0): 1.0 + 0j}]
+
+    def test_exponential_compositions_merge_back(self):
+        # Roundoff in translated phase tuples must not split a term in two.
+        for N in (2, 3, 5, 7):
+            geometry = square_torus(N)
+            s = geometry.h / geometry.a
+            for factory in (make_torus_Q_basis, make_torus_P_basis):
+                for n in range(N):
+                    for m in range(N):
+                        wf = factory(geometry, n, m)
+                        for kind in ALL_KINDS:
+                            back = exp_operator_apply(kind, s, exp_operator_apply(kind, -s, wf))
+                            assert back.max_coeff_residual(wf) <= 1e-12
+                            split = exp_operator_apply(
+                                kind, 0.3 * s, exp_operator_apply(kind, 0.7 * s, wf))
+                            whole = exp_operator_apply(kind, s, wf)
+                            assert split.max_coeff_residual(whole) <= 1e-12
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, -1e300])
+    def test_phase_coefficient_without_finite_cell_rejected(self, value):
+        for position in range(4):
+            key = [0.0] * 4
+            key[position] = value
+            with pytest.raises(ValueError):
+                BilinearPhaseTerm(1.0, *key)
+
+    def test_large_build_is_fast(self):
+        rng = np.random.default_rng(29)
+        keys = [tuple(dyadic(rng) * 64 for _ in range(4)) for _ in range(2600)]
+        terms = [BilinearPhaseTerm(complex(dyadic(rng), 1.0), *keys[int(rng.integers(len(keys)))],
+                                   prefactor={(int(rng.integers(0, 3)), 0): 1.0})
+                 for _ in range(4000)]
+        start = time.perf_counter()
+        wf = WaveFunction(terms)
+        assert time.perf_counter() - start < 2.0
+        assert len(wf.terms) == len({t.phase_key for t in terms})
 
 
 class TestApplyOperator:
