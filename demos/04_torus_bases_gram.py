@@ -12,7 +12,6 @@ out as the identity to machine precision.
 import numpy as np
 
 from torusq import (
-    inner_product,
     is_eigenstate,
     make_geometry,
     make_torus_P_basis,
@@ -36,11 +35,12 @@ print("Q-basis (1,2): Q_LEFT eigenvalue:", is_eigenstate(OperatorKind.Q_LEFT, ps
 print("P-basis (1,2): P_LEFT eigenvalue:", is_eigenstate(OperatorKind.P_LEFT, phi),
       " expected:", 2 * g.h / g.b)
 
-# Gram matrices of the N^2-member families.
+# Gram matrices of the N^2-member families; a sampled state is an (M, M)
+# array and the inner product is the equal-weight sum vdot(x, y) / M^2.
 def gram(factory, primed):
     states = [sample(factory(g, n, m, primed=primed), g, M)
               for n in range(N) for m in range(N)]
-    return np.array([[inner_product(x, y) for y in states] for x in states])
+    return np.array([[np.vdot(x, y) / M**2 for y in states] for x in states])
 
 gram_q = gram(make_torus_Q_basis, True)
 gram_p = gram(make_torus_P_basis, False)
@@ -60,4 +60,4 @@ g1 = make_geometry(1.0, 1.0, 1.0)
 grid = sample(make_torus_Q_basis(g1, 0, 0, primed=True), g1, 4)
 print("\nsampled prequantum factor on the unit torus (M = 4):")
 with np.printoptions(precision=3, suppress=True):
-    print(grid.values)
+    print(grid)

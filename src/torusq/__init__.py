@@ -28,14 +28,11 @@ from .plane import (
     path_phase,
 )
 from .torus import (
-    ChartPair,
-    GridFunction,
     GridShift,
     TorusGeometry,
     chart_consistency_check,
     grid_shift_operator,
     holonomy,
-    inner_product,
     make_geometry,
     make_torus_P_basis,
     make_torus_Q_basis,
@@ -45,7 +42,6 @@ from .torus import (
 )
 from .finite import (
     LABEL_ACTION,
-    EquivalenceLabel,
     clock_matrix,
     dft_basis_change,
     grid_matrix_elements,
@@ -63,12 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearPhaseTerm",
-    "ChartPair",
     "CheckResult",
     "DisplacementLabel",
-    "EquivalenceLabel",
     "GaugeField",
-    "GridFunction",
     "GridShift",
     "LABEL_ACTION",
     "OperatorKind",
@@ -88,7 +81,6 @@ __all__ = [
     "grid_matrix_elements",
     "grid_shift_operator",
     "holonomy",
-    "inner_product",
     "is_eigenstate",
     "make_geometry",
     "make_plane_P_basis",

@@ -19,6 +19,7 @@ from .report import CheckResult, VerificationReport
 from .suites import DEFAULT_TOL, SUITES, run_suites
 from .torus import (
     area_mismatch,
+    grid_coordinates,
     holonomy,
     make_geometry,
     make_torus_P_basis,
@@ -160,22 +161,33 @@ def cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
+def _write_csv(values, geometry, out) -> None:
+    """Write rows `i,j,q,p,re,im` (header included) of sampled values."""
+    qs, ps = grid_coordinates(geometry, len(values))
+    out.write("i,j,q,p,re,im\n")
+    for i, row in enumerate(values):
+        for j, v in enumerate(row):
+            out.write(f"{i},{j},{float(qs[j])!r},{float(ps[i])!r},"
+                      f"{float(v.real)!r},{float(v.imag)!r}\n")
+
+
 def cmd_dump(args) -> int:
     geometry = _resolve_geometry(args)
     n, m = args.n, args.m
     if args.reduce:
-        n, m = reduce_label(n, m, args.N).n, 0
+        n, m = reduce_label(n, m, args.N), 0
     if not (0 <= n < args.N and 0 <= m < args.N):
         raise ValueError(
             f"labels out of range: need 0 <= n,m < {args.N}, got n={n} m={m} "
             "(pass --reduce to fold them first)"
         )
     factory = make_torus_Q_basis if args.kind == "qbasis" else make_torus_P_basis
-    grid = sample(factory(geometry, n, m, primed=args.primed), geometry, args.M)
+    values = sample(factory(geometry, n, m, primed=args.primed), geometry, args.M)
     if args.out:
-        grid.to_csv(args.out)
+        with open(args.out, "w", encoding="utf-8") as out:
+            _write_csv(values, geometry, out)
     else:
-        grid.to_csv(sys.stdout)
+        _write_csv(values, geometry, sys.stdout)
     return 0
 
 

@@ -109,7 +109,7 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
     C = clock_matrix(N)
     S = shift_matrix(N)
     eye = np.eye(N)
-    omega = weyl_commutation_check(N, tol)
+    omega = weyl_commutation_check(N)
     r_order = abs(omega**N - 1.0)
     # A primitive root keeps every power omega^k, 0 < k < N, at least
     # 2 sin(pi/N) away from 1; a non-primitive one returns to 1 at some k.
@@ -147,9 +147,8 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
         checks.append(CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N}, resid, tol))
     overlaps = physical_grid_overlaps(geometry)
     expected = K / np.sqrt(N)  # overlap of unit grid states carries 1/sqrt(N)
-    r_oracle = 0.0
-    for s in range(N):
-        r_oracle = max(r_oracle, float(np.abs(overlaps[:, s, :] - expected).max()))
+    overlaps -= expected[:, None, :]  # in place: no second (N, N, N) array
+    r_oracle = float(np.abs(overlaps).max())
     checks.append(
         CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
                     r_oracle, ORACLE_TOL)

@@ -90,7 +90,9 @@ def make_geometry(a: float, b: float, h: float) -> TorusGeometry:
 
 def holonomy(geometry: TorusGeometry) -> complex:
     """Phase e^{i a b / hbar} = e^{2 pi i a b / h} picked up around the
-    fundamental-domain boundary; equals 1 within 1e-12 iff N is present."""
+    fundamental-domain boundary.  With N present, |holonomy - 1| <=
+    2 pi N_DETECT_REL_TOL a b / h up to roundoff, not 1e-12: it is 1.0e-8
+    for make_geometry(1.0000000004, 4.0, 1.0), which has N = 4."""
     s = 2.0 * math.pi * (geometry.a * geometry.b / geometry.h)
     return complex(math.cos(s), math.sin(s))
 
@@ -99,7 +101,9 @@ def transition_function(geometry: TorusGeometry, p: float) -> complex:
     """Chart-overlap gauge factor e^{i b p / hbar} at momentum p.
 
     Satisfies transition(p + a) / transition(p) = holonomy, so it is
-    periodic in p exactly when the geometry is quantized.
+    periodic in p when a*b/h is an exact integer; on a geometry with N
+    present the period mismatch is |holonomy - 1| <= 2 pi N_DETECT_REL_TOL
+    a b / h, up to roundoff (see holonomy).
     """
     s = 2.0 * math.pi * geometry.b * p / geometry.h
     return complex(math.cos(s), math.sin(s))
@@ -112,12 +116,6 @@ def _require_quantized(geometry: TorusGeometry) -> int:
             "basis construction is not defined"
         )
     return geometry.N
-
-
-def _require_grid(geometry: TorusGeometry, M: int) -> None:
-    N = _require_quantized(geometry)
-    if M <= 0 or M % N != 0:
-        raise ValueError(f"M must be a positive multiple of N={N}, got M={M}")
 
 
 def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> BilinearPhaseTerm:
@@ -162,66 +160,28 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
 
 
 # -- grids ----------------------------------------------------------------
+#
+# A sampled state is a complex (M, M) array, values[i, j] = f(q = j b/M,
+# p = i a/M), row-major.  M must be a positive multiple of N so that the
+# operator translations by b/N and a/N land on grid points.  The
+# inner product is the equal-weight sum np.vdot(f, g) / M^2, the Riemann sum
+# of conj(f) g with measure dq dp / (a b) = dq dp / (N h); it integrates pure
+# phases exactly below the grid Nyquist limit.
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples of a wave function on the uniform M x M periodic grid.
-
-    values[i, j] = f(q = j b / M, p = i a / M), row-major.  M must be a
-    positive multiple of N so that the operator translations by b/N and a/N
-    land on grid points.
-    """
-
-    geometry: TorusGeometry
-    M: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _require_grid(self.geometry, self.M)
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.M, self.M):
-            raise ValueError(f"values must have shape ({self.M}, {self.M}), got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def q_values(self) -> np.ndarray:
-        return np.arange(self.M) * (self.geometry.b / self.M)
-
-    @property
-    def p_values(self) -> np.ndarray:
-        return np.arange(self.M) * (self.geometry.a / self.M)
-
-    def to_csv(self, dest) -> None:
-        """Write rows `i,j,q,p,re,im` (header included) to a path or file."""
-        close = False
-        if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-            f = open(dest, "w", encoding="utf-8")
-            close = True
-        else:
-            f = dest
-        try:
-            f.write("i,j,q,p,re,im\n")
-            qs, ps = self.q_values, self.p_values
-            for i in range(self.M):
-                for j in range(self.M):
-                    v = self.values[i, j]
-                    f.write(
-                        f"{i},{j},{float(qs[j])!r},{float(ps[i])!r},"
-                        f"{float(v.real)!r},{float(v.imag)!r}\n"
-                    )
-        finally:
-            if close:
-                f.close()
+def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sample coordinates (q_j = j b/M, p_i = i a/M) of the M x M grid.
+    M must be a positive multiple of N."""
+    N = _require_quantized(geometry)
+    if M <= 0 or M % N != 0:
+        raise ValueError(f"M must be a positive multiple of N={N}, got M={M}")
+    return np.arange(M) * (geometry.b / M), np.arange(M) * (geometry.a / M)
 
 
-def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> GridFunction:
+def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> np.ndarray:
     """Sample a wave function on the uniform M x M grid over one fundamental
-    domain.  M must be a positive multiple of N."""
-    _require_grid(geometry, M)
-    q = np.arange(M) * (geometry.b / M)
-    p = np.arange(M) * (geometry.a / M)
-    values = wf.evaluate(q[None, :], p[:, None])
-    return GridFunction(geometry, M, values)
+    domain, as the (M, M) array values[i, j] = f(q_j, p_i)."""
+    q, p = grid_coordinates(geometry, M)
+    return wf.evaluate(q[None, :], p[:, None])
 
 
 def sample_bras(states, geometry: TorusGeometry, M: int) -> np.ndarray:
@@ -229,27 +189,14 @@ def sample_bras(states, geometry: TorusGeometry, M: int) -> np.ndarray:
     and write its conjugate, flattened, into one row of a (len(states), M^2)
     array.
 
-    bras @ g.values.ravel() / M^2 holds inner_product(sample(state), g) for
-    every state at once.
+    bras @ g.ravel() / M^2 holds the inner product of every state with the
+    sampled state g at once.
     """
-    _require_grid(geometry, M)
+    grid_coordinates(geometry, M)  # refuse a bad grid before allocating
     bras = np.empty((len(states), M * M), dtype=complex)
     for row, wf in zip(bras, states):
-        np.conjugate(sample(wf, geometry, M).values.ravel(), out=row)
+        np.conjugate(sample(wf, geometry, M).ravel(), out=row)
     return bras
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> complex:
-    """Quantized inner product: Riemann sum of conj(f) g with measure
-    dq dp / (a b), which equals dq dp / (N h) on a quantized geometry.
-
-    Equal-weight sums on the periodic domain integrate pure phases exactly
-    below the grid Nyquist limit, so no higher-order quadrature is needed for
-    the trigonometric integrands produced by the in-scope bases.
-    """
-    if f.geometry != g.geometry or f.M != g.M:
-        raise ValueError("mismatched grids: geometry and M must agree")
-    return complex(np.vdot(f.values, g.values) / (f.M * f.M))
 
 
 class GridShift(Enum):
@@ -275,8 +222,9 @@ def grid_shift_coefficient(which: GridShift, geometry: TorusGeometry) -> tuple[O
     return kind, sign * geometry.h / (geometry.a, geometry.b)[kind.value.axis]
 
 
-def grid_shift_operator(which: GridShift, f: GridFunction) -> GridFunction:
-    """Apply one exponentiated operator to a grid function.
+def grid_shift_operator(which: GridShift, values: np.ndarray, geometry: TorusGeometry) -> np.ndarray:
+    """Apply one exponentiated operator to sampled values: one (M, M) state,
+    or a (k, M, M) stack of them.
 
     The affine map of the operator's row (exp_affine_map) becomes a periodic
     roll by translation / spacing cells, exactly M/N (b/N and a/N are integer
@@ -287,57 +235,37 @@ def grid_shift_operator(which: GridShift, f: GridFunction) -> GridFunction:
     the wrapped strip of a Q-basis section is misrepresented, which is a
     demonstrable diagnostic rather than a bug.
     """
-    geom = f.geometry
-    (sq, sp), (aq, ap) = exp_affine_map(*grid_shift_coefficient(which, geom))
-    cells = (round(sp * f.M / geom.a), round(sq * f.M / geom.b))
-    out = np.roll(f.values, cells, axis=(0, 1))
+    M = values.shape[-1]
+    if values.shape[-2] != M:
+        raise ValueError(f"values must end in a square (M, M) grid, got shape {values.shape}")
+    q, p = grid_coordinates(geometry, M)
+    (sq, sp), (aq, ap) = exp_affine_map(*grid_shift_coefficient(which, geometry))
+    cells = (round(sp * M / geometry.a), round(sq * M / geometry.b))
+    out = np.roll(values, cells, axis=(-2, -1))
     if aq or ap:
-        out = (out * np.exp(1j * aq * f.q_values / geom.hbar)[None, :]
-               * np.exp(1j * ap * f.p_values / geom.hbar)[:, None])
-    return GridFunction(geom, f.M, out)
+        out = (out * np.exp(1j * aq * q / geometry.hbar)[None, :]
+               * np.exp(1j * ap * p / geometry.hbar)[:, None])
+    return out
 
 
 # -- two-chart consistency ------------------------------------------------
-
-@dataclass(frozen=True)
-class ChartPair:
-    """Two overlapping charts covering the torus in q, for all p.
-
-    Chart I covers (-delta, b/2 + delta) and chart II covers
-    (b/2 - delta, b + delta).  They overlap on an interior strip around
-    q = b/2, where the transition is the identity, and on a seam strip around
-    q = 0 (mod b), where chart II coordinates exceed chart I coordinates by b
-    and the wave functions differ by the transition factor e^{ibp/hbar}.
-    """
-
-    geometry: TorusGeometry
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < self.geometry.b / 4.0:
-            raise ValueError(f"delta must lie in (0, b/4), got {self.delta}")
-
-    @property
-    def interior_overlap(self) -> tuple[float, float]:
-        b = self.geometry.b
-        return (b / 2.0 - self.delta, b / 2.0 + self.delta)
-
-    @property
-    def seam_overlap(self) -> tuple[float, float]:
-        # chart-I coordinates; chart II sees the same points at q + b
-        return (-self.delta, self.delta)
-
 
 def chart_consistency_check(
     geometry: TorusGeometry,
     n: int,
     m: int,
-    delta: float | None = None,
     apply_transition: bool = True,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Sample the Q-basis state in both charts on the seam overlap strip, at
     16 values of q across the strip and 64 of p over one period.
+
+    Chart I covers (-delta, b/2 + delta) and chart II covers
+    (b/2 - delta, b + delta) in q, for all p, with delta = b/8.  On the
+    interior overlap around q = b/2 both charts use the same coordinates, so
+    there is nothing to compare there.  On the seam overlap, q in
+    (-delta, delta) in chart-I coordinates, chart II sees the same points at
+    q + b and the wave functions differ by the transition factor e^{ibp/hbar}.
 
     With apply_transition=True (requires a quantized geometry) the seam
     comparison multiplies the chart-I values by the transition factor and the
@@ -346,21 +274,17 @@ def chart_consistency_check(
     is deliberately omitted, any geometry is accepted, and the check passes
     when the mismatch is detected (residual above the fixed threshold 0.1 at
     some sampled p), which is the expected signature of the missing gauge
-    factor.  On the interior overlap both charts use the same coordinates,
-    so there is nothing to compare there.
+    factor.
     """
     if apply_transition:
         _require_quantized(geometry)
-    if delta is None:
-        delta = geometry.b / 8.0
-    charts = ChartPair(geometry, delta)
+    delta = geometry.b / 8.0
     # The raw section formula is evaluable pointwise for any geometry, which
     # lets the omission diagnostic run on non-quantized tori.
     wf = WaveFunction([_torus_q_term(geometry, n, m, primed=False)], hbar=geometry.hbar)
 
     ps = np.arange(64) * (geometry.a / 64)
-    seam_q = np.linspace(charts.seam_overlap[0], charts.seam_overlap[1], 16)
-    qg, pg = np.meshgrid(seam_q, ps, indexing="ij")
+    qg, pg = np.meshgrid(np.linspace(-delta, delta, 16), ps, indexing="ij")
     chart_one = wf.evaluate(qg, pg)
     chart_two = wf.evaluate(qg + geometry.b, pg)
     if apply_transition:

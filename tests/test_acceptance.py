@@ -210,7 +210,7 @@ def test_criterion_05_torus_orthonormality():
         M = 8 * N
         for factory, primed in ((make_torus_Q_basis, True), (make_torus_P_basis, False)):
             grids = [
-                sample(factory(g, n, m, primed=primed), g, M).values.reshape(-1)
+                sample(factory(g, n, m, primed=primed), g, M).reshape(-1)
                 for n in range(N) for m in range(N)
             ]
             V = np.stack(grids)

@@ -127,6 +127,17 @@ class TestVerify:
                 if check["check"] != "chart_mismatch_without_transition":
                     assert check["tolerance"] == 1e-30, check["check"]
 
+    def test_tolerance_reaches_weyl_without_traceback(self):
+        # --tolerance is a verdict threshold, never an internal invariant.
+        for N, suite in (("2", "weyl"), ("3", "weyl"), ("64", "weyl"), ("2", "all")):
+            res = run_cli("verify", "--N", N, "--suite", suite, "--tolerance", "1e-30", "--json")
+            assert "Traceback" not in res.stderr, (N, suite)
+            report = json.loads(res.stdout)
+            assert res.returncode == (0 if report["overall_pass"] else 1), (N, suite)
+            assert report["overall_pass"] is all(c["pass"] for c in report["checks"])
+            weyl = [c for c in report["checks"] if c["check"].startswith("weyl/")]
+            assert len(weyl) == 6, (N, suite)
+
     def test_reports_byte_stable_modulo_timestamp(self):
         first = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")
         second = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")
@@ -184,6 +195,18 @@ class TestDump:
         assert code == 2
         assert err == "error: Unable to allocate 14.6 TiB for an array\n"
         assert "Traceback" not in err
+
+    def test_csv_format(self, capsys):
+        code = cli.main(["dump", "qbasis", "--N", "1", "--n", "0", "--m", "0", "--M", "2",
+                         "--primed"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "i,j,q,p,re,im"
+        assert len(lines) == 1 + 4
+        i, j, q, p, re, im = lines[2].split(",")
+        assert (i, j) == ("0", "1")
+        assert float(q) == 0.5 and float(p) == 0.0
+        assert float(re) == 1.0 and float(im) == 0.0
 
     def test_out_file(self, tmp_path):
         dest = tmp_path / "grid.csv"

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,14 +7,13 @@ from conftest import square_torus
 from torusq.plane import GaugeField
 from torusq.symbolic import OperatorKind, exp_operator_apply, is_eigenstate
 from torusq.torus import (
-    ChartPair,
-    GridFunction,
+    N_DETECT_REL_TOL,
     GridShift,
     chart_consistency_check,
+    grid_coordinates,
     grid_shift_coefficient,
     grid_shift_operator,
     holonomy,
-    inner_product,
     make_geometry,
     make_torus_P_basis,
     make_torus_Q_basis,
@@ -66,6 +64,14 @@ class TestHolonomy:
         for args in ((2.0, 3.0, 1.0), (1.0, 1.0, 1.0), (0.5, 4.0, 0.25)):
             assert abs(holonomy(make_geometry(*args)) - 1.0) <= 1e-12
 
+    def test_bound_when_n_present(self):
+        # N is detected within a relative tolerance, so the holonomy of a
+        # quantized geometry is 1 only within 2 pi N_DETECT_REL_TOL ab/h.
+        g = make_geometry(1.0000000004, 4.0, 1.0)
+        assert g.N == 4
+        deviation = abs(holonomy(g) - 1.0)
+        assert 1e-9 < deviation <= 2 * math.pi * N_DETECT_REL_TOL * g.a * g.b / g.h
+
     def test_half_integer_area(self):
         assert abs(holonomy(make_geometry(1.0, 0.5, 1.0)) - (-1.0)) <= 1e-12
 
@@ -103,8 +109,9 @@ class TestCharts:
     def test_consistency_on_quantized_geometry(self):
         g = square_torus(2)
         for n, m in ((0, 0), (1, 1)):
-            res = chart_consistency_check(g, n, m, delta=g.b / 8)
+            res = chart_consistency_check(g, n, m)
             assert res.passed and res.max_residual <= 1e-12
+            assert res.params["delta"] == g.b / 8
 
     def test_omitting_transition_is_detected(self):
         # At p = a/(2N) the missing factor is e^{i pi} = -1, mismatch 2
@@ -121,19 +128,6 @@ class TestCharts:
         assert res.passed and res.max_residual > 0.1
         with pytest.raises(ValueError):
             chart_consistency_check(broken, 0, 0, apply_transition=True)
-
-    def test_delta_range_enforced(self):
-        g = square_torus(1)
-        with pytest.raises(ValueError):
-            ChartPair(g, 0.0)
-        with pytest.raises(ValueError):
-            chart_consistency_check(g, 0, 0, delta=g.b / 2)
-
-    def test_chart_intervals(self):
-        g = make_geometry(2.0, 2.0, 1.0)
-        pair = ChartPair(g, 0.25)
-        assert pair.interior_overlap == (0.75, 1.25)
-        assert pair.seam_overlap == (-0.25, 0.25)
 
 
 class TestBases:
@@ -200,7 +194,8 @@ class TestSampling:
         g = square_torus(2)
         wf = make_torus_P_basis(g, 0, 0)
         grid = sample(wf, g, 8)
-        assert np.array_equal(grid.values, np.ones((8, 8), dtype=complex))
+        assert grid.dtype == complex
+        assert np.array_equal(grid, np.ones((8, 8), dtype=complex))
 
     def test_q_basis_values_on_unit_torus(self):
         # For N = 1, a = b = h = 1 the sampled values are e^{2 pi i (i/M)(j/M)}
@@ -208,7 +203,7 @@ class TestSampling:
         grid = sample(make_torus_Q_basis(g, 0, 0, primed=True), g, 4)
         i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
         want = np.exp(2j * np.pi * (i / 4) * (j / 4))
-        assert np.abs(grid.values - want).max() < 1e-14
+        assert np.abs(grid - want).max() < 1e-14
 
     def test_sampling_is_linear(self):
         g = square_torus(2)
@@ -216,8 +211,8 @@ class TestSampling:
         h = make_torus_P_basis(g, 1, 0)
         alpha, beta = 0.75 - 0.5j, -1.25j
         combo = sample(f.scale(alpha) + h.scale(beta), g, 8)
-        direct = alpha * sample(f, g, 8).values + beta * sample(h, g, 8).values
-        assert np.abs(combo.values - direct).max() <= 1e-14
+        direct = alpha * sample(f, g, 8) + beta * sample(h, g, 8)
+        assert np.abs(combo - direct).max() <= 1e-14
 
     def test_m_validation(self):
         g = square_torus(2)
@@ -243,9 +238,11 @@ class TestSampling:
         wf = make_torus_P_basis(g, 1, 1)
         grid = sample(wf, g, 8)
         # values[i, j] = f(q = j b / M, p = i a / M)
-        assert abs(grid.values[2, 5] - wf.evaluate(5 * g.b / 8, 2 * g.a / 8)) < 1e-15
-        assert grid.q_values[1] == g.b / 8
-        assert grid.p_values[1] == g.a / 8
+        assert grid.shape == (8, 8)
+        assert abs(grid[2, 5] - wf.evaluate(5 * g.b / 8, 2 * g.a / 8)) < 1e-15
+        q, p = grid_coordinates(g, 8)
+        assert q[1] == g.b / 8
+        assert p[1] == g.a / 8
 
 
 class TestInnerProduct:
@@ -254,11 +251,11 @@ class TestInnerProduct:
         M = 16
         psi00 = sample(make_torus_Q_basis(g, 0, 0, primed=True), g, M)
         psi10 = sample(make_torus_Q_basis(g, 1, 0, primed=True), g, M)
-        assert abs(inner_product(psi00, psi00) - 1.0) <= 1e-12
-        assert abs(inner_product(psi00, psi10)) <= 1e-12
+        assert abs(np.vdot(psi00, psi00) / M**2 - 1.0) <= 1e-12
+        assert abs(np.vdot(psi00, psi10) / M**2) <= 1e-12
         phi00 = sample(make_torus_P_basis(g, 0, 0), g, M)
         phi01 = sample(make_torus_P_basis(g, 0, 1), g, M)
-        assert abs(inner_product(phi00, phi01)) <= 1e-12
+        assert abs(np.vdot(phi00, phi01) / M**2) <= 1e-12
 
     def test_gram_identity_small(self):
         for N in (2, 3):
@@ -266,7 +263,7 @@ class TestInnerProduct:
             M = 8 * N
             qs = [sample(make_torus_Q_basis(g, n, m, primed=True), g, M)
                   for n in range(N) for m in range(N)]
-            gram = np.array([[inner_product(x, y) for y in qs] for x in qs])
+            gram = np.array([[np.vdot(x, y) / M**2 for y in qs] for x in qs])
             assert np.abs(gram - np.eye(N * N)).max() <= 1e-12
 
     @pytest.mark.parametrize("factor", [1, 2])
@@ -279,30 +276,30 @@ class TestInnerProduct:
         assert bras.shape == (len(states), M * M)
         for ket in (make_torus_Q_basis(g, 2, 3, primed=True), make_torus_P_basis(g, 4, 1)):
             k = sample(ket, g, M)
-            want = np.array([inner_product(sample(wf, g, M), k) for wf in states])
-            assert np.abs(bras @ k.values.ravel() / (M * M) - want).max() <= 1e-15
+            want = np.array([np.vdot(sample(wf, g, M), k) / M**2 for wf in states])
+            assert np.abs(bras @ k.ravel() / (M * M) - want).max() <= 1e-15
 
     def test_conjugate_symmetry_and_positivity(self):
-        g = square_torus(2)
         rng = np.random.default_rng(41)
-        vals_f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        vals_g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        f = GridFunction(g, 4, vals_f)
-        h = GridFunction(g, 4, vals_g)
-        assert abs(inner_product(f, h) - np.conj(inner_product(h, f))) <= 1e-12
-        norm = inner_product(f, f)
+        f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        M = 4
+        assert abs(np.vdot(f, h) / M**2 - np.conj(np.vdot(h, f) / M**2)) <= 1e-12
+        norm = np.vdot(f, f) / M**2
         assert abs(norm.imag) <= 1e-12 and norm.real > 0
 
     def test_mismatched_grids_rejected(self):
+        # Samples on grids of different M have different lengths and cannot
+        # be paired.
         g2 = square_torus(2)
         g3 = square_torus(3)
         f = sample(make_torus_P_basis(g2, 0, 0), g2, 8)
         h = sample(make_torus_P_basis(g2, 0, 0), g2, 16)
         with pytest.raises(ValueError):
-            inner_product(f, h)
+            np.vdot(f, h)
         k = sample(make_torus_P_basis(g3, 0, 0), g3, 9)
         with pytest.raises(ValueError):
-            inner_product(f, k)
+            np.vdot(f, k)
 
 
 class TestGridShifts:
@@ -318,8 +315,8 @@ class TestGridShifts:
                     for m in range(N):
                         state = factory(g, n, m, primed=True)
                         symbolic = sample(exp_operator_apply(kind, s, state), g, N)
-                        grid = grid_shift_operator(which, sample(state, g, N))
-                        assert np.abs(symbolic.values - grid.values).max() <= 1e-12
+                        grid = grid_shift_operator(which, sample(state, g, N), g)
+                        assert np.abs(symbolic - grid).max() <= 1e-12
 
     def test_shift_actions_on_physical_grid(self):
         # On the M = N grid the four exponentials act exactly as tabulated.
@@ -328,12 +325,12 @@ class TestGridShifts:
             for n in range(N):
                 for m in range(N):
                     psi = sample(make_torus_Q_basis(g, n, m, primed=True), g, N)
-                    up_n = grid_shift_operator(GridShift.EXP_PLEFT, psi)
+                    up_n = grid_shift_operator(GridShift.EXP_PLEFT, psi, g)
                     want = sample(make_torus_Q_basis(g, n + 1, m, primed=True), g, N)
-                    assert np.abs(up_n.values - want.values).max() <= 1e-12
-                    up_m = grid_shift_operator(GridShift.EXP_QRIGHT, psi)
+                    assert np.abs(up_n - want).max() <= 1e-12
+                    up_m = grid_shift_operator(GridShift.EXP_QRIGHT, psi, g)
                     want = sample(make_torus_Q_basis(g, n, m + 1, primed=True), g, N)
-                    assert np.abs(up_m.values - want.values).max() <= 1e-12
+                    assert np.abs(up_m - want).max() <= 1e-12
 
     def test_full_cycle_is_identity_at_any_grid(self):
         # N applications translate by a full period: the original samples.
@@ -341,8 +338,8 @@ class TestGridShifts:
         psi = sample(make_torus_Q_basis(g, 1, 2, primed=True), g, 24)
         out = psi
         for _ in range(3):
-            out = grid_shift_operator(GridShift.EXP_PLEFT, out)
-        assert np.array_equal(out.values, psi.values)
+            out = grid_shift_operator(GridShift.EXP_PLEFT, out, g)
+        assert np.array_equal(out, psi)
 
     def test_nth_power_identities_on_physical_grid(self):
         # exp(-2 pi i N P_RIGHT / a) and exp(2 pi i N Q_LEFT / b) fix the
@@ -354,10 +351,10 @@ class TestGridShifts:
                 phi = sample(make_torus_P_basis(g, 1, 1, primed=True), g, N)
                 out_psi, out_phi = psi, phi
                 for _ in range(N):
-                    out_psi = grid_shift_operator(which, out_psi)
-                    out_phi = grid_shift_operator(which, out_phi)
-                assert np.abs(out_psi.values - psi.values).max() <= 1e-12
-                assert np.abs(out_phi.values - phi.values).max() <= 1e-12
+                    out_psi = grid_shift_operator(which, out_psi, g)
+                    out_phi = grid_shift_operator(which, out_phi, g)
+                assert np.abs(out_psi - psi).max() <= 1e-12
+                assert np.abs(out_phi - phi).max() <= 1e-12
 
     def test_section_wrap_visible_on_fine_grids(self):
         # On M > N the Q-basis states are sections, not periodic functions;
@@ -367,10 +364,10 @@ class TestGridShifts:
         g = square_torus(N)
         M = 8 * N
         psi = sample(make_torus_Q_basis(g, 0, 0, primed=True), g, M)
-        moved = grid_shift_operator(GridShift.EXP_PLEFT, psi)
+        moved = grid_shift_operator(GridShift.EXP_PLEFT, psi, g)
         want = sample(make_torus_Q_basis(g, 1, 0, primed=True), g, M)
-        wrapped = np.abs(moved.values - want.values)[:, : M // N]
-        untouched = np.abs(moved.values - want.values)[:, M // N:]
+        wrapped = np.abs(moved - want)[:, : M // N]
+        untouched = np.abs(moved - want)[:, M // N:]
         assert untouched.max() <= 1e-12
         assert wrapped.max() > 0.1
 
@@ -378,21 +375,29 @@ class TestGridShifts:
         # Plane waves are honestly periodic, so this cell holds on fine grids.
         g = square_torus(4)
         phi = sample(make_torus_P_basis(g, 2, 1, primed=True), g, 32)
-        moved = grid_shift_operator(GridShift.EXP_PLEFT, phi)
-        want = np.exp(-2j * np.pi * 1 / 4) * phi.values
-        assert np.abs(moved.values - want).max() <= 1e-12
+        moved = grid_shift_operator(GridShift.EXP_PLEFT, phi, g)
+        want = np.exp(-2j * np.pi * 1 / 4) * phi
+        assert np.abs(moved - want).max() <= 1e-12
 
 
-class TestCsvExport:
-    def test_format(self):
-        g = make_geometry(1.0, 1.0, 1.0)
-        grid = sample(make_torus_Q_basis(g, 0, 0, primed=True), g, 2)
-        buf = io.StringIO()
-        grid.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "i,j,q,p,re,im"
-        assert len(lines) == 1 + 4
-        i, j, q, p, re, im = lines[2].split(",")
-        assert (i, j) == ("0", "1")
-        assert float(q) == 0.5 and float(p) == 0.0
-        assert float(re) == 1.0 and float(im) == 0.0
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_stack_equals_each_state_bit_for_bit(self, N, refine):
+        g = square_torus(N)
+        M = refine * N
+        for factory in (make_torus_P_basis, make_torus_Q_basis):
+            stack = np.stack([sample(factory(g, n, m, primed=True), g, M)
+                              for n in range(N) for m in range(N)])
+            for which in GridShift:
+                moved = grid_shift_operator(which, stack, g)
+                assert moved.shape == (N * N, M, M)
+                for k, state in enumerate(stack):
+                    assert np.array_equal(moved[k], grid_shift_operator(which, state, g))
+
+    def test_refuses_grid_not_multiple_of_n(self):
+        g = square_torus(2)
+        for values in (np.zeros((3, 3), dtype=complex), np.zeros((2, 3, 3), dtype=complex)):
+            with pytest.raises(ValueError, match="multiple of N=2"):
+                grid_shift_operator(GridShift.EXP_QLEFT, values, g)
+        with pytest.raises(ValueError):
+            grid_shift_operator(GridShift.EXP_QLEFT, np.zeros((2, 4), dtype=complex), g)
