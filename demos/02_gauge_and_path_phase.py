@@ -18,16 +18,23 @@ from torusq import (
     OperatorKind,
     apply_operator,
     differentiate,
-    field_strength,
     make_plane_Q_basis,
     path_phase,
 )
 
 field = GaugeField(hbar=1.0)
 
-print("magnetic field at (0, 0):   ", field_strength(field, at=(0.0, 0.0)))
-print("magnetic field at (5, -3):  ", field_strength(field, at=(5.0, -3.0)))
-print("with hbar = 2:              ", field_strength(GaugeField(2.0)))
+
+def curl(field, q, p):
+    """d_q A_p - d_p A_q by central differences with unit step, through the
+    potential's callables; exact for this linear potential."""
+    return ((field.a_p(q + 1.0, p) - field.a_p(q - 1.0, p))
+            - (field.a_q(q, p + 1.0) - field.a_q(q, p - 1.0))) / 2.0
+
+
+print("magnetic field at (0, 0):   ", curl(field, 0.0, 0.0))
+print("magnetic field at (5, -3):  ", curl(field, 5.0, -3.0))
+print("with hbar = 2:              ", curl(GaugeField(2.0), 0.0, 0.0))
 
 # Covariant derivative identities: Q_LEFT = i hbar (d_p - i A_p) and
 # P_LEFT = -i hbar (d_q - i A_q), checked pointwise.

@@ -22,13 +22,14 @@ from torusq import (
     GridShift,
     clock_matrix,
     dft_basis_change,
-    grid_matrix_elements,
+    grid_shift_operator,
     make_geometry,
+    make_torus_Q_basis,
     physical_grid_overlaps,
+    sample_bras,
     shift_matrix,
     table1_matrices,
     table1_verify,
-    trace_obstruction_demo,
     weyl_commutation_check,
 )
 
@@ -52,8 +53,12 @@ for res in table1_verify(geometry):
     print(f"  {res.name:32s} residual {res.max_residual:.2e}  pass={res.passed}")
 
 # Matrix elements of the grid operators between sampled basis states
-# reproduce the clock and shift entries.
-me = grid_matrix_elements(GridShift.EXP_PLEFT, geometry)
+# reproduce the clock and shift entries: row n of bras is the conjugated
+# sampled Q-basis state (n, 0), and the operator moves all N kets at once.
+bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
+                   geometry, N)
+moved = grid_shift_operator(GridShift.EXP_PLEFT, bras.conj().reshape(N, N, N), geometry)
+me = bras @ moved.reshape(N, N * N).T / N**2
 print("\n|grid matrix elements - shift| max:",
       np.abs(me - shift_matrix(N)).max())
 
@@ -71,6 +76,13 @@ resid = max(np.abs(overlaps[:, s, :] - K / np.sqrt(N)).max() for s in range(N))
 print("grid-overlap oracle residual:", resid)
 
 # Why the unexponentiated pair cannot survive: any finite commutator is
-# traceless, but [Q, P] = i hbar would need trace i hbar N.
-res = trace_obstruction_demo(N, trials=50)
-print("\ntrace obstruction residual over 50 random pairs:", res.max_residual)
+# traceless, but [Q, P] = i hbar would need trace i hbar N.  The trace is
+# measured relative to the Frobenius norms of random complex pairs.
+rng = np.random.default_rng(0)
+worst = 0.0
+for _ in range(50):
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    resid = abs(np.trace(A @ B - B @ A)) / (np.linalg.norm(A) * np.linalg.norm(B))
+    worst = max(worst, float(resid))
+print("\ntrace obstruction residual over 50 random pairs:", worst)

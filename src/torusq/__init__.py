@@ -22,7 +22,6 @@ from .plane import (
     DisplacementLabel,
     GaugeField,
     displacement_compose,
-    field_strength,
     make_plane_P_basis,
     make_plane_Q_basis,
     path_phase,
@@ -44,13 +43,10 @@ from .finite import (
     LABEL_ACTION,
     clock_matrix,
     dft_basis_change,
-    grid_matrix_elements,
     physical_grid_overlaps,
-    reduce_label,
     shift_matrix,
     table1_matrices,
     table1_verify,
-    trace_obstruction_demo,
     weyl_commutation_check,
 )
 from .report import CheckResult, VerificationReport
@@ -77,8 +73,6 @@ __all__ = [
     "differentiate",
     "displacement_compose",
     "exp_operator_apply",
-    "field_strength",
-    "grid_matrix_elements",
     "grid_shift_operator",
     "holonomy",
     "is_eigenstate",
@@ -89,13 +83,11 @@ __all__ = [
     "make_torus_Q_basis",
     "path_phase",
     "physical_grid_overlaps",
-    "reduce_label",
     "sample",
     "sample_bras",
     "shift_matrix",
     "table1_matrices",
     "table1_verify",
-    "trace_obstruction_demo",
     "transition_function",
     "weyl_commutation_check",
 ]

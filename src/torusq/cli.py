@@ -1,9 +1,10 @@
 """Command-line front end: quantize, verify, and dump subcommands.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or input
-error, including a request too large for memory.  Reports are emitted as
-human-readable tables or, with --json, as the versioned JSON schema; for
-identical inputs the output is byte-stable apart from the timestamp field.
+error, including a request too large for memory or an unwritable --out.
+Reports are emitted as human-readable tables or, with --json, as the
+versioned JSON schema; for identical inputs the output is byte-stable apart
+from the timestamp field.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .finite import reduce_label
 from .report import CheckResult, VerificationReport
 from .suites import DEFAULT_TOL, SUITES, run_suites
 from .torus import (
@@ -175,7 +175,7 @@ def cmd_dump(args) -> int:
     geometry = _resolve_geometry(args)
     n, m = args.n, args.m
     if args.reduce:
-        n, m = reduce_label(n, m, args.N), 0
+        n, m = n % args.N, 0
     if not (0 <= n < args.N and 0 <= m < args.N):
         raise ValueError(
             f"labels out of range: need 0 <= n,m < {args.N}, got n={n} m={m} "
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "dump":
             return cmd_dump(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
     return 2  # pragma: no cover

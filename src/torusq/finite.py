@@ -32,22 +32,9 @@ from .torus import (
     sample_bras,
 )
 
-TRACE_TOL = 1e-10
-
-
 def _require_dimension(N: int) -> None:
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-
-
-def reduce_label(n: int, m: int, N: int) -> int:
-    """The label n mod N of the canonical class representative (n mod N, 0).
-
-    The shadow label m does not survive the reduction.  Total on all
-    integers; negative labels reduce to the least nonnegative residue.
-    """
-    _require_dimension(N)
-    return n % N
 
 
 def clock_matrix(N: int) -> np.ndarray:
@@ -219,41 +206,3 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
             ket = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
             out[:, s, r] = bras @ ket.ravel() / (N * N)
     return out
-
-
-def grid_matrix_elements(which: GridShift, geometry: TorusGeometry) -> np.ndarray:
-    """Matrix elements <sampled Q-basis n, 0 | operator | sampled Q-basis n', 0>
-    on the physical grid M = N; reproduces the clock/shift entries."""
-    N = _require_quantized(geometry)
-    bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
-                       geometry, N)
-    moved = grid_shift_operator(which, bras.conj().reshape(N, N, N), geometry)
-    return bras @ moved.reshape(N, N * N).T / (N * N)
-
-
-def trace_obstruction_demo(N: int, trials: int = 100, seed: int = 0) -> CheckResult:
-    """Demonstrate that [A, B] = i hbar I has no finite-dimensional solution.
-
-    For random N x N pairs the commutator trace vanishes identically (up to
-    roundoff relative to the Frobenius norms), while the identity would need
-    trace i hbar N != 0.
-    """
-    _require_dimension(N)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        resid = abs(np.trace(A @ B - B @ A)) / (np.linalg.norm(A) * np.linalg.norm(B))
-        worst = max(worst, float(resid))
-    return CheckResult(
-        name="trace_obstruction",
-        params={
-            "N": N,
-            "trials": trials,
-            "seed": seed,
-            "note": "tr[A,B]=0 for all finite pairs; [A,B]=i*hbar*I would need trace i*hbar*N",
-        },
-        max_residual=worst,
-        tolerance=TRACE_TOL,
-    )

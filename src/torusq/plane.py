@@ -32,13 +32,6 @@ class DisplacementLabel:
         if abs(abs(self.phase) - 1.0) > UNIT_PHASE_TOL:
             raise ValueError(f"phase must have unit modulus, got |phase|={abs(self.phase)!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "dq": self.q_shift,
-            "dp": self.p_shift,
-            "phase": [self.phase.real, self.phase.imag],
-        }
-
 
 @dataclass(frozen=True)
 class GaugeField:
@@ -63,8 +56,6 @@ def make_plane_P_basis(l: float, k: float, hbar: float = 1.0) -> WaveFunction:
     Simultaneous eigenstate of P_LEFT (eigenvalue k) and Q_RIGHT
     (eigenvalue l).
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
     return WaveFunction.single(1.0, 0.0, k, -l, 0.0, hbar=hbar)
 
 
@@ -77,8 +68,6 @@ def make_plane_Q_basis(l: float, k: float, hbar: float = 1.0, primed: bool = Fal
     The primed convention makes label shifts by the exponentiated operators
     phase-free.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
     c0 = k * l if primed else 0.0
     return WaveFunction.single(1.0, c0, -k, -l, 1.0, hbar=hbar)
 
@@ -98,18 +87,6 @@ def displacement_compose(
     cocycle = complex(math.cos((a * q - b * p) / (2.0 * hbar)),
                       math.sin((a * q - b * p) / (2.0 * hbar)))
     return DisplacementLabel(q + b, p + a, first.phase * second.phase * cocycle)
-
-
-def field_strength(field: GaugeField, at: tuple[float, float] = (0.0, 0.0)) -> float:
-    """d_q A_p - d_p A_q for the linear potential: the constant 1/hbar.
-
-    The curl is evaluated by the exact rule for this field, so the value is
-    independent of the evaluation point.
-    """
-    q, p = at
-    if not (math.isfinite(q) and math.isfinite(p)):
-        raise ValueError("evaluation point must be finite")
-    return 1.0 / field.hbar
 
 
 def path_phase(field: GaugeField, endpoint: tuple[float, float]) -> complex:

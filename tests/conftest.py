@@ -20,5 +20,13 @@ def square_torus(N, h=1.0):
     return make_geometry(side, side, h)
 
 
+def curl(field, q, p):
+    """d_q A_p - d_p A_q of a gauge field by central differences with unit
+    step, through its potential's callables; exact up to roundoff for a
+    linear potential."""
+    return ((field.a_p(q + 1.0, p) - field.a_p(q - 1.0, p))
+            - (field.a_q(q, p + 1.0) - field.a_q(q, p - 1.0))) / 2.0
+
+
 def random_points(rng, count, scale=2.0):
     return rng.uniform(-scale, scale, size=(count, 2))

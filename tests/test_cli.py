@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from torusq import cli
 
@@ -180,6 +181,46 @@ class TestDump:
         direct = run_cli("dump", "qbasis", "--N", "2", "--n", "1", "--m", "0", "--M", "8")
         assert res.stdout == direct.stdout
 
+    @staticmethod
+    def dump(capsys, *args):
+        code = cli.main(["dump", *args])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["qbasis", "pbasis"])
+    def test_reduce_negative_label(self, capsys, kind):
+        for n in range(-9, 0):
+            code, reduced = self.dump(capsys, kind, "--N", "4", "--n", str(n), "--m", "0",
+                                      "--M", "4", "--primed", "--reduce")
+            assert code == 0
+            direct = self.dump(capsys, kind, "--N", "4", "--n", str(n % 4), "--m", "0",
+                               "--M", "4", "--primed")
+            assert (code, reduced) == direct
+
+    @pytest.mark.parametrize("kind", ["qbasis", "pbasis"])
+    def test_reduce_label_at_or_above_N(self, capsys, kind):
+        for N, n, m, folded in [("4", 4, 0, 0), ("4", 7, 3, 3), ("3", 9, 1, 0), ("1", 5, 0, 0)]:
+            code, reduced = self.dump(capsys, kind, "--N", N, "--n", str(n), "--m", str(m),
+                                      "--M", N, "--primed", "--reduce")
+            assert code == 0
+            assert (code, reduced) == self.dump(capsys, kind, "--N", N, "--n", str(folded),
+                                                "--m", "0", "--M", N, "--primed")
+
+    def test_reduce_ignores_shadow_label(self, capsys):
+        # The shadow label does not survive the reduction: (n, m) folds to
+        # (n mod N, 0) for any m, also one out of range.
+        for n in range(-9, 10):
+            direct = self.dump(capsys, "qbasis", "--N", "3", "--n", str(n % 3), "--m", "0",
+                               "--M", "3", "--primed")
+            for m in ("0", "2", "5", "-4"):
+                assert self.dump(capsys, "qbasis", "--N", "3", "--n", str(n), "--m", m,
+                                 "--M", "3", "--primed", "--reduce") == direct
+
+    def test_reduce_rejects_bad_modulus(self, capsys):
+        code = cli.main(["dump", "qbasis", "--N", "0", "--n", "0", "--m", "0", "--M", "1",
+                         "--reduce"])
+        assert code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_m_not_multiple_exits_2(self):
         res = run_cli("dump", "qbasis", "--N", "2", "--n", "0", "--m", "0", "--M", "7")
         assert res.returncode == 2
@@ -207,6 +248,25 @@ class TestDump:
         assert (i, j) == ("0", "1")
         assert float(q) == 0.5 and float(p) == 0.0
         assert float(re) == 1.0 and float(im) == 0.0
+
+    def test_out_into_missing_directory_exits_2(self, tmp_path):
+        dest = tmp_path / "missing" / "x.csv"
+        res = run_cli("dump", "qbasis", "--N", "2", "--n", "0", "--m", "0", "--M", "2",
+                      "--out", str(dest))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not dest.parent.exists()
+
+    def test_out_is_a_directory_exits_2(self, tmp_path, capsys):
+        code = cli.main(["dump", "qbasis", "--N", "2", "--n", "0", "--m", "0", "--M", "2",
+                         "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_file(self, tmp_path):
         dest = tmp_path / "grid.csv"
