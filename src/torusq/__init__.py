@@ -1,10 +1,10 @@
 """torusq: quantization of the plane and the torus as phase spaces.
 
 Exact symbolic operator algebra on a closed family of phase-space wave
-functions, the displacement group and gauge picture on the plane, area
-quantization and chart consistency on the torus, and the reduction to an
-N-dimensional physical Hilbert space with clock/shift operators and a
-discrete Fourier basis change.
+functions, the two eigenbases of the plane, area quantization and chart
+consistency on the torus, and the reduction to an N-dimensional physical
+Hilbert space with clock/shift operators and a discrete Fourier basis
+change.
 """
 
 from .symbolic import (
@@ -18,14 +18,7 @@ from .symbolic import (
     exp_operator_apply,
     is_eigenstate,
 )
-from .plane import (
-    DisplacementLabel,
-    GaugeField,
-    displacement_compose,
-    make_plane_P_basis,
-    make_plane_Q_basis,
-    path_phase,
-)
+from .plane import make_plane_P_basis, make_plane_Q_basis
 from .torus import (
     GridShift,
     TorusGeometry,
@@ -56,8 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearPhaseTerm",
     "CheckResult",
-    "DisplacementLabel",
-    "GaugeField",
     "GridShift",
     "LABEL_ACTION",
     "OperatorKind",
@@ -71,7 +62,6 @@ __all__ = [
     "commutator_apply",
     "dft_basis_change",
     "differentiate",
-    "displacement_compose",
     "exp_operator_apply",
     "grid_shift_operator",
     "holonomy",
@@ -81,7 +71,6 @@ __all__ = [
     "make_plane_Q_basis",
     "make_torus_P_basis",
     "make_torus_Q_basis",
-    "path_phase",
     "physical_grid_overlaps",
     "sample",
     "sample_bras",

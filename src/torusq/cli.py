@@ -1,7 +1,9 @@
 """Command-line front end: quantize, verify, and dump subcommands.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or input
-error, including a request too large for memory or an unwritable --out.
+error, including a request too large for memory or an unwritable --out, and
+141 (128 + SIGPIPE) when the reader of stdout closes it early, as in
+`torusq dump ... | head -1`; nothing is written to stderr then.
 Reports are emitted as human-readable tables or, with --json, as the
 versioned JSON schema; for identical inputs the output is byte-stable apart
 from the timestamp field.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -197,17 +200,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = {"quantize": cmd_quantize, "verify": cmd_verify, "dump": cmd_dump}[args.command]
     try:
-        if args.command == "quantize":
-            return cmd_quantize(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "dump":
-            return cmd_dump(args)
+        status = command(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader left: send the exit-time flush to devnull and exit as a
+        # process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, MemoryError, OSError) as exc:
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
-    return 2  # pragma: no cover
 
 
 def run() -> None:

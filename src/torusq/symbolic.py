@@ -69,6 +69,12 @@ class OperatorKind(Enum):
     P_RIGHT = OperatorRow(axis=0, sign=+1, multiplies=True, exp_sign=+1)   # p + i hbar d/dq
 
 
+def _check_hbar(hbar) -> None:
+    """Raise ValueError unless hbar is positive and finite."""
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+
+
 @dataclass(frozen=True)
 class BilinearPhaseTerm:
     """A single term amplitude * prefactor(q, p) * exp(i*phase(q, p)/hbar).
@@ -89,8 +95,7 @@ class BilinearPhaseTerm:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        _check_hbar(self.hbar)
         for name in ("c0", "cq", "cp", "cqp"):
             k = float(getattr(self, name)) or 0.0  # -0.0 becomes 0.0
             if not math.isfinite(k / PHASE_MERGE_TOL):
@@ -141,8 +146,7 @@ class WaveFunction:
             if not terms:
                 raise ValueError("hbar is required for the empty wave function")
             hbar = terms[0].hbar
-        if hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {hbar}")
+        _check_hbar(hbar)
         # Sorted input opens each cell with its smallest key, in ascending order.
         cells: dict[tuple, tuple[tuple, dict]] = {}
         for t in sorted(terms, key=lambda t: t.phase_key):

@@ -8,9 +8,17 @@ tolerance.  The generators live in torusq.symbolic, where the commutators
 suite uses them too.
 """
 
+import cmath
 import math
 
-from torusq.symbolic import dyadic, random_wavefunction  # noqa: F401
+import numpy as np
+
+from torusq.symbolic import (  # noqa: F401
+    OperatorKind,
+    dyadic,
+    exp_operator_apply,
+    random_wavefunction,
+)
 from torusq.torus import make_geometry
 
 
@@ -20,13 +28,47 @@ def square_torus(N, h=1.0):
     return make_geometry(side, side, h)
 
 
-def curl(field, q, p):
-    """d_q A_p - d_p A_q of a gauge field by central differences with unit
-    step, through its potential's callables; exact up to roundoff for a
-    linear potential."""
-    return ((field.a_p(q + 1.0, p) - field.a_p(q - 1.0, p))
-            - (field.a_q(q, p + 1.0) - field.a_q(q, p - 1.0))) / 2.0
-
-
 def random_points(rng, count, scale=2.0):
     return rng.uniform(-scale, scale, size=(count, 2))
+
+
+def relative_gap(left, right, rng):
+    """Largest |left - right| over five random points, relative to max |right|."""
+    qs, ps = random_points(rng, 5).T
+    want = right.evaluate(qs, ps)
+    return np.max(np.abs(left.evaluate(qs, ps) - want)) / np.max(np.abs(want))
+
+
+def displace(q, p, wf):
+    """D(q, p) wf for the displacement D(q, p) = exp(i(p Q_LEFT - q P_LEFT)/hbar).
+
+    Built from the two exponentials: since [Q_LEFT, P_LEFT] = i hbar, BCH
+    gives exp(i p Q_LEFT/hbar) exp(-i q P_LEFT/hbar) = D(q, p) e^{ipq/(2 hbar)}.
+    """
+    moved = exp_operator_apply(OperatorKind.Q_LEFT, p,
+                               exp_operator_apply(OperatorKind.P_LEFT, q, wf))
+    return moved.scale(cmath.exp(-1j * p * q / (2.0 * wf.hbar)))
+
+
+def displacement_law_residual(rng, cases, cocycle=1):
+    """Worst relative pointwise residual of the displacement law
+
+        D(b, a) D(q, p) psi = e^{i(aq - bp)/(2 hbar)} D(q + b, p + a) psi
+
+    over `cases` random dyadic wave functions (hbar alternating 1 and 0.5)
+    and shifts in [-2, 2].  The sides are compared at random points
+    (relative_gap), not by coefficients: a constant phase sits in the term
+    key c0 on one side and in the prefactor coefficients on the other, so
+    equal functions have different coefficients.  cocycle=-1 conjugates the phase and
+    cocycle=0 omits it, as negative controls.
+    """
+    worst = 0.0
+    for i in range(cases):
+        hbar = (1.0, 0.5)[i % 2]
+        wf = random_wavefunction(rng, hbar=hbar)
+        q, p, b, a = rng.uniform(-2, 2, 4)
+        lhs = displace(b, a, displace(q, p, wf))
+        rhs = displace(q + b, p + a, wf).scale(
+            cmath.exp(cocycle * 1j * (a * q - b * p) / (2.0 * hbar)))
+        worst = max(worst, relative_gap(lhs, rhs, rng))
+    return worst

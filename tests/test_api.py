@@ -11,8 +11,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC = [
     "BilinearPhaseTerm",
     "CheckResult",
-    "DisplacementLabel",
-    "GaugeField",
     "GridShift",
     "LABEL_ACTION",
     "OperatorKind",
@@ -26,7 +24,6 @@ PUBLIC = [
     "commutator_apply",
     "dft_basis_change",
     "differentiate",
-    "displacement_compose",
     "exp_operator_apply",
     "grid_shift_operator",
     "holonomy",
@@ -36,7 +33,6 @@ PUBLIC = [
     "make_plane_Q_basis",
     "make_torus_P_basis",
     "make_torus_Q_basis",
-    "path_phase",
     "physical_grid_overlaps",
     "sample",
     "sample_bras",
@@ -49,7 +45,7 @@ PUBLIC = [
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 32
     assert sorted(torusq.__all__) == PUBLIC
 
 

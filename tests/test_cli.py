@@ -268,6 +268,22 @@ class TestDump:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # The reader takes one line and closes the pipe, as `| head -1` does.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "torusq.cli", "dump", "qbasis", "--N", "4", "--n", "0",
+             "--m", "0", "--M", "400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert proc.stdout.readline() == "i,j,q,p,re,im\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == ""
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "grid.csv"
         res = run_cli("dump", "pbasis", "--N", "1", "--n", "0", "--m", "0", "--M", "2",

@@ -3,29 +3,36 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import curl, dyadic, random_wavefunction
-from torusq.plane import (
-    DisplacementLabel,
-    GaugeField,
-    displacement_compose,
-    make_plane_P_basis,
-    make_plane_Q_basis,
-    path_phase,
+from conftest import (
+    displace,
+    displacement_law_residual,
+    dyadic,
+    random_wavefunction,
+    relative_gap,
 )
-from torusq.symbolic import OperatorKind, differentiate, apply_operator, exp_operator_apply, is_eigenstate
+from torusq.plane import make_plane_P_basis, make_plane_Q_basis
+from torusq.symbolic import (
+    OperatorKind,
+    apply_operator,
+    commutator_apply,
+    differentiate,
+    exp_operator_apply,
+    is_eigenstate,
+)
 
 Q_LEFT, P_LEFT = OperatorKind.Q_LEFT, OperatorKind.P_LEFT
 Q_RIGHT, P_RIGHT = OperatorKind.Q_RIGHT, OperatorKind.P_RIGHT
 
 
-def line_integral_phase(field, endpoint, steps=10_000):
-    """Independent oracle: midpoint-rule line integration of A along the
-    two-leg path, through the field's callables."""
+def line_integral_phase(endpoint, hbar, steps=10_000):
+    """Independent oracle: midpoint-rule line integral of the potential
+    A_q = 0, A_p = q/hbar along the path from the origin along the q-axis to
+    (q, 0), then parallel to the p-axis to (q, p)."""
     q, p = endpoint
     qs = (np.arange(steps) + 0.5) * (q / steps)
-    leg1 = np.sum(field.a_q(qs, np.zeros_like(qs))) * (q / steps)
+    leg1 = np.sum(0.0 * qs) * (q / steps)
     ps = (np.arange(steps) + 0.5) * (p / steps)
-    leg2 = np.sum(field.a_p(np.full_like(ps, q), ps)) * (p / steps)
+    leg2 = np.sum(np.full_like(ps, q) / hbar) * (p / steps)
     return cmath.exp(1j * (leg1 + leg2))
 
 
@@ -47,8 +54,9 @@ class TestPBasis:
         assert is_eigenstate(P_LEFT, wf2) == 3.0
 
     def test_rejects_bad_hbar(self):
-        with pytest.raises(ValueError):
-            make_plane_P_basis(1.0, 1.0, 0.0)
+        for hbar in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="hbar must be positive"):
+                make_plane_P_basis(1.0, 1.0, hbar)
 
 
 class TestQBasis:
@@ -100,57 +108,73 @@ class TestQBasis:
 
 
 class TestDisplacement:
+    """D(q, p) = exp(i(p Q_LEFT - q P_LEFT)/hbar), built by conftest.displace
+    from exp_operator_apply."""
+
     def test_identity_element(self):
-        d = displacement_compose(DisplacementLabel(0.0, 0.0), DisplacementLabel(0.4, -1.2), 1.0)
-        assert (d.q_shift, d.p_shift) == (0.4, -1.2)
-        assert abs(d.phase - 1.0) < 1e-15
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            wf = random_wavefunction(rng)
+            assert displace(0.0, 0.0, wf).max_coeff_residual(wf) == 0.0
 
     def test_cocycle_phase(self):
         # D(b=1, a=0) D(q=0, p=1) picks up e^{i(a q - b p)/(2 hbar)} = e^{-i/2}
-        d = displacement_compose(DisplacementLabel(1.0, 0.0), DisplacementLabel(0.0, 1.0), 1.0)
-        assert (d.q_shift, d.p_shift) == (1.0, 1.0)
-        assert abs(d.phase - cmath.exp(-0.5j)) < 1e-15
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            wf = random_wavefunction(rng)
+            composed = displace(1.0, 0.0, displace(0.0, 1.0, wf))
+            target = displace(1.0, 1.0, wf)
+            assert relative_gap(composed, target.scale(cmath.exp(-0.5j)), rng) <= 1e-12
+            assert relative_gap(composed, target.scale(cmath.exp(0.5j)), rng) > 0.9
 
     def test_inverse_pair_has_unit_phase(self):
-        d = displacement_compose(DisplacementLabel(0.7, -1.1), DisplacementLabel(-0.7, 1.1), 1.0)
-        assert (d.q_shift, d.p_shift) == (0.0, 0.0)
-        assert abs(d.phase - 1.0) < 1e-15
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            wf = random_wavefunction(rng, hbar=0.5)
+            assert relative_gap(displace(-0.7, 1.1, displace(0.7, -1.1, wf)), wf, rng) <= 1e-12
 
-    def test_associativity(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            labels = [DisplacementLabel(*rng.uniform(-2, 2, 2)) for _ in range(3)]
-            left = displacement_compose(displacement_compose(labels[0], labels[1]), labels[2])
-            right = displacement_compose(labels[0], displacement_compose(labels[1], labels[2]))
-            assert abs(left.q_shift - right.q_shift) < 1e-12
-            assert abs(left.p_shift - right.p_shift) < 1e-12
-            assert abs(left.phase - right.phase) < 1e-12
+    def test_composition_law(self):
+        assert displacement_law_residual(np.random.default_rng(29), 100) <= 1e-12
 
-    def test_rejects_non_unit_phase(self):
-        with pytest.raises(ValueError):
-            DisplacementLabel(0.0, 0.0, 2.0)
+    @pytest.mark.parametrize("cocycle", [-1, 0], ids=["conjugated", "omitted"])
+    def test_wrong_cocycle_is_detected(self, cocycle):
+        assert displacement_law_residual(np.random.default_rng(29), 100, cocycle) >= 1.0
 
 
 class TestGaugeField:
+    """The potential A_q = 0, A_p = q/hbar behind the left-invariant pair:
+    Q_LEFT = i hbar D_p and P_LEFT = -i hbar D_q with D_i = d_i - i A_i."""
+
     def test_field_strength_is_inverse_hbar(self):
-        # The curl of the potential itself, so a wrong A_p shows here.
+        # [D_q, D_p] = -i F, so [Q_LEFT, P_LEFT] = hbar^2 [D_p, D_q] = i hbar^2 F,
+        # which is i hbar exactly when F = 1/hbar.
         rng = np.random.default_rng(37)
         for hbar in (0.5, 1.0, 2.0):
-            for q, p in rng.uniform(-3, 3, size=(10, 2)):
-                assert abs(curl(GaugeField(hbar), q, p) - 1.0 / hbar) <= 1e-12
+            for _ in range(10):
+                wf = random_wavefunction(rng, hbar=hbar)
+                target = wf.scale(1j * hbar)
+                assert commutator_apply(Q_LEFT, P_LEFT, wf).max_coeff_residual(target) == 0.0
 
     def test_field_strength_constant_across_points(self):
-        f = GaugeField(0.5)
+        # The curl through the separate differentiate() path: with A_q = 0,
+        # D_q = d_q, and A_p psi = q psi / hbar = (Q_LEFT - Q_RIGHT) psi / hbar.
+        # [D_q, D_p] is then multiplication by the constant -i/hbar.
         rng = np.random.default_rng(41)
-        for q, p in rng.uniform(-20, 20, size=(10, 2)):
-            assert abs(curl(f, q, p) - curl(f, 0.0, 0.0)) <= 1e-12
+        for hbar in (0.5, 1.0, 2.0):
+            def d_p(wf):
+                a_p = (apply_operator(Q_LEFT, wf) - apply_operator(Q_RIGHT, wf)).scale(1.0 / hbar)
+                return differentiate(wf, "p") - a_p.scale(1j)
+
+            for _ in range(10):
+                wf = random_wavefunction(rng, hbar=hbar)
+                curl = differentiate(d_p(wf), "q") - d_p(differentiate(wf, "q"))
+                assert curl.max_coeff_residual(wf.scale(-1j / hbar)) == 0.0
 
     def test_covariant_derivative_identities(self):
         # Q_LEFT = i hbar (d_p - i A_p), P_LEFT = -i hbar (d_q - i A_q),
         # assembled through the separate differentiate() code path.
         rng = np.random.default_rng(31)
         for hbar in (1.0, 0.5):
-            field = GaugeField(hbar)
             for _ in range(10):
                 wf = random_wavefunction(rng, hbar=hbar)
                 dq_wf = differentiate(wf, "q")
@@ -158,40 +182,30 @@ class TestGaugeField:
                 q_img = apply_operator(Q_LEFT, wf)
                 p_img = apply_operator(P_LEFT, wf)
                 for q, p in rng.uniform(-2, 2, size=(5, 2)):
-                    base = wf.evaluate(q, p)
-                    cov_q = 1j * hbar * (dp_wf.evaluate(q, p) - 1j * field.a_p(q, p) * base)
-                    cov_p = -1j * hbar * (dq_wf.evaluate(q, p) - 1j * field.a_q(q, p) * base)
+                    cov_q = 1j * hbar * (dp_wf.evaluate(q, p) - 1j * (q / hbar) * wf.evaluate(q, p))
+                    cov_p = -1j * hbar * dq_wf.evaluate(q, p)  # A_q = 0
                     assert abs(q_img.evaluate(q, p) - cov_q) <= 1e-10 * max(1.0, abs(cov_q))
                     assert abs(p_img.evaluate(q, p) - cov_p) <= 1e-10 * max(1.0, abs(cov_p))
 
 
 class TestPathPhase:
+    """The phase accumulated along the standard path is the prequantum
+    factor e^{ipq/hbar} of the zero-label Q-basis state."""
+
     def test_degenerate_paths(self):
-        f = GaugeField(1.0)
-        assert path_phase(f, (0.0, 3.7)) == 1.0
-        assert path_phase(f, (-2.5, 0.0)) == 1.0
+        wf = make_plane_Q_basis(0.0, 0.0, 1.0)
+        assert wf.evaluate(0.0, 3.7) == 1.0
+        assert wf.evaluate(-2.5, 0.0) == 1.0
 
     def test_closed_form_value(self):
         # Two legs: the q leg sees A_q = 0, the p leg integrates A_p(q) = q/hbar
-        assert abs(path_phase(GaugeField(1.0), (2.0, 3.0)) - cmath.exp(6j)) < 1e-15
+        assert abs(make_plane_Q_basis(0.0, 0.0, 1.0).evaluate(2.0, 3.0) - cmath.exp(6j)) < 1e-15
 
     def test_matches_numerical_line_integration(self):
         rng = np.random.default_rng(37)
         for hbar in (1.0, 0.5, 2.0):
-            field = GaugeField(hbar)
+            wf = make_plane_Q_basis(0.0, 0.0, hbar)
             for _ in range(5):
                 endpoint = tuple(rng.uniform(-2, 2, 2))
-                got = path_phase(field, endpoint)
-                want = line_integral_phase(field, endpoint)
-                assert abs(got - want) < 1e-10
-
-    def test_cancels_prequantum_factor_of_q_basis(self):
-        # path_phase times the conjugate of the zero-label Q-basis value is 1
-        f = GaugeField(1.0)
-        wf = make_plane_Q_basis(0.0, 0.0, 1.0)
-        for q, p in [(0.2, 0.4), (-1.0, 2.0), (3.0, -0.5)]:
-            assert abs(path_phase(f, (q, p)) * np.conj(wf.evaluate(q, p)) - 1.0) < 1e-13
-
-    def test_rejects_non_finite_endpoint(self):
-        with pytest.raises(ValueError):
-            path_phase(GaugeField(1.0), (float("inf"), 0.0))
+                want = line_integral_phase(endpoint, hbar)
+                assert abs(wf.evaluate(*endpoint) - want) < 1e-10

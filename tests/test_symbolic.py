@@ -59,6 +59,16 @@ class TestConstruction:
         wf = WaveFunction([tA, tB])
         assert [t.c0 for t in wf.terms] == [-1.0, 1.0]
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [
+        lambda hbar: BilinearPhaseTerm(1.0, 0.0, 0.5, 0.0, 0.0, hbar=hbar),
+        lambda hbar: WaveFunction.zero(hbar=hbar),
+        lambda hbar: WaveFunction([], hbar=hbar),
+    ], ids=["term", "zero", "empty"])
+    def test_hbar_must_be_positive_and_finite(self, build, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            build(hbar)
+
     def test_mixed_hbar_rejected(self):
         t1 = BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 0.0, hbar=1.0)
         t2 = BilinearPhaseTerm(1.0, 0.0, 1.0, 0.0, 0.0, hbar=2.0)
