@@ -209,3 +209,10 @@ class TestPathPhase:
                 endpoint = tuple(rng.uniform(-2, 2, 2))
                 want = line_integral_phase(endpoint, hbar)
                 assert abs(wf.evaluate(*endpoint) - want) < 1e-10
+
+    def test_cancels_prequantum_factor_of_q_basis(self):
+        # The path phase times the conjugate of the zero-label Q-basis value is 1
+        wf = make_plane_Q_basis(0.0, 0.0, 1.0)
+        for q, p in [(0.2, 0.4), (-1.0, 2.0), (3.0, -0.5)]:
+            phase = line_integral_phase((q, p), 1.0)
+            assert abs(phase * np.conj(wf.evaluate(q, p)) - 1.0) < 1e-13
