@@ -72,6 +72,16 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     ]
 
 
+def _available_memory() -> int | None:
+    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as meminfo:
+            fields = dict(line.split(":", 1) for line in meminfo)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return None
+
+
 def _gram_residual(states, geometry: TorusGeometry, M: int) -> float:
     bras = sample_bras(states, geometry, M)
     gram = bras @ bras.conj().T / (M * M)
@@ -83,10 +93,17 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     quadrature on the M = 8N grid.
 
     One basis is held at a time, as its (N^2, M^2) array of bras and that
-    array's conjugate.
+    array's conjugate, next to the (N^2, N^2) Gram.  A peak of those three
+    arrays above the available memory raises MemoryError before any state
+    is built.
     """
     N = _require_quantized(geometry)
     M = 8 * N
+    need = 16 * (2 * N**2 * M**2 + N**4)
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(f"orthonormality at N={N} needs ~{need / 2**30:.3g} GiB, "
+                          f"but {available / 2**30:.3g} GiB is available")
     labels = [(n, m) for n in range(N) for m in range(N)]
     rq = _gram_residual([make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
                         geometry, M)

@@ -26,13 +26,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-# Width of the merge cells: two phase tuples are merged when every entry
-# rounds to the same multiple of it.  Inputs are exact small rationals in
-# practice; the cells only absorb roundoff from arithmetic.
+# Width of the merge cells in units of the phase k / hbar: two phase tuples
+# are merged when every entry rounds to the same multiple of it.  Inputs are
+# exact small rationals in practice; the cells only absorb roundoff from
+# arithmetic.
 PHASE_MERGE_TOL = 1e-12
 
 # Relative tolerance for the eigenvalue ratio test.  All in-scope
@@ -59,8 +60,9 @@ class OperatorKind(Enum):
 
     Each member's value is its OperatorRow; apply_operator,
     exp_operator_apply and the grid maps of torusq.torus derive their
-    actions from these rows alone.  Only P_LEFT exponentiates with
-    exp(-i s X / hbar), so that positive s raises basis labels for all four.
+    actions from these rows alone.  exp_sign * sign = +1 in all four rows,
+    so every exponential translates by +s along its row's axis; which way
+    that moves basis labels is fixed by torusq.torus.GridShift.
     """
 
     Q_LEFT = OperatorRow(axis=1, sign=+1, multiplies=True, exp_sign=+1)    # q + i hbar d/dp
@@ -75,6 +77,11 @@ def _check_hbar(hbar) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
+def _cell_units(k: float, hbar: float) -> float:
+    """The phase k / hbar in merge widths; its rounding is k's merge cell."""
+    return k / hbar / PHASE_MERGE_TOL
+
+
 @dataclass(frozen=True)
 class BilinearPhaseTerm:
     """A single term amplitude * prefactor(q, p) * exp(i*phase(q, p)/hbar).
@@ -82,8 +89,8 @@ class BilinearPhaseTerm:
     The phase polynomial is c0 + cq*q + cp*p + cqp*q*p with real coefficients
     carrying units of action (they are divided by hbar on evaluation).  The
     prefactor maps exponent pairs (dq, dp) to complex coefficients.  Phase
-    coefficients k are stored as floats, -0.0 as 0.0; k / PHASE_MERGE_TOL
-    must be finite.
+    coefficients k are stored as floats, -0.0 as 0.0; k / hbar /
+    PHASE_MERGE_TOL must be finite.
     """
 
     amplitude: complex
@@ -98,8 +105,9 @@ class BilinearPhaseTerm:
         _check_hbar(self.hbar)
         for name in ("c0", "cq", "cp", "cqp"):
             k = float(getattr(self, name)) or 0.0  # -0.0 becomes 0.0
-            if not math.isfinite(k / PHASE_MERGE_TOL):
-                raise ValueError(f"phase coefficient {name}={k} has no finite merge cell")
+            if not math.isfinite(_cell_units(k, self.hbar)):
+                raise ValueError(f"phase coefficient {name}={k} has no finite merge cell "
+                                 f"at hbar={self.hbar}")
             object.__setattr__(self, name, k)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         pref = {
@@ -131,7 +139,7 @@ class WaveFunction:
     """A finite sum of BilinearPhaseTerm sharing one hbar.
 
     Instances are canonical: terms whose phase tuples share the merge cell
-    round(k / PHASE_MERGE_TOL) in every entry k are merged by polynomial
+    round(k / hbar / PHASE_MERGE_TOL) in every entry k are merged by polynomial
     addition under the cell's smallest tuple, whatever the input order; zero
     coefficients are dropped, amplitudes are folded into the prefactor, and
     terms are sorted by (c0, cq, cp, cqp).  The zero wave function has an
@@ -154,7 +162,7 @@ class WaveFunction:
                 raise ValueError("all terms must share one hbar")
             if t.amplitude == 0:
                 continue
-            cell = tuple(round(k / PHASE_MERGE_TOL) for k in t.phase_key)
+            cell = tuple(round(_cell_units(k, hbar)) for k in t.phase_key)
             pref = cells.setdefault(cell, (t.phase_key, {}))[1]
             for mon, c in t.prefactor.items():
                 pref[mon] = pref.get(mon, 0j) + t.amplitude * c
@@ -182,11 +190,7 @@ class WaveFunction:
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient magnitude over all terms and monomials."""
-        best = 0.0
-        for t in self.terms:
-            for c in t.prefactor.values():
-                best = max(best, abs(c))
-        return best
+        return max((abs(c) for t in self.terms for c in t.prefactor.values()), default=0.0)
 
     def evaluate(self, q, p):
         """Pointwise value; accepts scalars or broadcastable numpy arrays."""
@@ -217,11 +221,6 @@ class WaveFunction:
     def __sub__(self, other: "WaveFunction") -> "WaveFunction":
         return self + other.scale(-1.0)
 
-    def __mul__(self, factor) -> "WaveFunction":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     def max_coeff_residual(self, other: "WaveFunction") -> float:
         """Largest coefficient of (self - other); zero iff coefficient-equal.
 
@@ -231,8 +230,8 @@ class WaveFunction:
 
     # -- canonical JSON serialization ------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "hbar": self.hbar,
             "terms": [
                 {
@@ -248,35 +247,41 @@ class WaveFunction:
                 }
                 for t in self.terms
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WaveFunction":
-        hbar = float(data["hbar"])
-        terms = []
-        for td in data["terms"]:
-            pref = {(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]}
-            terms.append(
-                BilinearPhaseTerm(
-                    complex(td["amp"][0], td["amp"][1]),
-                    td["c0"], td["cq"], td["cp"], td["cqp"],
-                    prefactor=pref, hbar=hbar,
-                )
-            )
-        return cls(terms, hbar=hbar)
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "WaveFunction":
-        return cls.from_dict(json.loads(text))
+        data = json.loads(text)
+        hbar = float(data["hbar"])
+        return cls([
+            BilinearPhaseTerm(
+                complex(*td["amp"]), td["c0"], td["cq"], td["cp"], td["cqp"],
+                prefactor={(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]},
+                hbar=hbar,
+            )
+            for td in data["terms"]
+        ], hbar=hbar)
 
     def __repr__(self):
         return f"WaveFunction({len(self.terms)} terms, hbar={self.hbar})"
 
 
 # -- the four operators ---------------------------------------------------
+
+def _term_by_term(wf: WaveFunction, image) -> WaveFunction:
+    """The sum over the terms t of wf of image(t) = (phase key, pairs), where
+    pairs yields (monomial, coefficient).  The canonical form drops zero
+    coefficients and empty terms, so the transforms hand over every term.
+    """
+    terms = []
+    for t in wf.terms:
+        key, pairs = image(t)
+        pref: dict = {}
+        for mon, c in pairs:
+            pref[mon] = pref.get(mon, 0j) + c
+        terms.append(BilinearPhaseTerm(1.0 + 0.0j, *key, prefactor=pref, hbar=wf.hbar))
+    return WaveFunction(terms, hbar=wf.hbar)
+
 
 def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
     """Apply one of the four operators, exactly.
@@ -291,27 +296,18 @@ def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
     which keeps results exact for exactly representable inputs.
     """
     axis, sign, multiplies, _ = kind.value
-    out_terms = []
-    for t in wf.terms:
+
+    def pairs(t):
         c_x = t.phase_key[1 + axis]
         y_coeff = float(multiplies) - sign * t.cqp
-        pref: dict = {}
-
-        def acc(mon, val):
-            if val != 0:
-                pref[mon] = pref.get(mon, 0j) + val
-
         for (a, b), c in t.prefactor.items():
-            acc((a + axis, b + 1 - axis), c * y_coeff)
-            acc((a, b), -c * (sign * c_x))
+            yield (a + axis, b + 1 - axis), c * y_coeff
+            yield (a, b), -c * (sign * c_x)
             degree = (a, b)[axis]
             if degree:
-                acc((a - 1 + axis, b - axis), c * (sign * 1j * t.hbar * degree))
-        if pref:
-            out_terms.append(
-                BilinearPhaseTerm(1.0 + 0.0j, *t.phase_key, prefactor=pref, hbar=t.hbar)
-            )
-    return WaveFunction(out_terms, hbar=wf.hbar)
+                yield (a - 1 + axis, b - axis), c * (sign * 1j * t.hbar * degree)
+
+    return _term_by_term(wf, lambda t: (t.phase_key, pairs(t)))
 
 
 def commutator_apply(kind_a: OperatorKind, kind_b: OperatorKind, wf: WaveFunction) -> WaveFunction:
@@ -334,33 +330,22 @@ def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
     """
     if var not in ("q", "p"):
         raise ValueError(f"var must be 'q' or 'p', got {var!r}")
-    out_terms = []
-    for t in wf.terms:
-        c0, cq, cp, cqp = t.phase_key
-        hbar = t.hbar
-        pref: dict = {}
 
-        def acc(mon, val):
-            if val != 0:
-                pref[mon] = pref.get(mon, 0j) + val
-
+    def pairs(t):
         for (a, b), c in t.prefactor.items():
             if var == "q":
                 # dP/dq + (i/hbar)(cq + cqp p) P
                 if a:
-                    acc((a - 1, b), a * c)
-                acc((a, b), c * (1j * cq / hbar))
-                acc((a, b + 1), c * (1j * cqp / hbar))
+                    yield (a - 1, b), a * c
+                yield (a, b), c * (1j * t.cq / t.hbar)
+                yield (a, b + 1), c * (1j * t.cqp / t.hbar)
             else:
                 if b:
-                    acc((a, b - 1), b * c)
-                acc((a, b), c * (1j * cp / hbar))
-                acc((a + 1, b), c * (1j * cqp / hbar))
-        if pref:
-            out_terms.append(
-                BilinearPhaseTerm(1.0 + 0.0j, c0, cq, cp, cqp, prefactor=pref, hbar=hbar)
-            )
-    return WaveFunction(out_terms, hbar=wf.hbar)
+                    yield (a, b - 1), b * c
+                yield (a, b), c * (1j * t.cp / t.hbar)
+                yield (a + 1, b), c * (1j * t.cqp / t.hbar)
+
+    return _term_by_term(wf, lambda t: (t.phase_key, pairs(t)))
 
 
 def exp_affine_map(kind: OperatorKind,
@@ -400,34 +385,20 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
     prefactor and the shifted phase polynomial give f(q - sq, p - sp).
     """
     (sq, sp), (aq, ap) = exp_affine_map(kind, float(coefficient))
-    out_terms = []
-    for t in wf.terms:
-        c0, cqp = t.c0, t.cqp
-        cq, cp = t.cq + aq, t.cp + ap
-        pref: dict = {}
-        for (a, b), c in t.prefactor.items():
+
+    def pairs(prefactor):
+        for (a, b), c in prefactor.items():
             for ia in range(a + 1):
                 qfac = math.comb(a, ia) * (-sq) ** (a - ia)
-                if qfac == 0:
-                    continue
                 for ib in range(b + 1):
-                    pfac = math.comb(b, ib) * (-sp) ** (b - ib)
-                    if pfac == 0:
-                        continue
-                    mon = (ia, ib)
-                    pref[mon] = pref.get(mon, 0j) + c * qfac * pfac
-        out_terms.append(
-            BilinearPhaseTerm(
-                1.0 + 0.0j,
-                c0 - cq * sq - cp * sp + cqp * sq * sp,
-                cq - cqp * sp,
-                cp - cqp * sq,
-                cqp,
-                prefactor=pref,
-                hbar=t.hbar,
-            )
-        )
-    return WaveFunction(out_terms, hbar=wf.hbar)
+                    yield (ia, ib), c * qfac * (math.comb(b, ib) * (-sp) ** (b - ib))
+
+    def image(t):
+        cq, cp, cqp = t.cq + aq, t.cp + ap, t.cqp
+        key = (t.c0 - cq * sq - cp * sp + cqp * sq * sp, cq - cqp * sp, cp - cqp * sq, cqp)
+        return key, pairs(t.prefactor)
+
+    return _term_by_term(wf, image)
 
 
 def is_eigenstate(kind: OperatorKind, wf: WaveFunction):

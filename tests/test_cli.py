@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusq import cli
+from conftest import square_torus
+from torusq import cli, suites, torus
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, timeout=120):
+def run_cli(*args, timeout=120, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "torusq.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
 
 
@@ -138,6 +139,48 @@ class TestVerify:
             assert report["overall_pass"] is all(c["pass"] for c in report["checks"])
             weyl = [c for c in report["checks"] if c["check"].startswith("weyl/")]
             assert len(weyl) == 6, (N, suite)
+
+    def test_huge_hbar_passes(self):
+        # Merge cells are in units of hbar, so the phases of the h = 1e300
+        # geometry (c0 up to ~3e299) have finite cells.
+        res = run_cli("verify", "--N", "3", "--h", "1e300", "--suite", "all")
+        assert res.returncode == 0, res.stderr
+        assert "overall: PASS (27 checks)" in res.stdout
+
+    def test_tiny_hbar_exits_2_naming_hbar(self):
+        # cqp / hbar ~ 6e300 has no finite cell at h = 1e-300.
+        res = run_cli("verify", "--N", "3", "--h", "1e-300", "--suite", "all")
+        assert res.returncode == 2
+        assert "no finite merge cell at hbar=" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
+    def test_orthonormality_too_large_is_refused(self):
+        # The address-space cap and the timeout keep a run that builds the
+        # states anyway from exhausting the machine.
+        def cap():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        res = run_cli("verify", "--N", "100000", "--suite", "orthonormality",
+                      timeout=30, preexec_fn=cap)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: orthonormality at N=100000 needs ~")
+        assert "GiB is available" in res.stderr
+
+    def test_orthonormality_refused_before_sampling(self, monkeypatch):
+        calls = []
+        real_sample = torus.sample
+        monkeypatch.setattr(torus, "sample", lambda *args: calls.append(args) or real_sample(*args))
+        monkeypatch.setattr(suites, "_available_memory", lambda: 1024)
+        with pytest.raises(MemoryError, match="N=4 needs"):
+            suites.suite_orthonormality(square_torus(4))
+        assert calls == []
+        # Where the available memory is unknown the suite runs as before.
+        monkeypatch.setattr(suites, "_available_memory", lambda: None)
+        assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
+        assert len(calls) == 2 * 2**2
 
     def test_reports_byte_stable_modulo_timestamp(self):
         first = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")

@@ -1,3 +1,4 @@
+import cmath
 import json
 import time
 
@@ -132,6 +133,20 @@ class TestCanonicalForm:
                             whole = exp_operator_apply(kind, s, wf)
                             assert split.max_coeff_residual(whole) <= 1e-12
 
+    def test_merge_cells_are_relative_to_hbar(self):
+        # Wave numbers 0 and 1 at the SI hbar: phase keys 0 and hbar are
+        # far apart in units of hbar and must stay two terms.
+        hbar = 1.054571817e-34
+        wf = plane_p_basis(0.0, 0.0, hbar) + plane_p_basis(0.0, hbar, hbar)
+        assert len(wf.terms) == 2
+        for q in (0.0, 1.0, 2.0):
+            assert abs(wf.evaluate(q, 0.0) - (1.0 + cmath.exp(1j * q))) <= 1e-15
+
+    def test_finite_cell_is_relative_to_hbar(self):
+        BilinearPhaseTerm(1.0, 3.3e299, 0.0, 0.0, 0.0, hbar=1.6e299)
+        with pytest.raises(ValueError, match="cqp=1.0 has no finite merge cell at hbar=1e-300"):
+            BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 1.0, hbar=1e-300)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, -1e300])
     def test_phase_coefficient_without_finite_cell_rejected(self, value):
         for position in range(4):
@@ -187,6 +202,31 @@ class TestApplyOperator:
                 # differentiation and multiplication never change phase tuples
                 in_keys = {t.phase_key for t in wf.terms}
                 assert {t.phase_key for t in out.terms} <= in_keys
+
+
+class TestTransformOutputsAreCanonical:
+    def test_zero_contributions_leave_no_trace(self):
+        # Inputs on which the transforms produce zero contributions: cqp = 0
+        # (zero y coefficient under P_LEFT and Q_RIGHT, zero cqp terms of
+        # the derivatives), c_x = 0, and degree-2 prefactors in the variable
+        # an exponential does not translate (zero binomial factors).
+        pref = {(2, 2): 1.0 - 0.5j, (2, 0): 0.25, (0, 2): -0.75j, (0, 0): 0.5, (1, 1): 2.0}
+        for hbar in (1.0, 0.5):
+            wf = WaveFunction([
+                BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 0.0, pref, hbar),
+                BilinearPhaseTerm(1.0, 0.25, 0.5, 0.0, 0.0, pref, hbar),
+                BilinearPhaseTerm(1.0, 0.5, 0.0, -0.5, 0.0, pref, hbar),
+                BilinearPhaseTerm(1.0, 0.75, 0.0, 0.0, 1.0, pref, hbar),
+            ], hbar=hbar)
+            outs = [apply_operator(kind, wf) for kind in ALL_KINDS]
+            outs += [exp_operator_apply(kind, s, wf) for kind in ALL_KINDS for s in (0.5, -0.25)]
+            outs += [differentiate(wf, var) for var in ("q", "p")]
+            for out in outs:
+                assert not out.is_zero()
+                for t in out.terms:
+                    assert t.prefactor
+                    assert all(c != 0 for c in t.prefactor.values())
+                assert WaveFunction(out.terms, hbar=out.hbar).to_json() == out.to_json()
 
 
 class TestCommutators:
