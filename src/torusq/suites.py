@@ -40,6 +40,10 @@ _SUITE_SEED = 714025
 # grows with N, so the oracle keeps this fixed tolerance instead of --tolerance.
 ORACLE_TOL = 1e-10
 
+# The orthonormality Gram sums over bands of this many grid rows, so its
+# memory is O(N^2 M) for the bras instead of O(N^2 M^2).
+GRAM_BAND_ROWS = 16
+
 
 def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Heisenberg algebra on random family members, coefficient-exact.
@@ -83,23 +87,32 @@ def _available_memory() -> int | None:
 
 
 def _gram_residual(states, geometry: TorusGeometry, M: int) -> float:
-    bras = sample_bras(states, geometry, M)
-    gram = bras @ bras.conj().T / (M * M)
-    return float(np.abs(gram - np.eye(len(states))).max())
+    """max |G - I| for the Gram matrix G of `states` by quadrature on the
+    M x M grid, summed over bands of GRAM_BAND_ROWS grid rows."""
+    gram = np.zeros((len(states), len(states)), dtype=complex)
+    for start in range(0, M, GRAM_BAND_ROWS):
+        band = sample_bras(states, geometry, M, slice(start, start + GRAM_BAND_ROWS))
+        gram += band @ band.conj().T
+        del band  # the next band is sampled without this one alive
+    gram /= M * M
+    gram[np.diag_indices_from(gram)] -= 1.0  # in place: no N^4 identity or difference
+    return float(np.abs(gram).max())
 
 
 def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Gram matrices of both N^2-member bases equal the identity, by
     quadrature on the M = 8N grid.
 
-    One basis is held at a time, as its (N^2, M^2) array of bras and that
-    array's conjugate, next to the (N^2, N^2) Gram.  A peak of those three
-    arrays above the available memory raises MemoryError before any state
-    is built.
+    One basis is held at a time, one band of GRAM_BAND_ROWS grid rows at a
+    time: the band's (N^2, B M) array of bras (B = min(GRAM_BAND_ROWS, M))
+    and that array's conjugate, next to the (N^2, N^2) Gram they are summed
+    into.  A peak of those three arrays above the available memory raises
+    MemoryError before any state is built.
     """
     N = _require_quantized(geometry)
     M = 8 * N
-    need = 16 * (2 * N**2 * M**2 + N**4)
+    B = min(GRAM_BAND_ROWS, M)
+    need = 16 * (2 * N**2 * B * M + N**4)
     available = _available_memory()
     if available is not None and need > available:
         raise MemoryError(f"orthonormality at N={N} needs ~{need / 2**30:.3g} GiB, "

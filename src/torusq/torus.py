@@ -177,25 +177,30 @@ def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.nd
     return np.arange(M) * (geometry.b / M), np.arange(M) * (geometry.a / M)
 
 
-def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> np.ndarray:
+def sample(wf: WaveFunction, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
     """Sample a wave function on the uniform M x M grid over one fundamental
-    domain, as the (M, M) array values[i, j] = f(q_j, p_i)."""
-    q, p = grid_coordinates(geometry, M)
-    return wf.evaluate(q[None, :], p[:, None])
+    domain, as the (M, M) array values[i, j] = f(q_j, p_i).
 
-
-def sample_bras(states, geometry: TorusGeometry, M: int) -> np.ndarray:
-    """Sample each wave function of the sequence `states` on the M x M grid
-    and write its conjugate, flattened, into one row of a (len(states), M^2)
-    array.
-
-    bras @ g.ravel() / M^2 holds the inner product of every state with the
-    sampled state g at once.
+    `rows` selects grid rows i (all M by default): a band of rows gives
+    exactly those rows of the full array, since each point is evaluated on
+    the same coordinates.
     """
-    grid_coordinates(geometry, M)  # refuse a bad grid before allocating
-    bras = np.empty((len(states), M * M), dtype=complex)
+    q, p = grid_coordinates(geometry, M)
+    return wf.evaluate(q[None, :], p[rows, None])
+
+
+def sample_bras(states, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
+    """Sample each wave function of the sequence `states` on the grid rows
+    `rows` of the M x M grid (all M by default; see sample) and write its
+    conjugate, flattened, into one row of a (len(states), rows M) array.
+
+    With all rows, bras @ g.ravel() / M^2 holds the inner product of every
+    state with the sampled state g at once.
+    """
+    _, p = grid_coordinates(geometry, M)  # refuse a bad grid before allocating
+    bras = np.empty((len(states), len(p[rows]) * M), dtype=complex)
     for row, wf in zip(bras, states):
-        np.conjugate(sample(wf, geometry, M).ravel(), out=row)
+        np.conjugate(sample(wf, geometry, M, rows).ravel(), out=row)
     return bras
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import square_torus
-from torusq import cli, suites, torus
+from torusq import cli, suites
+from torusq.symbolic import WaveFunction
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -170,17 +171,28 @@ class TestVerify:
         assert "GiB is available" in res.stderr
 
     def test_orthonormality_refused_before_sampling(self, monkeypatch):
+        # Count every evaluation of a wave function and every basis state the
+        # suite builds: whichever path the Gram samples by, a refusal must
+        # come before both.
         calls = []
-        real_sample = torus.sample
-        monkeypatch.setattr(torus, "sample", lambda *args: calls.append(args) or real_sample(*args))
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        monkeypatch.setattr(WaveFunction, "evaluate", counted("evaluate", WaveFunction.evaluate))
+        for factory in ("make_torus_Q_basis", "make_torus_P_basis"):
+            monkeypatch.setattr(suites, factory, counted(factory, getattr(suites, factory)))
         monkeypatch.setattr(suites, "_available_memory", lambda: 1024)
         with pytest.raises(MemoryError, match="N=4 needs"):
             suites.suite_orthonormality(square_torus(4))
         assert calls == []
-        # Where the available memory is unknown the suite runs as before.
+        # Where the available memory is unknown the suite runs as before: at
+        # N = 2 the M = 16 grid is one band, so each of the 2 N^2 states is
+        # built once and evaluated once.
         monkeypatch.setattr(suites, "_available_memory", lambda: None)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
-        assert len(calls) == 2 * 2**2
+        assert [calls.count(name) for name in ("evaluate", "make_torus_Q_basis",
+                                               "make_torus_P_basis")] == [8, 4, 4]
 
     def test_reports_byte_stable_modulo_timestamp(self):
         first = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import square_torus
+from torusq.suites import _gram_residual
 from torusq.symbolic import OperatorKind, exp_operator_apply, is_eigenstate
 from torusq.torus import (
     N_DETECT_REL_TOL,
@@ -284,6 +285,34 @@ class TestInnerProduct:
             k = sample(ket, g, M)
             want = np.array([np.vdot(sample(wf, g, M), k) / M**2 for wf in states])
             assert np.abs(bras @ k.ravel() / (M * M) - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("geometry, M", [
+        (square_torus(3), 24),
+        (make_geometry(1.0, 2.0, 0.4), 40),
+    ])
+    def test_band_of_bras_is_those_rows_bit_for_bit(self, geometry, M):
+        states = ([make_torus_Q_basis(geometry, n, m, primed=True) for n in range(2) for m in (0, 1)]
+                  + [make_torus_P_basis(geometry, n, 1) for n in range(3)])
+        full = sample_bras(states, geometry, M)
+        for start, stop in ((0, 16), (16, 32), (5, 6), (M - 3, M + 13)):
+            band = sample_bras(states, geometry, M, slice(start, stop))
+            assert band.shape == (len(states), (min(stop, M) - start) * M)
+            assert np.array_equal(band, full[:, start * M:min(stop, M) * M])
+
+    @pytest.mark.parametrize("geometry", [
+        square_torus(1),
+        square_torus(3),  # M = 24: the second band is short
+        make_geometry(1.0, 2.0, 0.4),  # N = 5, M = 40
+    ])
+    def test_streamed_gram_matches_one_shot(self, geometry):
+        N = geometry.N
+        M = 8 * N
+        labels = [(n, m) for n in range(N) for m in range(N)]
+        for states in ([make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
+                       [make_torus_P_basis(geometry, n, m) for n, m in labels]):
+            bras = sample_bras(states, geometry, M)
+            one_shot = float(np.abs(bras @ bras.conj().T / M**2 - np.eye(N * N)).max())
+            assert abs(_gram_residual(states, geometry, M) - one_shot) <= 1e-15
 
     def test_conjugate_symmetry_and_positivity(self):
         rng = np.random.default_rng(41)
