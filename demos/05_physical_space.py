@@ -8,10 +8,12 @@ N-dimensional space where
   exp(2 pi i Q_LEFT / b)  -> the clock matrix diag(e^{2 pi i n / N}),
   exp(-2 pi i P_LEFT / a) -> the cyclic shift matrix,
 
-which obey the finite Weyl relation clock @ shift = omega shift @ clock with
-omega a primitive N-th root of unity.  A discrete Fourier matrix connects
-the Q and P bases; its normalization 1/sqrt(N) is forced by unitarity and
-confirmed by inner products of sampled basis states on the N x N grid.
+both read from the action table as the Q-basis matrices of EXP_QLEFT and
+EXP_PLEFT (table1_matrices).  They obey the finite Weyl relation
+clock @ shift = omega shift @ clock with omega a primitive N-th root of
+unity.  A discrete Fourier matrix connects the Q and P bases; its
+normalization 1/sqrt(N) is forced by unitarity and confirmed by inner
+products of sampled basis states on the N x N grid.
 """
 
 import math
@@ -20,14 +22,12 @@ import numpy as np
 
 from torusq import (
     GridShift,
-    clock_matrix,
     dft_basis_change,
     grid_shift_operator,
     make_geometry,
     make_torus_Q_basis,
     physical_grid_overlaps,
     sample_bras,
-    shift_matrix,
     table1_matrices,
     table1_verify,
     weyl_commutation_check,
@@ -36,12 +36,14 @@ from torusq import (
 N = 4
 side = math.sqrt(N)
 geometry = make_geometry(side, side, 1.0)  # the symmetric torus a = b, h = 1
+C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
+S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
 print(f"physical dimension N = {N}")
-print("\nclock matrix:")
+print("\nclock matrix (Q-basis matrix of EXP_QLEFT):")
 with np.printoptions(precision=3, suppress=True):
-    print(clock_matrix(N))
-print("shift matrix:")
-print(shift_matrix(N).real.astype(int))
+    print(C)
+print("shift matrix (Q-basis matrix of EXP_PLEFT):")
+print(S.real.astype(int))
 
 omega = weyl_commutation_check(N)
 print("\nWeyl phase omega =", omega, " (omega^N =", omega**N, ")")
@@ -53,14 +55,16 @@ for res in table1_verify(geometry):
     print(f"  {res.name:32s} residual {res.max_residual:.2e}  pass={res.passed}")
 
 # Matrix elements of the grid operators between sampled basis states
-# reproduce the clock and shift entries: row n of bras is the conjugated
-# sampled Q-basis state (n, 0), and the operator moves all N kets at once.
+# reproduce the table's clock and shift entries: row n of bras is the
+# conjugated sampled Q-basis state (n, 0), and the operator moves all N kets
+# at once.
 bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
                    geometry, N)
-moved = grid_shift_operator(GridShift.EXP_PLEFT, bras.conj().reshape(N, N, N), geometry)
-me = bras @ moved.reshape(N, N * N).T / N**2
-print("\n|grid matrix elements - shift| max:",
-      np.abs(me - shift_matrix(N)).max())
+print()
+for which, U, name in ((GridShift.EXP_PLEFT, S, "shift"), (GridShift.EXP_QLEFT, C, "clock")):
+    moved = grid_shift_operator(which, bras.conj().reshape(N, N, N), geometry)
+    me = bras @ moved.reshape(N, N * N).T / N**2
+    print(f"|grid matrix elements - {name}| max:", np.abs(me - U).max())
 
 # The basis change: unitary, and intertwines the two representations.
 K = dft_basis_change(N)

@@ -34,10 +34,8 @@ from .torus import (
 )
 from .finite import (
     LABEL_ACTION,
-    clock_matrix,
     dft_basis_change,
     physical_grid_overlaps,
-    shift_matrix,
     table1_matrices,
     table1_verify,
     weyl_commutation_check,
@@ -58,7 +56,6 @@ __all__ = [
     "WaveFunction",
     "apply_operator",
     "chart_consistency_check",
-    "clock_matrix",
     "commutator_apply",
     "dft_basis_change",
     "differentiate",
@@ -74,7 +71,6 @@ __all__ = [
     "physical_grid_overlaps",
     "sample",
     "sample_bras",
-    "shift_matrix",
     "table1_matrices",
     "table1_verify",
     "transition_function",

@@ -3,7 +3,10 @@
 States with labels shifted by N, or differing only in the shadow index m, are
 physically equivalent; fixing the canonical representatives (m = 0, n reduced
 mod N) leaves an N-dimensional space on which the exponentiated physical
-operators act as the clock and shift matrices.  The unexponentiated
+operators act as the clock and shift matrices.  Those matrices are read from
+the action table LABEL_ACTION (table1_matrices), the same table that
+table1_verify checks cell by cell against the grid operators, so every
+finite matrix here carries the table's signs.  The unexponentiated
 Heisenberg pair cannot survive the reduction: tr[A, B] = 0 for every finite
 pair while [Q, P] = i hbar would need trace i hbar N.
 
@@ -32,54 +35,10 @@ from .torus import (
     sample_bras,
 )
 
+
 def _require_dimension(N: int) -> None:
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-
-
-def clock_matrix(N: int) -> np.ndarray:
-    """diag(e^{2 pi i n / N}), n = 0..N-1, in the Q basis.
-
-    Represents exp(2 pi i Q_LEFT / b): diagonal on the Q-basis states with
-    the N-th roots of unity as eigenvalues.
-    """
-    _require_dimension(N)
-    return np.diag(np.exp(2j * np.pi * np.arange(N) / N))
-
-
-def shift_matrix(N: int) -> np.ndarray:
-    """Cyclic permutation sending basis index n to n+1 (mod N), in the Q basis.
-
-    Represents exp(-2 pi i P_LEFT / a).  Entries are exactly 0 and 1, so its
-    N-th power is exactly the identity.
-    """
-    _require_dimension(N)
-    return np.roll(np.eye(N, dtype=complex), 1, axis=0)
-
-
-def weyl_commutation_check(N: int) -> complex:
-    """The scalar omega with clock @ shift = omega * (shift @ clock).
-
-    Determined by brute force from the matrices themselves: the two products
-    have the same support and their entrywise ratio must be one constant.  A
-    ratio spread above DEFAULT_TOL raises, since it would signal an
-    implementation bug; the measured spread is at most 2.6e-15 for every
-    N <= 256 and for N in {512, 1024, 2048}.
-    omega is a primitive N-th root of unity for N > 1, and the N-th power of
-    either operator commutes with the other.
-    """
-    C = clock_matrix(N)
-    S = shift_matrix(N)
-    left = C @ S
-    right = S @ C
-    mask = np.abs(right) > 0.5
-    if not np.array_equal(mask, np.abs(left) > 0.5):
-        raise RuntimeError("clock/shift products differ in support; commutator is not scalar")
-    ratios = left[mask] / right[mask]
-    omega = complex(ratios.flat[0])
-    if np.abs(ratios - omega).max() > DEFAULT_TOL:
-        raise RuntimeError("clock/shift commutator is not a scalar within tolerance")
-    return omega
 
 
 def dft_basis_change(N: int) -> np.ndarray:
@@ -88,8 +47,8 @@ def dft_basis_change(N: int) -> np.ndarray:
     K[n][s] = e^{2 pi i n s / N} / sqrt(N), at the canonical m = 0
     representative, with the first Q-basis index pairing against the second
     (physical) P-basis index.  The 1/sqrt(N) scale is forced by unitarity and
-    the exponent sign by the requirement that K intertwine the clock/shift
-    actions of the exponentiated operators in the two bases; both choices are
+    the exponent sign by the requirement that K intertwine the actions of the
+    exponentiated operators in the two bases (table1_matrices); both choices are
     confirmed against inner products of sampled basis states on the physical
     grid (see physical_grid_overlaps).
     """
@@ -102,7 +61,8 @@ def dft_basis_change(N: int) -> np.ndarray:
 # of both bases, label 0 being n (s in the P basis) and label 1 being m (r).
 # An entry (label, sign) multiplies the state by e^{sign 2 pi i label / N};
 # (label, RAISE) raises that label by one.  The basis factories are built
-# independently of this table, so table1_verify compares it against them.
+# independently of this table, so table1_verify compares it against them;
+# table1_matrices reads the physical-space matrices from it.
 RAISE = 0
 LABEL_ACTION = {
     GridShift.EXP_PLEFT: {"P": (1, -1), "Q": (0, RAISE)},
@@ -123,19 +83,49 @@ def table1_matrices(which: GridShift, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(P-basis matrix, Q-basis matrix) of one exponentiated operator on the
     physical labels, read from LABEL_ACTION.
 
-    An action on the physical label is the clock-type diagonal of its phase
-    or the cyclic shift; an action on the shadow label is the identity on the
-    physical space.
+    An action on the physical label is the diagonal of its phase or the
+    cyclic permutation sending index n to n+1 (mod N), whose entries are
+    exactly 0 and 1; an action on the shadow label is the identity on the
+    physical space.  The Q-basis matrices of EXP_QLEFT and EXP_PLEFT are the
+    clock diag(e^{2 pi i n / N}) and the shift.
     """
+    _require_dimension(N)
     out = []
     for basis, (label, sign) in LABEL_ACTION[which].items():
         if label != PHYSICAL_LABEL[basis]:
             out.append(np.eye(N, dtype=complex))
         elif sign == RAISE:
-            out.append(shift_matrix(N))
+            out.append(np.roll(np.eye(N, dtype=complex), 1, axis=0))
         else:
             out.append(np.diag(_label_phase(sign, np.arange(N), N)))
     return tuple(out)
+
+
+def weyl_commutation_check(N: int) -> complex:
+    """The scalar omega with C @ S = omega * (S @ C), for the clock C and the
+    shift S of the action table: the Q-basis matrices of EXP_QLEFT and
+    EXP_PLEFT from table1_matrices.
+
+    Determined by brute force from those two matrices: the two products
+    have the same support and their entrywise ratio must be one constant.  A
+    ratio spread above DEFAULT_TOL raises, since it would signal an
+    implementation bug; the measured spread is at most 2.6e-15 for every
+    N <= 256 and for N in {512, 1024, 2048}.
+    omega is a primitive N-th root of unity for N > 1, and the N-th power of
+    either operator commutes with the other.
+    """
+    C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
+    S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
+    left = C @ S
+    right = S @ C
+    mask = np.abs(right) > 0.5
+    if not np.array_equal(mask, np.abs(left) > 0.5):
+        raise RuntimeError("clock/shift products differ in support; commutator is not scalar")
+    ratios = left[mask] / right[mask]
+    omega = complex(ratios.flat[0])
+    if np.abs(ratios - omega).max() > DEFAULT_TOL:
+        raise RuntimeError("clock/shift commutator is not a scalar within tolerance")
+    return omega
 
 
 def table1_verify(geometry: TorusGeometry, M: int | None = None,

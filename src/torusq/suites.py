@@ -13,10 +13,8 @@ import math
 import numpy as np
 
 from .finite import (
-    clock_matrix,
     dft_basis_change,
     physical_grid_overlaps,
-    shift_matrix,
     table1_matrices,
     table1_verify,
     weyl_commutation_check,
@@ -106,13 +104,14 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     One basis is held at a time, one band of GRAM_BAND_ROWS grid rows at a
     time: the band's (N^2, B M) array of bras (B = min(GRAM_BAND_ROWS, M))
     and that array's conjugate, next to the (N^2, N^2) Gram they are summed
-    into.  A peak of those three arrays above the available memory raises
-    MemoryError before any state is built.
+    into and the (N^2, N^2) product of the band that is allocated before it
+    is added.  A peak of those four arrays, 16 (2 N^2 B M + 2 N^4) bytes,
+    above the available memory raises MemoryError before any state is built.
     """
     N = _require_quantized(geometry)
     M = 8 * N
     B = min(GRAM_BAND_ROWS, M)
-    need = 16 * (2 * N**2 * B * M + N**4)
+    need = 16 * (2 * N**2 * B * M + 2 * N**4)
     available = _available_memory()
     if available is not None and need > available:
         raise MemoryError(f"orthonormality at N={N} needs ~{need / 2**30:.3g} GiB, "
@@ -134,10 +133,11 @@ def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Chec
 
 
 def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Clock/shift commutation phase and unitarity."""
+    """Commutation phase and unitarity of the clock and shift, the Q-basis
+    matrices of EXP_QLEFT and EXP_PLEFT read from the action table."""
     N = _require_quantized(geometry)
-    C = clock_matrix(N)
-    S = shift_matrix(N)
+    C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
+    S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
     eye = np.eye(N)
     omega = weyl_commutation_check(N)
     r_order = abs(omega**N - 1.0)

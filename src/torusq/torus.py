@@ -9,10 +9,11 @@ of the Planck constant h.  The diagnostics for failure of that condition
 transition factor) are available for every geometry; the basis factories
 require a quantized one.
 
-Wave functions on the quantized torus are sections rather than periodic
-functions: crossing the q-period multiplies them by the transition factor
-e^{ibp/hbar} and crossing the p-period by e^{2 pi i N q / b}.  On the N x N
-grid (M = N samples per axis) both factors sample to one, the label
+The two bases obey different boundary conditions.  The P-basis states are
+periodic in both q and p.  The Q-basis states are sections rather than
+periodic functions: crossing the q-period multiplies them by the transition
+factor e^{ibp/hbar} and crossing the p-period by e^{2 pi i N q / b}.  On the
+N x N grid (M = N samples per axis) both factors sample to one, the label
 equivalences n -> n + N and m -> m + N become exact grid identities, and the
 grid carries a faithful copy of the N-dimensional physical space.  That grid
 is the canonical place to verify operator actions; larger multiples of N are

@@ -18,10 +18,8 @@ import numpy as np
 
 from conftest import displacement_law_residual, dyadic, random_wavefunction, square_torus
 from torusq.finite import (
-    clock_matrix,
     dft_basis_change,
     physical_grid_overlaps,
-    shift_matrix,
     table1_matrices,
     table1_verify,
     weyl_commutation_check,
@@ -217,12 +215,13 @@ def test_criterion_05_torus_orthonormality():
 
 def test_criterion_05_gram_holds_one_basis_at_a_time():
     # The suite streams one basis at a time over bands of B grid rows: the
-    # band's (N^2, B M) bras, their conjugate and the (N^2, N^2) Gram are the
-    # estimate it refuses by, and the traced peak must stay near it.
+    # band's (N^2, B M) bras, their conjugate, the (N^2, N^2) Gram and the
+    # band's (N^2, N^2) product are the estimate it refuses by, and the
+    # traced peak must stay near it.
     N = 8
     M = 8 * N
     B = min(GRAM_BAND_ROWS, M)
-    estimate = 16 * (2 * N**2 * B * M + N**4)
+    estimate = 16 * (2 * N**2 * B * M + 2 * N**4)
     tracemalloc.start()
     try:
         checks = suite_orthonormality(square_torus(N))
@@ -259,7 +258,8 @@ def test_criterion_07_weyl_commutation():
     worst_unitary = 0.0
     shift_exact = True
     for N in range(1, 65):
-        C, S = clock_matrix(N), shift_matrix(N)
+        C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
+        S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
         eye = np.eye(N)
         worst_unitary = max(
             worst_unitary,

@@ -194,6 +194,15 @@ class TestVerify:
         assert [calls.count(name) for name in ("evaluate", "make_torus_Q_basis",
                                                "make_torus_P_basis")] == [8, 4, 4]
 
+    def test_orthonormality_estimate_counts_the_band_product(self, monkeypatch):
+        # `gram += band @ band.conj().T` allocates the (N^2, N^2) product
+        # before adding it, so memory for the bras and one Gram is not enough.
+        N, M, B = 4, 32, 16
+        monkeypatch.setattr(suites, "_available_memory",
+                            lambda: 16 * (2 * N**2 * B * M + N**4))
+        with pytest.raises(MemoryError, match="N=4 needs"):
+            suites.suite_orthonormality(square_torus(N))
+
     def test_reports_byte_stable_modulo_timestamp(self):
         first = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")
         second = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")

@@ -9,15 +9,13 @@ from torusq import finite, torus
 from torusq.finite import (
     LABEL_ACTION,
     RAISE,
-    clock_matrix,
     dft_basis_change,
     physical_grid_overlaps,
-    shift_matrix,
     table1_matrices,
     table1_verify,
     weyl_commutation_check,
 )
-from torusq.suites import suite_weyl
+from torusq.suites import run_suites, suite_weyl
 from torusq.torus import (
     GridShift,
     grid_shift_operator,
@@ -48,40 +46,56 @@ def counting_sample(monkeypatch):
     return calls
 
 
+def clock(N):
+    """The Q-basis matrix of exp(2 pi i Q_LEFT / b), read from the table."""
+    return table1_matrices(GridShift.EXP_QLEFT, N)[1]
+
+
+def shift(N):
+    """The Q-basis matrix of exp(-2 pi i P_LEFT / a), read from the table."""
+    return table1_matrices(GridShift.EXP_PLEFT, N)[1]
+
+
 class TestClockShift:
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    def test_table_matches_closed_forms(self, N):
+        # The closed forms of the clock and shift, computed without the table.
+        assert np.array_equal(clock(N), np.diag(np.exp(2j * np.pi * np.arange(N) / N)))
+        assert np.array_equal(shift(N), np.roll(np.eye(N), 1, axis=0))
+
     def test_clock_small_cases(self):
-        assert np.array_equal(clock_matrix(1), np.eye(1))
-        c2 = clock_matrix(2)
+        assert np.array_equal(clock(1), np.eye(1))
+        c2 = clock(2)
         assert np.abs(c2 - np.diag([1.0, -1.0])).max() <= 1e-15
 
     def test_clock_order(self):
         for N in (1, 2, 3, 8, 64):
-            C = clock_matrix(N)
+            C = clock(N)
             assert np.abs(np.linalg.matrix_power(C, N) - np.eye(N)).max() <= 1e-12
 
     def test_shift_is_exact_cyclic_permutation(self):
-        S = shift_matrix(3)
+        S = shift(3)
         assert np.array_equal(S, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex))
         assert np.array_equal(np.linalg.matrix_power(S, 3), np.eye(3))
 
     def test_shift_wraps_state(self):
-        moved = shift_matrix(3) @ np.array([0, 0, 1], dtype=complex)
+        moved = shift(3) @ np.array([0, 0, 1], dtype=complex)
         assert np.array_equal(moved, np.array([1, 0, 0], dtype=complex))
 
     def test_unitarity(self):
         for N in (1, 2, 5, 16, 64):
-            for U in (clock_matrix(N), shift_matrix(N)):
+            for U in (clock(N), shift(N)):
                 assert np.abs(U.conj().T @ U - np.eye(N)).max() <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            clock_matrix(0)
+            table1_matrices(GridShift.EXP_QLEFT, 0)
         with pytest.raises(ValueError):
-            shift_matrix(-2)
+            table1_matrices(GridShift.EXP_PLEFT, -2)
         with pytest.raises(ValueError):
             dft_basis_change(0)
         with pytest.raises(ValueError):
-            shift_matrix(3) @ np.array([1, 0], dtype=complex)
+            shift(3) @ np.array([1, 0], dtype=complex)
 
 
 class TestWeylCommutation:
@@ -111,9 +125,18 @@ class TestWeylCommutation:
 
     def test_nth_power_commutes(self):
         for N in (2, 3, 8):
-            C = clock_matrix(N)
-            SN = np.linalg.matrix_power(shift_matrix(N), N)
+            C = clock(N)
+            SN = np.linalg.matrix_power(shift(N), N)
             assert np.abs(C @ SN - SN @ C).max() <= 1e-12
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_weyl_follows_the_table(self, monkeypatch, N):
+        # A conjugated clock in the table conjugates omega, and of all the
+        # suites only its own table1 cell and its dft intertwining see it.
+        monkeypatch.setitem(LABEL_ACTION[GridShift.EXP_QLEFT], "Q", (0, -1))
+        assert abs(weyl_commutation_check(N) - np.exp(-2j * np.pi / N)) <= 1e-12
+        failing = sorted(c.name for c in run_suites("all", square_torus(N)) if not c.passed)
+        assert failing == ["dft/intertwines_exp_qleft", "table1/exp_qleft/Q-basis"]
 
 
 class TestDftBasisChange:
@@ -131,8 +154,7 @@ class TestDftBasisChange:
         N = 4
         K = dft_basis_change(N)
         D = np.diag(np.exp(-2j * np.pi * np.arange(N) / N))
-        S = shift_matrix(N)
-        assert np.abs(K @ D - S @ K).max() <= 1e-12
+        assert np.abs(K @ D - shift(N) @ K).max() <= 1e-12
 
     def test_intertwines_all_table_cells(self):
         for N in (1, 2, 3, 4, 8):
@@ -263,8 +285,8 @@ class TestCrossModuleConsistency:
             moved = grid_shift_operator(which, bras.conj().reshape(N, N, N), geometry)
             return bras @ moved.reshape(N, N * N).T / N**2
 
-        assert np.abs(elements(GridShift.EXP_PLEFT) - shift_matrix(N)).max() <= 1e-12
-        assert np.abs(elements(GridShift.EXP_QLEFT) - clock_matrix(N)).max() <= 1e-12
+        assert np.abs(elements(GridShift.EXP_PLEFT) - shift(N)).max() <= 1e-12
+        assert np.abs(elements(GridShift.EXP_QLEFT) - clock(N)).max() <= 1e-12
 
     def test_matrix_elements_independent_of_shadow_label(self):
         # The physical words never see m: matrix elements taken in the m = 0
@@ -292,12 +314,12 @@ class TestCrossModuleConsistency:
 
 class TestTraceObstruction:
     def test_clock_shift_commutator_is_traceless(self):
-        C = clock_matrix(2)
-        S = shift_matrix(2)
+        C = clock(2)
+        S = shift(2)
         assert abs(np.trace(C @ S - S @ C)) <= 1e-12
 
     def test_equal_operators_commute_exactly(self):
-        A = clock_matrix(5)
+        A = clock(5)
         assert abs(np.trace(A @ A - A @ A)) == 0.0
 
     @pytest.mark.parametrize("N", [2, 3, 8])
@@ -306,7 +328,7 @@ class TestTraceObstruction:
         # combinations of them are generic operators on the physical space;
         # every commutator among them is traceless, while [Q, P] = i hbar
         # would need trace i hbar N.
-        C, S = clock_matrix(N), shift_matrix(N)
+        C, S = clock(N), shift(N)
         words = np.array([np.linalg.matrix_power(C, j) @ np.linalg.matrix_power(S, k)
                           for j in range(N) for k in range(N)])
         assert np.linalg.matrix_rank(words.reshape(N * N, N * N)) == N * N
