@@ -40,19 +40,21 @@ PHASE_MERGE_TOL = 1e-12
 # eigenproblems are exact, so this only absorbs roundoff.
 EIGEN_RATIO_TOL = 1e-10
 
+_PHASE_NAMES = ("c0", "cq", "cp", "cqp")  # BilinearPhaseTerm.phase_key order
+
 
 class OperatorRow(NamedTuple):
     """One operator X = [other coordinate] + sign * i hbar d/d(axis), as data.
 
     axis is the differentiated variable (0 for q, 1 for p), sign the sign of
     its i hbar derivative, and multiplies says whether X also multiplies by
-    the other coordinate.  The exponential of X is exp(exp_sign * i s X / hbar).
+    the other coordinate.  The exponential of X is exp(sign * i s X / hbar),
+    which translates by +s along the axis.
     """
 
     axis: int
     sign: int
     multiplies: bool
-    exp_sign: int
 
 
 class OperatorKind(Enum):
@@ -60,15 +62,14 @@ class OperatorKind(Enum):
 
     Each member's value is its OperatorRow; apply_operator,
     exp_operator_apply and the grid maps of torusq.torus derive their
-    actions from these rows alone.  exp_sign * sign = +1 in all four rows,
-    so every exponential translates by +s along its row's axis; which way
-    that moves basis labels is fixed by torusq.torus.GridShift.
+    actions from these rows alone.  Which way an exponential moves basis
+    labels is fixed by torusq.torus.GridShift.
     """
 
-    Q_LEFT = OperatorRow(axis=1, sign=+1, multiplies=True, exp_sign=+1)    # q + i hbar d/dp
-    P_LEFT = OperatorRow(axis=0, sign=-1, multiplies=False, exp_sign=-1)   # -i hbar d/dq
-    Q_RIGHT = OperatorRow(axis=1, sign=+1, multiplies=False, exp_sign=+1)  # i hbar d/dp
-    P_RIGHT = OperatorRow(axis=0, sign=+1, multiplies=True, exp_sign=+1)   # p + i hbar d/dq
+    Q_LEFT = OperatorRow(axis=1, sign=+1, multiplies=True)    # q + i hbar d/dp
+    P_LEFT = OperatorRow(axis=0, sign=-1, multiplies=False)   # -i hbar d/dq
+    Q_RIGHT = OperatorRow(axis=1, sign=+1, multiplies=False)  # i hbar d/dp
+    P_RIGHT = OperatorRow(axis=0, sign=+1, multiplies=True)   # p + i hbar d/dq
 
 
 def _check_hbar(hbar) -> None:
@@ -77,9 +78,16 @@ def _check_hbar(hbar) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
-def _cell_units(k: float, hbar: float) -> float:
-    """The phase k / hbar in merge widths; its rounding is k's merge cell."""
-    return k / hbar / PHASE_MERGE_TOL
+def _checked_key(key, hbar: float) -> tuple:
+    """The phase key as floats, -0.0 as 0.0; ValueError if a merge cell is not finite."""
+    floats = []
+    for name, k in zip(_PHASE_NAMES, key):
+        k = float(k) or 0.0  # -0.0 becomes 0.0
+        if not math.isfinite(k / hbar / PHASE_MERGE_TOL):
+            raise ValueError(f"phase coefficient {name}={k} has no finite merge cell "
+                             f"at hbar={hbar}")
+        floats.append(k)
+    return tuple(floats)
 
 
 @dataclass(frozen=True)
@@ -103,18 +111,11 @@ class BilinearPhaseTerm:
 
     def __post_init__(self):
         _check_hbar(self.hbar)
-        for name in ("c0", "cq", "cp", "cqp"):
-            k = float(getattr(self, name)) or 0.0  # -0.0 becomes 0.0
-            if not math.isfinite(_cell_units(k, self.hbar)):
-                raise ValueError(f"phase coefficient {name}={k} has no finite merge cell "
-                                 f"at hbar={self.hbar}")
+        for name, k in zip(_PHASE_NAMES, _checked_key(self.phase_key, self.hbar)):
             object.__setattr__(self, name, k)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-        pref = {
-            (int(dq), int(dp)): complex(c)
-            for (dq, dp), c in self.prefactor.items()
-        }
-        object.__setattr__(self, "prefactor", pref)
+        object.__setattr__(self, "prefactor", {(int(dq), int(dp)): complex(c)
+                                               for (dq, dp), c in self.prefactor.items()})
 
     @property
     def phase_key(self) -> tuple[float, float, float, float]:
@@ -144,6 +145,11 @@ class WaveFunction:
     coefficients are dropped, amplitudes are folded into the prefactor, and
     terms are sorted by (c0, cq, cp, cqp).  The zero wave function has an
     empty term list.
+
+    The form is not unique for equal functions: a constant phase can sit in
+    c0 or in the coefficients, so single(1, 0.5, 0, 0, 0) and
+    single(cmath.exp(0.5j), 0, 0, 0, 0) are equal pointwise but have
+    max_coeff_residual 1.0.  Compare such functions pointwise.
     """
 
     __slots__ = ("hbar", "terms")
@@ -155,26 +161,32 @@ class WaveFunction:
                 raise ValueError("hbar is required for the empty wave function")
             hbar = terms[0].hbar
         _check_hbar(hbar)
-        # Sorted input opens each cell with its smallest key, in ascending order.
-        cells: dict[tuple, tuple[tuple, dict]] = {}
-        for t in sorted(terms, key=lambda t: t.phase_key):
+        for t in terms:
             if t.hbar != hbar:
                 raise ValueError("all terms must share one hbar")
-            if t.amplitude == 0:
+        self._merge([(t.phase_key, t.amplitude, t.prefactor.items()) for t in terms], hbar)
+
+    def _merge(self, entries, hbar: float) -> "WaveFunction":
+        """Make this the canonical sum of entries (phase key, amplitude, pairs) for a
+        valid hbar and return it; an entry is amplitude * sum(c q^dq p^dp) e^{i phase/hbar}.
+        The one place wave functions get terms; sorted entries open cells at their least key."""
+        keyed = [(_checked_key(key, hbar), amp, pairs) for key, amp, pairs in entries]
+        keyed.sort(key=lambda e: e[0])
+        cells: dict[tuple, tuple[tuple, dict]] = {}
+        for key, amp, pairs in keyed:
+            if amp == 0:
                 continue
-            cell = tuple(round(_cell_units(k, hbar)) for k in t.phase_key)
-            pref = cells.setdefault(cell, (t.phase_key, {}))[1]
-            for mon, c in t.prefactor.items():
-                pref[mon] = pref.get(mon, 0j) + t.amplitude * c
+            cell = tuple([round(k / hbar / PHASE_MERGE_TOL) for k in key])
+            pref = cells.setdefault(cell, (key, {}))[1]
+            for mon, c in pairs:
+                pref[mon] = pref.get(mon, 0j) + amp * c
         canon = []
         for key, pref in cells.values():
             pref = {mon: c for mon, c in sorted(pref.items()) if c != 0}
             if pref:
-                canon.append(
-                    BilinearPhaseTerm(1.0 + 0.0j, *key, prefactor=pref, hbar=hbar)
-                )
-        self.hbar = hbar
-        self.terms = tuple(canon)
+                canon.append(BilinearPhaseTerm(1.0 + 0.0j, *key, prefactor=pref, hbar=hbar))
+        self.hbar, self.terms = hbar, tuple(canon)
+        return self
 
     @classmethod
     def zero(cls, hbar: float = 1.0) -> "WaveFunction":
@@ -182,8 +194,9 @@ class WaveFunction:
 
     @classmethod
     def single(cls, amplitude, c0, cq, cp, cqp, prefactor=None, hbar=1.0) -> "WaveFunction":
+        _check_hbar(hbar)
         pref = prefactor if prefactor is not None else {(0, 0): 1.0 + 0.0j}
-        return cls([BilinearPhaseTerm(amplitude, c0, cq, cp, cqp, pref, hbar)])
+        return cls.__new__(cls)._merge([((c0, cq, cp, cqp), complex(amplitude), pref.items())], hbar)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -204,27 +217,27 @@ class WaveFunction:
         return out
 
     def scale(self, factor: complex) -> "WaveFunction":
-        factor = complex(factor)
-        return WaveFunction(
-            [
-                BilinearPhaseTerm(factor, *t.phase_key, prefactor=t.prefactor, hbar=self.hbar)
-                for t in self.terms
-            ],
-            hbar=self.hbar,
-        )
+        return self._combine((self, complex(factor)))
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
-        if self.hbar != other.hbar:
-            raise ValueError("cannot add wave functions with different hbar")
-        return WaveFunction(list(self.terms) + list(other.terms), hbar=self.hbar)
+        return self._combine((self, 1.0 + 0.0j), (other, 1.0 + 0.0j))
 
     def __sub__(self, other: "WaveFunction") -> "WaveFunction":
-        return self + other.scale(-1.0)
+        return self._combine((self, 1.0 + 0.0j), (other, -1.0 + 0.0j))
+
+    def _combine(self, *parts) -> "WaveFunction":
+        """The sum of factor * wf over parts (wf, factor), in one merge."""
+        if any(wf.hbar != self.hbar for wf, _ in parts):
+            raise ValueError("cannot add wave functions with different hbar")
+        entries = ((t.phase_key, f, t.prefactor.items()) for wf, f in parts for t in wf.terms)
+        return WaveFunction.__new__(WaveFunction)._merge(entries, self.hbar)
 
     def max_coeff_residual(self, other: "WaveFunction") -> float:
         """Largest coefficient of (self - other); zero iff coefficient-equal.
 
         Terms whose phase tuples share a merge cell are compared as one term.
+        Equal functions that split a constant phase differently between c0 and
+        the coefficients have a nonzero residual; compare them pointwise.
         """
         return (self - other).max_abs_coeff()
 
@@ -270,17 +283,11 @@ class WaveFunction:
 
 def _term_by_term(wf: WaveFunction, image) -> WaveFunction:
     """The sum over the terms t of wf of image(t) = (phase key, pairs), where
-    pairs yields (monomial, coefficient).  The canonical form drops zero
-    coefficients and empty terms, so the transforms hand over every term.
-    """
-    terms = []
-    for t in wf.terms:
-        key, pairs = image(t)
-        pref: dict = {}
-        for mon, c in pairs:
-            pref[mon] = pref.get(mon, 0j) + c
-        terms.append(BilinearPhaseTerm(1.0 + 0.0j, *key, prefactor=pref, hbar=wf.hbar))
-    return WaveFunction(terms, hbar=wf.hbar)
+    pairs yields (monomial, coefficient).  Each image is one entry of the
+    WaveFunction merge, which sums the pairs and drops zeros, so a transform
+    hands over every pair and builds no term of its own."""
+    return WaveFunction.__new__(WaveFunction)._merge(
+        ((key, 1.0 + 0.0j, pairs) for key, pairs in map(image, wf.terms)), wf.hbar)
 
 
 def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
@@ -295,7 +302,7 @@ def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
     multiplication by y raises them by one.  No division by hbar occurs,
     which keeps results exact for exactly representable inputs.
     """
-    axis, sign, multiplies, _ = kind.value
+    axis, sign, multiplies = kind.value
 
     def pairs(t):
         c_x = t.phase_key[1 + axis]
@@ -330,20 +337,17 @@ def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
     """
     if var not in ("q", "p"):
         raise ValueError(f"var must be 'q' or 'p', got {var!r}")
+    axis = "qp".index(var)
 
     def pairs(t):
+        # With y the other variable: dP/dx + (i/hbar)(c_x + cqp y) P
+        c_x = t.phase_key[1 + axis]
         for (a, b), c in t.prefactor.items():
-            if var == "q":
-                # dP/dq + (i/hbar)(cq + cqp p) P
-                if a:
-                    yield (a - 1, b), a * c
-                yield (a, b), c * (1j * t.cq / t.hbar)
-                yield (a, b + 1), c * (1j * t.cqp / t.hbar)
-            else:
-                if b:
-                    yield (a, b - 1), b * c
-                yield (a, b), c * (1j * t.cp / t.hbar)
-                yield (a + 1, b), c * (1j * t.cqp / t.hbar)
+            degree = (a, b)[axis]
+            if degree:
+                yield (a - 1 + axis, b - axis), degree * c
+            yield (a, b), c * (1j * c_x / t.hbar)
+            yield (a + axis, b + 1 - axis), c * (1j * t.cqp / t.hbar)
 
     return _term_by_term(wf, lambda t: (t.phase_key, pairs(t)))
 
@@ -352,17 +356,16 @@ def exp_affine_map(kind: OperatorKind,
                    coefficient: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """The exponential of `kind` with coefficient s as an affine substitution.
 
-    Returns ((sq, sp), (aq, ap)) such that exp(exp_sign * i s X / hbar) maps
+    Returns ((sq, sp), (aq, ap)) such that exp(sign * i s X / hbar) maps
     f(q, p) to e^{i (aq q + ap p)/hbar} f(q - sq, p - sp): a translation by
-    exp_sign * sign * s along the row's axis, and a linear phase
-    exp_sign * s in the other coordinate when the row multiplies by it.
+    s along the row's axis, and a linear phase sign * s in the other
+    coordinate when the row multiplies by it.
     """
-    axis, sign, multiplies, exp_sign = kind.value
-    shift = [0.0, 0.0]
-    phase = [0.0, 0.0]
-    shift[axis] = exp_sign * sign * coefficient
+    axis, sign, multiplies = kind.value
+    shift, phase = [0.0, 0.0], [0.0, 0.0]
+    shift[axis] = coefficient
     if multiplies:
-        phase[1 - axis] = exp_sign * coefficient
+        phase[1 - axis] = sign * coefficient
     return tuple(shift), tuple(phase)
 
 
@@ -414,18 +417,14 @@ def is_eigenstate(kind: OperatorKind, wf: WaveFunction):
     applied = apply_operator(kind, wf)
     if applied.is_zero():
         return 0j
-    if len(applied.terms) != len(wf.terms):
+    pairs = list(zip(applied.terms, wf.terms))
+    if len(applied.terms) != len(wf.terms) or any(
+            set(ta.prefactor) != set(tw.prefactor) for ta, tw in pairs):
         return None
-    lam = None
-    for ta, tw in zip(applied.terms, wf.terms):
-        if set(ta.prefactor) != set(tw.prefactor):
-            return None
-        for mon, cw in tw.prefactor.items():
-            cand = ta.prefactor[mon] / cw
-            if lam is None:
-                lam = cand
-            elif abs(cand - lam) > EIGEN_RATIO_TOL * max(1.0, abs(lam)):
-                return None
+    ratios = [ta.prefactor[mon] / cw for ta, tw in pairs for mon, cw in tw.prefactor.items()]
+    lam = ratios[0]
+    if any(abs(r - lam) > EIGEN_RATIO_TOL * max(1.0, abs(lam)) for r in ratios):
+        return None
     return lam
 
 

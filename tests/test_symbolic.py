@@ -228,6 +228,37 @@ class TestTransformOutputsAreCanonical:
                     assert all(c != 0 for c in t.prefactor.values())
                 assert WaveFunction(out.terms, hbar=out.hbar).to_json() == out.to_json()
 
+    def test_overflowing_output_key_raises_value_error(self):
+        # The translated c0 = -cq * s overflows to -inf: the merge must reject
+        # it with the same message as the term constructor.
+        wf = WaveFunction.single(1.0, 0.0, 1e10, 1e10, 1.0)
+        with pytest.raises(ValueError, match="c0=-inf has no finite merge cell"):
+            exp_operator_apply(P_RIGHT, 1e300, wf)
+
+    def test_one_term_built_per_output_term(self, monkeypatch):
+        built = [0]
+        post_init = BilinearPhaseTerm.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(BilinearPhaseTerm, "__post_init__", counting)
+        rng = np.random.default_rng(31)
+        for i in range(20):
+            hbar = (1.0, 0.5)[i % 2]
+            a, b = random_wavefunction(rng, hbar=hbar), random_wavefunction(rng, hbar=hbar)
+            ops = [lambda k=k: apply_operator(k, a) for k in ALL_KINDS]
+            ops += [lambda k=k: exp_operator_apply(k, dyadic(rng), a) for k in ALL_KINDS]
+            ops += [lambda v=v: differentiate(a, v) for v in ("q", "p")]
+            ops += [lambda: a.scale(complex(dyadic(rng), dyadic(rng))), lambda: a + b,
+                    lambda: a - b, lambda: WaveFunction.single(1.0, *a.terms[0].phase_key,
+                                                               a.terms[0].prefactor, hbar)]
+            for op in ops:
+                built[0] = 0
+                out = op()
+                assert built[0] == len(out.terms)
+
 
 class TestCommutators:
     def test_single_term_canonical_pair(self):
