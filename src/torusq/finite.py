@@ -28,12 +28,18 @@ from .torus import (
     GridShift,
     TorusGeometry,
     _require_quantized,
+    _sample_stack,
     grid_shift_operator,
     make_torus_P_basis,
     make_torus_Q_basis,
-    sample,
     sample_bras,
 )
+
+# table1_verify walks the labels in blocks of this many m values, and
+# physical_grid_overlaps samples the P-basis kets in blocks of this many r
+# values; their docstrings state the memory that follows.
+TABLE1_BLOCK = 16
+DFT_KET_BLOCK = 4
 
 
 def _require_dimension(N: int) -> None:
@@ -139,39 +145,49 @@ def table1_verify(geometry: TorusGeometry, M: int | None = None,
     where the label equivalences hold exactly on samples.  Failures are
     reported, not raised.
 
-    Each labelled state (n, m), 0 <= n, m <= N, is sampled once per basis,
-    (N+1)^2 samples in all, and at most one row of N + 2 sampled states is
-    held at a time.  A phase cell compares with the source state itself, a
-    raising cell with the separately sampled state at (n+1, m) or (n, m+1),
-    never with a roll of the source.
+    The labels are walked in blocks of B = min(TABLE1_BLOCK, N) values of m,
+    n going down, as stacks of the B + 1 states (n, m..m+B): the block plus
+    its boundary column.  Each state is sampled once per basis, apart from
+    the boundary columns, which are sampled again as the first column of the
+    next block: (N+1)(N + ceil(N/B)) samples per basis.  Each operator is
+    applied to the whole block at once.  A phase cell compares with the
+    source state itself, a raising cell with the separately sampled state at
+    (n+1, m) or (n, m+1), never with a roll of the source.  The call holds
+    the stacks of rows n and n+1, the operator's image of the block, one
+    temporary of its size and one M x M chirp: 16 M^2 (4B + 3) bytes, plus
+    numpy's ufunc buffers.
     """
     N = _require_quantized(geometry)
     if M is None:
         M = N
     params = {**geometry.to_dict(), "M": M}
+    # Label by label, as scalars: a vectorized 2 pi label / N rounds differently,
+    # and the residuals stay bit for bit those of a cell-by-cell check.
+    phases = {sign: np.array([_label_phase(sign, label, N) for label in range(N)])
+              for sign in (-1, +1)}
 
-    def sampled(factory, n, m):
-        return sample(factory(geometry, n, m, primed=True), geometry, M)
+    def stack(factory, n, columns):
+        return _sample_stack([factory(geometry, n, m, primed=True) for m in columns], geometry, M)
 
     worst = dict.fromkeys(itertools.product(LABEL_ACTION, _FACTORIES), 0.0)
     for basis, factory in _FACTORIES.items():
-        # row[m] holds state (n, m) until column m of row n is checked, then
-        # (n+1, m).
-        row = [sampled(factory, 0, m) for m in range(N + 1)]
-        for n in range(N):
-            for m in range(N):
-                state, above = row[m], sampled(factory, n + 1, m)
+        for start in range(0, N, TABLE1_BLOCK):
+            stop = min(start + TABLE1_BLOCK, N)
+            ms, columns = np.arange(start, stop), range(start, stop + 1)
+            below = stack(factory, 0, columns)
+            for n in range(N):
+                above = stack(factory, n + 1, columns)
                 for which, cells in LABEL_ACTION.items():
                     label, sign = cells[basis]
-                    moved = grid_shift_operator(which, state, geometry)
+                    moved = grid_shift_operator(which, below[:-1], geometry)
                     if sign == RAISE:
-                        target, phase = (above, row[m + 1])[label], 1.0
+                        moved -= (above[:-1], below[1:])[label]
                     else:
-                        target, phase = state, _label_phase(sign, (n, m)[label], N)
-                    residual = float(np.abs(moved - phase * target).max())
+                        labels = (np.full(len(ms), n), ms)[label]
+                        moved -= phases[sign][labels][:, None, None] * below[:-1]
+                    residual = float(np.abs(moved).max())
                     worst[which, basis] = max(worst[which, basis], residual)
-                row[m] = above
-            row[N] = sampled(factory, n + 1, N)
+                below = above
     return [CheckResult(f"table1/{which.name.lower()}/{basis}-basis", params,
                         worst[which, basis], tol)
             for which, cells in LABEL_ACTION.items() for basis in cells]
@@ -183,16 +199,21 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
 
     This is the independent oracle for dft_basis_change: the overlaps equal
     e^{2 pi i n r / N} / N for every shadow index s, i.e. K[n][r] / sqrt(N).
-    Each of the N^2 sampled P-basis kets gives O[:, s, r] in one
-    matrix-vector product with the (N, N^2) array of Q-basis bras
-    (sample_bras); memory is O(N^3).
+    The N^2 P-basis kets are sampled in blocks of DFT_KET_BLOCK values of r
+    at one s, and each block gives its O[:, s, r] in one matrix-matrix
+    product with the (N, N^2) array of Q-basis bras (sample_bras).  The call
+    holds the bras, the (N, N, N) result and one block of kets: 16 (2 N^3 +
+    DFT_KET_BLOCK N^2) bytes, plus numpy's ufunc buffers.
     """
     N = _require_quantized(geometry)
     bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
                        geometry, N)
     out = np.empty((N, N, N), dtype=complex)
     for s in range(N):
-        for r in range(N):
-            ket = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
-            out[:, s, r] = bras @ ket.ravel() / (N * N)
+        for start in range(0, N, DFT_KET_BLOCK):
+            stop = min(start + DFT_KET_BLOCK, N)
+            kets = _sample_stack([make_torus_P_basis(geometry, s, r, primed=True)
+                                  for r in range(start, stop)], geometry, N)
+            out[:, s, start:stop] = bras @ kets.reshape(stop - start, N * N).T / (N * N)
+            del kets  # freed before the next block is sampled
     return out

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .report import DEFAULT_TOL, CheckResult
-from .symbolic import BilinearPhaseTerm, OperatorKind, WaveFunction, exp_affine_map
+from .symbolic import OperatorKind, WaveFunction, exp_affine_map
 
 # a*b/h counts as an integer when within this relative tolerance; inputs may
 # arrive as decimal text.
@@ -119,15 +119,13 @@ def _require_quantized(geometry: TorusGeometry) -> int:
     return geometry.N
 
 
-def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> BilinearPhaseTerm:
-    # Raw Q-basis phase polynomial; valid pointwise for any geometry, which
-    # the chart diagnostics rely on.  With hbar = h/2pi the pq coefficient is
-    # exactly one.
+def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> tuple:
+    # Phase coefficients (c0, cq, cp, cqp) of the raw Q-basis state; valid
+    # pointwise for any geometry, which the chart diagnostics rely on.  With
+    # hbar = h/2pi the pq coefficient is exactly one.
     h = geometry.h
     c0 = h * n * m / geometry.N if primed else 0.0
-    return BilinearPhaseTerm(
-        1.0, c0, -m * h / geometry.b, -n * h / geometry.a, 1.0, hbar=geometry.hbar
-    )
+    return c0, -m * h / geometry.b, -n * h / geometry.a, 1.0
 
 
 def make_torus_P_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = False) -> WaveFunction:
@@ -157,7 +155,7 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
     with eigenvalue m h / b = m a / N.
     """
     _require_quantized(geometry)
-    return WaveFunction([_torus_q_term(geometry, n, m, primed)], hbar=geometry.hbar)
+    return WaveFunction.single(1.0, *_torus_q_term(geometry, n, m, primed), hbar=geometry.hbar)
 
 
 # -- grids ----------------------------------------------------------------
@@ -168,6 +166,12 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
 # inner product is the equal-weight sum np.vdot(f, g) / M^2, the Riemann sum
 # of conj(f) g with measure dq dp / (a b) = dq dp / (N h); it integrates pure
 # phases exactly below the grid Nyquist limit.
+#
+# The grid is a tensor product, so each term of a wave function is sampled
+# as an outer product of a column and a row factor, times the chirp
+# e^{i cqp q p / hbar}: the only factor that needs an exp on every grid point.
+# Every basis state of one basis shares its cqp (1 for the Q basis, 0 for
+# the P basis), so a stack of them costs one chirp, or none.
 
 def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The sample coordinates (q_j = j b/M, p_i = i a/M) of the M x M grid.
@@ -178,31 +182,74 @@ def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.nd
     return np.arange(M) * (geometry.b / M), np.arange(M) * (geometry.a / M)
 
 
+def _sample_stack(states, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
+    """Sample each wave function of the sequence `states` on the grid rows
+    `rows` of the M x M grid, as the (len(states), R, M) array
+    stack[k, i, j] = states[k](q_j, p_i) over the R selected rows.
+
+    Each term is the outer product of amplitude * c * p^dp * e^{i cp p/hbar}
+    (along p) and q^dq * e^{i (c0 + cq q)/hbar} (along q), summed over the
+    prefactor monomials c q^dq p^dp, times the chirp e^{i cqp q p/hbar}.  The
+    chirp is computed once per distinct (cqp, hbar) in the call and skipped
+    where cqp = 0.  A state's values depend only on the state and the
+    selected coordinates, so it samples bit for bit alike in any stack and a
+    band of rows is exactly those rows of the full grid.  Beyond the stack the
+    call holds one chirp per distinct (cqp, hbar) and, for a state of more
+    than one term, one (R, M) term.
+    """
+    q, p = grid_coordinates(geometry, M)
+    p = p[rows]
+    stack = np.empty((len(states), len(p), M), dtype=complex)
+    chirps = {}
+    for wf, values in zip(states, stack):
+        if not wf.terms:
+            values.fill(0)
+        for index, t in enumerate(wf.terms):
+            along_q = np.exp(1j * (t.c0 + t.cq * q) / t.hbar)
+            along_p = t.amplitude * np.exp(1j * t.cp * p / t.hbar)
+            factors = [(c * p**dp * along_p, q**dq * along_q)
+                       for (dq, dp), c in t.prefactor.items()]
+            term = np.multiply.outer(*factors[0], out=None if index else values)
+            for column, row in factors[1:]:
+                term += np.multiply.outer(column, row)
+            if t.cqp:
+                key = (t.cqp, t.hbar)
+                if key not in chirps:
+                    chirps[key] = np.multiply.outer(p, 1j * t.cqp / t.hbar * q)
+                    np.exp(chirps[key], out=chirps[key])
+                term *= chirps[key]
+            if index:
+                values += term
+    return stack
+
+
 def sample(wf: WaveFunction, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
     """Sample a wave function on the uniform M x M grid over one fundamental
     domain, as the (M, M) array values[i, j] = f(q_j, p_i).
 
     `rows` selects grid rows i (all M by default): a band of rows gives
-    exactly those rows of the full array, since each point is evaluated on
-    the same coordinates.
+    exactly those rows of the full array.  Each term is sampled in separable
+    factors times its chirp (see the grid notes above); the values agree with
+    wf.evaluate on the same coordinates to roundoff in the phase, a few eps
+    times the largest phase argument |c0 + cq q + cp p + cqp q p| / hbar.
     """
-    q, p = grid_coordinates(geometry, M)
-    return wf.evaluate(q[None, :], p[rows, None])
+    return _sample_stack([wf], geometry, M, rows)[0]
 
 
 def sample_bras(states, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
     """Sample each wave function of the sequence `states` on the grid rows
-    `rows` of the M x M grid (all M by default; see sample) and write its
-    conjugate, flattened, into one row of a (len(states), rows M) array.
+    `rows` of the M x M grid (all M by default; see sample), conjugated and
+    flattened, as the rows of a (len(states), rows M) array.
 
-    With all rows, bras @ g.ravel() / M^2 holds the inner product of every
-    state with the sampled state g at once.
+    The states are sampled as one stack that is conjugated in place, so the
+    array is the only one of its size the call allocates, and each row is
+    bit for bit the conjugate of that state's sample.  With all rows,
+    bras @ g.ravel() / M^2 holds the inner product of every state with the
+    sampled state g at once.
     """
-    _, p = grid_coordinates(geometry, M)  # refuse a bad grid before allocating
-    bras = np.empty((len(states), len(p[rows]) * M), dtype=complex)
-    for row, wf in zip(bras, states):
-        np.conjugate(sample(wf, geometry, M, rows).ravel(), out=row)
-    return bras
+    bras = _sample_stack(states, geometry, M, rows)
+    np.conjugate(bras, out=bras)
+    return bras.reshape(len(states), bras.shape[1] * M)
 
 
 class GridShift(Enum):
@@ -247,10 +294,10 @@ def grid_shift_operator(which: GridShift, values: np.ndarray, geometry: TorusGeo
     q, p = grid_coordinates(geometry, M)
     (sq, sp), (aq, ap) = exp_affine_map(*grid_shift_coefficient(which, geometry))
     cells = (round(sp * M / geometry.a), round(sq * M / geometry.b))
-    out = np.roll(values, cells, axis=(-2, -1))
+    out = np.roll(np.asarray(values, dtype=complex), cells, axis=(-2, -1))
     if aq or ap:
-        out = (out * np.exp(1j * aq * q / geometry.hbar)[None, :]
-               * np.exp(1j * ap * p / geometry.hbar)[:, None])
+        out *= np.exp(1j * aq * q / geometry.hbar)[None, :]
+        out *= np.exp(1j * ap * p / geometry.hbar)[:, None]
     return out
 
 
@@ -287,7 +334,8 @@ def chart_consistency_check(
     delta = geometry.b / 8.0
     # The raw section formula is evaluable pointwise for any geometry, which
     # lets the omission diagnostic run on non-quantized tori.
-    wf = WaveFunction([_torus_q_term(geometry, n, m, primed=False)], hbar=geometry.hbar)
+    wf = WaveFunction.single(1.0, *_torus_q_term(geometry, n, m, primed=False),
+                             hbar=geometry.hbar)
 
     ps = np.arange(64) * (geometry.a / 64)
     qg, pg = np.meshgrid(np.linspace(-delta, delta, 16), ps, indexing="ij")

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import square_torus
-from torusq import cli, suites
-from torusq.symbolic import WaveFunction
+from torusq import cli, suites, torus
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -171,15 +170,20 @@ class TestVerify:
         assert "GiB is available" in res.stderr
 
     def test_orthonormality_refused_before_sampling(self, monkeypatch):
-        # Count every evaluation of a wave function and every basis state the
-        # suite builds: whichever path the Gram samples by, a refusal must
+        # Count every state handed to the stack sampler, which samples each
+        # Gram band, and every basis state the suite builds: a refusal must
         # come before both.
         calls = []
+        real_stack = torus._sample_stack
 
         def counted(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        monkeypatch.setattr(WaveFunction, "evaluate", counted("evaluate", WaveFunction.evaluate))
+        def counted_stack(states, *args, **kwargs):
+            calls.extend("sampled" for _ in states)
+            return real_stack(states, *args, **kwargs)
+
+        monkeypatch.setattr(torus, "_sample_stack", counted_stack)
         for factory in ("make_torus_Q_basis", "make_torus_P_basis"):
             monkeypatch.setattr(suites, factory, counted(factory, getattr(suites, factory)))
         monkeypatch.setattr(suites, "_available_memory", lambda: 1024)
@@ -188,10 +192,10 @@ class TestVerify:
         assert calls == []
         # Where the available memory is unknown the suite runs as before: at
         # N = 2 the M = 16 grid is one band, so each of the 2 N^2 states is
-        # built once and evaluated once.
+        # built once and sampled once.
         monkeypatch.setattr(suites, "_available_memory", lambda: None)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
-        assert [calls.count(name) for name in ("evaluate", "make_torus_Q_basis",
+        assert [calls.count(name) for name in ("sampled", "make_torus_Q_basis",
                                                "make_torus_P_basis")] == [8, 4, 4]
 
     def test_orthonormality_estimate_counts_the_band_product(self, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from conftest import square_torus
 from torusq import finite, torus
 from torusq.finite import (
+    DFT_KET_BLOCK,
     LABEL_ACTION,
     RAISE,
+    TABLE1_BLOCK,
     dft_basis_change,
     physical_grid_overlaps,
     table1_matrices,
@@ -18,6 +21,7 @@ from torusq.finite import (
 from torusq.suites import run_suites, suite_weyl
 from torusq.torus import (
     GridShift,
+    _sample_stack,
     grid_shift_operator,
     make_geometry,
     make_torus_P_basis,
@@ -32,18 +36,19 @@ def non_square_torus(N):
     return make_geometry(1.0, 2.0, 2.0 / N)
 
 
-def counting_sample(monkeypatch):
-    """Replace sample, as finite calls it and as torus.sample_bras calls it,
-    with a wrapper that counts its calls."""
-    calls = []
+def counting_stack(monkeypatch):
+    """Replace the stack sampler, as finite calls it and as torus.sample and
+    torus.sample_bras call it, with a wrapper that records every state it
+    samples."""
+    sampled = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sample(*args, **kwargs)
+    def counted(states, *args, **kwargs):
+        sampled.extend(states)
+        return _sample_stack(states, *args, **kwargs)
 
-    monkeypatch.setattr(finite, "sample", counted)
-    monkeypatch.setattr(torus, "sample", counted)
-    return calls
+    monkeypatch.setattr(finite, "_sample_stack", counted)
+    monkeypatch.setattr(torus, "_sample_stack", counted)
+    return sampled
 
 
 def clock(N):
@@ -187,10 +192,11 @@ class TestDftBasisChange:
         assert np.abs(overlaps - direct).max() <= 1e-14
 
     def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
+        # The N Q-basis bras and the N^2 P-basis kets, each sampled once.
         N = 4
-        calls = counting_sample(monkeypatch)
+        sampled = counting_stack(monkeypatch)
         physical_grid_overlaps(square_torus(N))
-        assert len(calls) == N + N * N
+        assert len(sampled) == N + N * N
 
 
 def reference_table1_residuals(geometry, M):
@@ -250,10 +256,14 @@ class TestTable1:
                     assert abs(r.max_residual - 2.0) <= 1e-6
 
     def test_samples_each_state_once(self, monkeypatch):
-        N = 4
-        calls = counting_sample(monkeypatch)
+        # Two blocks of m values, the second one short: each of the (N+1)^2
+        # labels is sampled once per basis, and the boundary column between
+        # the blocks once more.
+        N = TABLE1_BLOCK + 4
+        sampled = counting_stack(monkeypatch)
         assert all(r.passed for r in table1_verify(square_torus(N)))
-        assert len(calls) <= 2 * (N + 1) ** 2
+        boundary_columns = 2 * (N + 1)
+        assert len(sampled) == 2 * (N + 1) ** 2 + boundary_columns
 
     @pytest.mark.parametrize("which, basis, corrupted", [
         (GridShift.EXP_QLEFT, "Q", (0, -1)),      # phase sign flipped
@@ -270,6 +280,26 @@ class TestTable1:
         assert len(results) == 8
         failing = [r.name for r in results if not r.passed]
         assert failing == [f"table1/{which.name.lower()}/{basis}-basis"]
+
+
+@pytest.mark.parametrize("func", [table1_verify, physical_grid_overlaps])
+def test_peak_memory_is_the_stated_formula(func):
+    # The traced peak at N = 32 (M = N) against the bytes the docstrings
+    # state, plus one ufunc buffer of np.getbufsize() complex values and
+    # 64 KiB for the Python objects of a block of states.
+    N = 32
+    stated = {
+        table1_verify: 16 * N**2 * (4 * min(TABLE1_BLOCK, N) + 3),
+        physical_grid_overlaps: 16 * (2 * N**3 + DFT_KET_BLOCK * N**2),
+    }[func]
+    func(square_torus(2))  # numpy's lazily built state is not the function's
+    tracemalloc.start()
+    try:
+        func(square_torus(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stated + 16 * np.getbufsize() + 2**16
 
 
 class TestCrossModuleConsistency:

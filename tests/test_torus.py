@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import square_torus
+from conftest import random_wavefunction, square_torus
 from torusq.suites import _gram_residual
-from torusq.symbolic import OperatorKind, exp_operator_apply, is_eigenstate
+from torusq.symbolic import (
+    BilinearPhaseTerm,
+    OperatorKind,
+    WaveFunction,
+    exp_operator_apply,
+    is_eigenstate,
+)
 from torusq.torus import (
     N_DETECT_REL_TOL,
     GridShift,
+    _sample_stack,
     chart_consistency_check,
     grid_coordinates,
     grid_shift_coefficient,
@@ -250,6 +257,59 @@ class TestSampling:
         q, p = grid_coordinates(g, 8)
         assert q[1] == g.b / 8
         assert p[1] == g.a / 8
+
+
+def sampling_error_bound(wf, q, p):
+    """A bound on |separable sample - wf.evaluate| over the grid (q, p):
+    8 eps times the sum over terms of the term's largest modulus times one
+    plus its largest phase argument |c0 + cq q + cp p + cqp q p| / hbar."""
+    qmax, pmax = np.abs(q).max(), np.abs(p).max()
+    total = 0.0
+    for t in wf.terms:
+        modulus = abs(t.amplitude) * sum(abs(c) * qmax**dq * pmax**dp
+                                         for (dq, dp), c in t.prefactor.items())
+        argument = (abs(t.c0) + abs(t.cq) * qmax + abs(t.cp) * pmax
+                    + abs(t.cqp) * qmax * pmax) / t.hbar
+        total += modulus * (1.0 + argument)
+    return 8 * np.finfo(float).eps * total
+
+
+class TestSampleStack:
+    """The separable sampler against WaveFunction.evaluate, which sums the
+    whole phase before one exp and so does not depend on the factorization."""
+
+    @staticmethod
+    def states(geometry, seed):
+        N, hbar = geometry.N, geometry.hbar
+        rng = np.random.default_rng(seed)
+        # One state whose terms have cqp 0, 1 and a dyadic value, with
+        # non-constant prefactors; random multi-term states (dyadic cqp);
+        # basis states of both kinds; the zero state.
+        mixed = WaveFunction([
+            BilinearPhaseTerm(1.0 - 0.5j, 0.25, -0.5 * k, 0.75, cqp, hbar=hbar,
+                              prefactor={(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.25})
+            for k, cqp in enumerate((0.0, 1.0, 0.375))])
+        return ([mixed] + [random_wavefunction(rng, hbar) for _ in range(4)]
+                + [make_torus_Q_basis(geometry, N - 1, 1, primed=True),
+                   make_torus_P_basis(geometry, 1, N - 1, primed=True),
+                   WaveFunction.zero(hbar)])
+
+    @pytest.mark.parametrize("refine", [1, 2, 8])
+    @pytest.mark.parametrize("geometry", [square_torus(1), make_geometry(1.0, 2.0, 0.4),
+                                          square_torus(64, h=0.75)])
+    def test_matches_evaluate(self, geometry, refine):
+        M = refine * geometry.N
+        states = self.states(geometry, seed=M)
+        q, p = grid_coordinates(geometry, M)
+        for rows in (slice(None), slice(M // 3, M // 3 + 16), slice(None, None, 3)):
+            stack = _sample_stack(states, geometry, M, rows)
+            assert stack.shape == (len(states), len(p[rows]), M)
+            for wf, values in zip(states, stack):
+                want = wf.evaluate(q[None, :], p[rows, None])
+                assert np.abs(values - want).max() <= sampling_error_bound(wf, q, p)
+                # A state samples alike alone and in any stack.
+                assert np.array_equal(values, sample(wf, geometry, M, rows))
+        assert not stack[-1].any()
 
 
 class TestInnerProduct:
