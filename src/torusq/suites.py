@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from .finite import (
+    DFT_KET_BLOCK,
+    TABLE1_BLOCK,
     dft_basis_change,
     physical_grid_overlaps,
     table1_matrices,
@@ -84,6 +86,16 @@ def _available_memory() -> int | None:
         return None
 
 
+def _require_memory(suite: str, N: int, need: int) -> None:
+    """Raise MemoryError, before the suite builds anything, when its estimated
+    peak of `need` bytes exceeds the available memory; where that is unknown
+    the suite runs."""
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(f"{suite} at N={N} needs ~{need / 2**30:.3g} GiB, "
+                          f"but {available / 2**30:.3g} GiB is available")
+
+
 def _gram_residual(states, geometry: TorusGeometry, M: int) -> float:
     """max |G - I| for the Gram matrix G of `states` by quadrature on the
     M x M grid, summed over bands of GRAM_BAND_ROWS grid rows."""
@@ -111,11 +123,7 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     N = _require_quantized(geometry)
     M = 8 * N
     B = min(GRAM_BAND_ROWS, M)
-    need = 16 * (2 * N**2 * B * M + 2 * N**4)
-    available = _available_memory()
-    if available is not None and need > available:
-        raise MemoryError(f"orthonormality at N={N} needs ~{need / 2**30:.3g} GiB, "
-                          f"but {available / 2**30:.3g} GiB is available")
+    _require_memory("orthonormality", N, 16 * (2 * N**2 * B * M + 2 * N**4))
     labels = [(n, m) for n in range(N) for m in range(N)]
     rq = _gram_residual([make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
                         geometry, M)
@@ -128,14 +136,28 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
 
 
 def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """All eight operator/basis cells as grid identities on the physical grid."""
+    """All eight operator/basis cells as grid identities on the physical grid.
+
+    When table1_verify's peak at M = N, 16 N^2 (4B + 3) bytes with
+    B = min(TABLE1_BLOCK, N), exceeds the available memory the suite raises
+    MemoryError before it builds any state."""
+    N = _require_quantized(geometry)
+    _require_memory("table1", N, 16 * N**2 * (4 * min(TABLE1_BLOCK, N) + 3))
     return table1_verify(geometry, tol=tol)
 
 
 def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Commutation phase and unitarity of the clock and shift, the Q-basis
-    matrices of EXP_QLEFT and EXP_PLEFT read from the action table."""
+    matrices of EXP_QLEFT and EXP_PLEFT read from the action table.
+
+    The peak is inside weyl_commutation_check: its own clock and shift and
+    their two products, next to this suite's C, S and float identity, and
+    the float moduli of the products, fewer than eight complex N x N arrays.
+    When 16 * 8 N^2 bytes exceed the available memory the suite raises
+    MemoryError before it builds any matrix.
+    """
     N = _require_quantized(geometry)
+    _require_memory("weyl", N, 16 * 8 * N**2)
     C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
     S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
     eye = np.eye(N)
@@ -166,8 +188,15 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
 
 
 def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Unitarity, intertwining, and grid-overlap oracle for the basis change."""
+    """Unitarity, intertwining, and grid-overlap oracle for the basis change.
+
+    The peak is inside physical_grid_overlaps, 16 (2 N^3 + DFT_KET_BLOCK N^2)
+    bytes, next to this suite's K.  When 16 (2 N^3 + (DFT_KET_BLOCK + 1) N^2)
+    bytes exceed the available memory the suite raises MemoryError before
+    it builds any matrix or state.
+    """
     N = _require_quantized(geometry)
+    _require_memory("dft", N, 16 * (2 * N**3 + (DFT_KET_BLOCK + 1) * N**2))
     K = dft_basis_change(N)
     r_unitary = float(np.abs(K.conj().T @ K - np.eye(N)).max())
     checks = [CheckResult("dft/unitary", {"N": N}, r_unitary, tol)]

@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -121,6 +122,22 @@ class BilinearPhaseTerm:
     def phase_key(self) -> tuple[float, float, float, float]:
         return (self.c0, self.cq, self.cp, self.cqp)
 
+    @classmethod
+    def _canonical(cls, key: tuple, prefactor: dict, hbar: float) -> "BilinearPhaseTerm":
+        """The unit-amplitude term of a key checked at a valid hbar (_checked_key)
+        and a prefactor of int monomials and complex coefficients, built without
+        __post_init__: the one constructor of canonical output terms."""
+        term = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(term, "amplitude", 1.0 + 0.0j)
+        set_field(term, "c0", key[0])
+        set_field(term, "cq", key[1])
+        set_field(term, "cp", key[2])
+        set_field(term, "cqp", key[3])
+        set_field(term, "prefactor", prefactor)
+        set_field(term, "hbar", hbar)
+        return term
+
     def evaluate(self, q, p):
         """Evaluate at (q, p); accepts scalars or broadcastable numpy arrays."""
         q = np.asarray(q, dtype=float)
@@ -162,16 +179,20 @@ class WaveFunction:
             hbar = terms[0].hbar
         _check_hbar(hbar)
         for t in terms:
-            if t.hbar != hbar:
+            if t.hbar != hbar:  # so every key below was checked at this hbar
                 raise ValueError("all terms must share one hbar")
         self._merge([(t.phase_key, t.amplitude, t.prefactor.items()) for t in terms], hbar)
 
     def _merge(self, entries, hbar: float) -> "WaveFunction":
         """Make this the canonical sum of entries (phase key, amplitude, pairs) for a
         valid hbar and return it; an entry is amplitude * sum(c q^dq p^dp) e^{i phase/hbar}.
-        The one place wave functions get terms; sorted entries open cells at their least key."""
-        keyed = [(_checked_key(key, hbar), amp, pairs) for key, amp, pairs in entries]
-        keyed.sort(key=lambda e: e[0])
+        The one place wave functions get terms; sorted entries open cells at their least key.
+
+        The merge checks nothing: every key must already be checked at hbar (the key
+        of a term at hbar, or _checked_key's output), every amplitude complex and
+        every pair an (int monomial, number) pair.  Then each output term is built
+        by BilinearPhaseTerm._canonical."""
+        keyed = sorted(entries, key=itemgetter(0))
         cells: dict[tuple, tuple[tuple, dict]] = {}
         for key, amp, pairs in keyed:
             if amp == 0:
@@ -181,10 +202,11 @@ class WaveFunction:
             for mon, c in pairs:
                 pref[mon] = pref.get(mon, 0j) + amp * c
         canon = []
+        make = BilinearPhaseTerm._canonical
         for key, pref in cells.values():
             pref = {mon: c for mon, c in sorted(pref.items()) if c != 0}
             if pref:
-                canon.append(BilinearPhaseTerm(1.0 + 0.0j, *key, prefactor=pref, hbar=hbar))
+                canon.append(make(key, pref, hbar))
         self.hbar, self.terms = hbar, tuple(canon)
         return self
 
@@ -195,8 +217,10 @@ class WaveFunction:
     @classmethod
     def single(cls, amplitude, c0, cq, cp, cqp, prefactor=None, hbar=1.0) -> "WaveFunction":
         _check_hbar(hbar)
-        pref = prefactor if prefactor is not None else {(0, 0): 1.0 + 0.0j}
-        return cls.__new__(cls)._merge([((c0, cq, cp, cqp), complex(amplitude), pref.items())], hbar)
+        key = _checked_key((c0, cq, cp, cqp), hbar)
+        pairs = (((0, 0), 1.0 + 0.0j),) if prefactor is None else [
+            ((int(dq), int(dp)), complex(c)) for (dq, dp), c in prefactor.items()]
+        return cls.__new__(cls)._merge([(key, complex(amplitude), pairs)], hbar)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -283,9 +307,10 @@ class WaveFunction:
 
 def _term_by_term(wf: WaveFunction, image) -> WaveFunction:
     """The sum over the terms t of wf of image(t) = (phase key, pairs), where
-    pairs yields (monomial, coefficient).  Each image is one entry of the
+    pairs yields (int monomial, coefficient).  Each image is one entry of the
     WaveFunction merge, which sums the pairs and drops zeros, so a transform
-    hands over every pair and builds no term of its own."""
+    hands over every pair and builds no term of its own.  A key other than
+    t.phase_key must come from _checked_key."""
     return WaveFunction.__new__(WaveFunction)._merge(
         ((key, 1.0 + 0.0j, pairs) for key, pairs in map(image, wf.terms)), wf.hbar)
 
@@ -397,9 +422,10 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
                     yield (ia, ib), c * qfac * (math.comb(b, ib) * (-sp) ** (b - ib))
 
     def image(t):
+        # The only transform that makes new phase keys, so the only one that checks them.
         cq, cp, cqp = t.cq + aq, t.cp + ap, t.cqp
         key = (t.c0 - cq * sq - cp * sp + cqp * sq * sp, cq - cqp * sp, cp - cqp * sq, cqp)
-        return key, pairs(t.prefactor)
+        return _checked_key(key, t.hbar), pairs(t.prefactor)
 
     return _term_by_term(wf, image)
 

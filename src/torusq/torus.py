@@ -295,8 +295,9 @@ def grid_shift_operator(which: GridShift, values: np.ndarray, geometry: TorusGeo
     (sq, sp), (aq, ap) = exp_affine_map(*grid_shift_coefficient(which, geometry))
     cells = (round(sp * M / geometry.a), round(sq * M / geometry.b))
     out = np.roll(np.asarray(values, dtype=complex), cells, axis=(-2, -1))
-    if aq or ap:
+    if aq:
         out *= np.exp(1j * aq * q / geometry.hbar)[None, :]
+    if ap:
         out *= np.exp(1j * ap * p / geometry.hbar)[:, None]
     return out
 

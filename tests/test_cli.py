@@ -207,6 +207,50 @@ class TestVerify:
         with pytest.raises(MemoryError, match="N=4 needs"):
             suites.suite_orthonormality(square_torus(N))
 
+    @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
+    @pytest.mark.parametrize("suite", ["table1", "dft", "weyl"])
+    def test_other_suites_too_large_are_refused(self, suite):
+        # As for orthonormality: the cap and the timeout keep a run that
+        # builds its matrices anyway from exhausting the machine.
+        def cap():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        res = run_cli("verify", "--N", "100000", "--suite", suite, timeout=30, preexec_fn=cap)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {suite} at N=100000 needs ~")
+
+    # Each suite's estimate at N = 4 and N = 20 (TABLE1_BLOCK = 16 < N).
+    ESTIMATES = {
+        "table1": lambda N: 16 * N**2 * (4 * min(16, N) + 3),
+        "dft": lambda N: 16 * (2 * N**3 + 5 * N**2),
+        "weyl": lambda N: 16 * 8 * N**2,
+    }
+
+    @pytest.mark.parametrize("suite", sorted(ESTIMATES))
+    def test_suite_refused_before_building_anything(self, monkeypatch, suite):
+        # Every builder of states or matrices the suites call is counted: a
+        # refusal must come before all of them.
+        calls = []
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        monkeypatch.setattr(torus, "_sample_stack", counted("sampled", torus._sample_stack))
+        for name in ("table1_verify", "table1_matrices", "dft_basis_change",
+                     "physical_grid_overlaps", "weyl_commutation_check"):
+            monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
+        for N in (4, 20):
+            need = self.ESTIMATES[suite](N)
+            monkeypatch.setattr(suites, "_available_memory", lambda: need - 1)
+            with pytest.raises(MemoryError, match=f"{suite} at N={N} needs"):
+                suites.SUITES[suite](square_torus(N))
+            assert calls == []
+        monkeypatch.setattr(suites, "_available_memory", lambda: self.ESTIMATES[suite](4))
+        assert all(c.passed for c in suites.SUITES[suite](square_torus(4)))
+        assert calls
+
     def test_reports_byte_stable_modulo_timestamp(self):
         first = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")
         second = run_cli("verify", "--N", "2", "--suite", "weyl", "--json")

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import time
 
 import numpy as np
@@ -147,6 +148,21 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="cqp=1.0 has no finite merge cell at hbar=1e-300"):
             BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 1.0, hbar=1e-300)
 
+    @pytest.mark.parametrize("key, hbar", [((math.inf, 0.0, 0.0, 0.0), 1.0),
+                                           ((0.0, 0.0, 0.0, 1.0), 1e-300)])
+    def test_every_producer_rejects_a_key_without_finite_cell(self, key, hbar):
+        # single and from_json make new keys, so each checks them as the term does.
+        with pytest.raises(ValueError) as want:
+            BilinearPhaseTerm(1.0, *key, hbar=hbar)
+        term = {"amp": [1.0, 0.0], **dict(zip(("c0", "cq", "cp", "cqp"), key)),
+                "prefactor": [[0, 0, 1.0, 0.0]]}
+        text = json.dumps({"hbar": hbar, "terms": [term]})
+        for make in (lambda: WaveFunction.single(1.0, *key, hbar=hbar),
+                     lambda: WaveFunction.from_json(text)):
+            with pytest.raises(ValueError) as got:
+                make()
+            assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, -1e300])
     def test_phase_coefficient_without_finite_cell_rejected(self, value):
         for position in range(4):
@@ -236,28 +252,65 @@ class TestTransformOutputsAreCanonical:
             exp_operator_apply(P_RIGHT, 1e300, wf)
 
     def test_one_term_built_per_output_term(self, monkeypatch):
-        built = [0]
-        post_init = BilinearPhaseTerm.__post_init__
+        # Each output term comes from the one canonical constructor, which
+        # skips __post_init__: the merge reuses keys that are already checked.
+        calls = {"canonical": 0, "post_init": 0}
 
-        def counting(self):
-            built[0] += 1
-            post_init(self)
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
 
-        monkeypatch.setattr(BilinearPhaseTerm, "__post_init__", counting)
+        monkeypatch.setattr(BilinearPhaseTerm, "_canonical",
+                            staticmethod(counted("canonical", BilinearPhaseTerm._canonical)))
+        monkeypatch.setattr(BilinearPhaseTerm, "__post_init__",
+                            counted("post_init", BilinearPhaseTerm.__post_init__))
         rng = np.random.default_rng(31)
         for i in range(20):
             hbar = (1.0, 0.5)[i % 2]
             a, b = random_wavefunction(rng, hbar=hbar), random_wavefunction(rng, hbar=hbar)
-            ops = [lambda k=k: apply_operator(k, a) for k in ALL_KINDS]
-            ops += [lambda k=k: exp_operator_apply(k, dyadic(rng), a) for k in ALL_KINDS]
-            ops += [lambda v=v: differentiate(a, v) for v in ("q", "p")]
-            ops += [lambda: a.scale(complex(dyadic(rng), dyadic(rng))), lambda: a + b,
-                    lambda: a - b, lambda: WaveFunction.single(1.0, *a.terms[0].phase_key,
-                                                               a.terms[0].prefactor, hbar)]
-            for op in ops:
-                built[0] = 0
+            for op in _transforms(rng, a, b):
+                calls.update(canonical=0, post_init=0)
                 out = op()
-                assert built[0] == len(out.terms)
+                assert calls == {"canonical": len(out.terms), "post_init": 0}
+
+    def test_output_terms_are_what_the_term_constructor_makes(self):
+        # Skipping __post_init__ must not change a field's value or type.
+        rng = np.random.default_rng(37)
+        for i in range(30):
+            hbar = (1.0, 0.5, 0.3)[i % 3]
+            a, b = random_wavefunction(rng, hbar=hbar), random_wavefunction(rng, hbar=hbar)
+            ops = _transforms(rng, a, b)
+            ops += [lambda: WaveFunction.from_json(a.to_json()), lambda: WaveFunction(a.terms)]
+            for op in ops:
+                for t in op().terms:
+                    assert t == BilinearPhaseTerm(t.amplitude, *t.phase_key,
+                                                  prefactor=t.prefactor, hbar=t.hbar)
+                    assert type(t.amplitude) is complex
+                    assert all(type(k) is float and math.copysign(1.0, k) == 1.0 or k != 0
+                               for k in t.phase_key)
+                    assert all(type(d) is int for mon in t.prefactor for d in mon)
+                    assert all(type(c) is complex for c in t.prefactor.values())
+
+    def test_single_normalises_its_prefactor(self):
+        loose = WaveFunction.single(1.0, 0.5, 0, -0.0, 1, prefactor={(1.0, 2): 3, (0, True): 0.5})
+        exact = WaveFunction.single(1.0, 0.5, 0.0, 0.0, 1.0,
+                                    prefactor={(1, 2): 3.0 + 0j, (0, 1): 0.5 + 0j})
+        assert loose.to_json() == exact.to_json()
+        assert [type(d) for mon in loose.terms[0].prefactor for d in mon] == [int] * 4
+        assert all(type(k) is float for k in loose.terms[0].phase_key)
+
+
+def _transforms(rng, a, b):
+    """Thunks for every transform, sum and single over the members a and b."""
+    hbar = a.hbar
+    ops = [lambda k=k: apply_operator(k, a) for k in ALL_KINDS]
+    ops += [lambda k=k: exp_operator_apply(k, dyadic(rng), a) for k in ALL_KINDS]
+    ops += [lambda v=v: differentiate(a, v) for v in ("q", "p")]
+    ops += [lambda: a.scale(complex(dyadic(rng), dyadic(rng))), lambda: a + b, lambda: a - b,
+            lambda: WaveFunction.single(1.0, *a.terms[0].phase_key, a.terms[0].prefactor, hbar)]
+    return ops
 
 
 class TestCommutators:
