@@ -288,7 +288,7 @@ class TestTransformOutputsAreCanonical:
                     assert t == BilinearPhaseTerm(t.amplitude, *t.phase_key,
                                                   prefactor=t.prefactor, hbar=t.hbar)
                     assert type(t.amplitude) is complex
-                    assert all(type(k) is float and math.copysign(1.0, k) == 1.0 or k != 0
+                    assert all(type(k) is float and (k != 0 or math.copysign(1.0, k) == 1.0)
                                for k in t.phase_key)
                     assert all(type(d) is int for mon in t.prefactor for d in mon)
                     assert all(type(c) is complex for c in t.prefactor.values())
