@@ -27,8 +27,10 @@ from .report import DEFAULT_TOL, CheckResult
 from .torus import (
     GridShift,
     TorusGeometry,
+    _require_memory,
     _require_quantized,
     _sample_stack,
+    grid_coordinates,
     grid_shift_operator,
     make_torus_P_basis,
     make_torus_Q_basis,
@@ -37,7 +39,7 @@ from .torus import (
 
 # table1_verify walks the labels in blocks of this many m values, and
 # physical_grid_overlaps samples the P-basis kets in blocks of this many r
-# values; their docstrings state the memory that follows.
+# values; each states the memory that follows and refuses a run above it.
 TABLE1_BLOCK = 16
 DFT_KET_BLOCK = 4
 
@@ -60,7 +62,7 @@ def dft_basis_change(N: int) -> np.ndarray:
     """
     _require_dimension(N)
     idx = np.arange(N)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / N) / math.sqrt(N)
+    return _label_phase(+1, np.outer(idx, idx), N) / math.sqrt(N)
 
 
 # The action table: how each exponentiated operator acts on the primed labels
@@ -155,11 +157,13 @@ def table1_verify(geometry: TorusGeometry, M: int | None = None,
     (n+1, m) or (n, m+1), never with a roll of the source.  The call holds
     the stacks of rows n and n+1, the operator's image of the block, one
     temporary of its size and one M x M chirp: 16 M^2 (4B + 3) bytes, plus
-    numpy's ufunc buffers.
+    numpy's ufunc buffers.  When that exceeds the available memory the call
+    raises MemoryError before it samples anything.
     """
     N = _require_quantized(geometry)
-    if M is None:
-        M = N
+    M = N if M is None else M
+    grid_coordinates(geometry, M)  # a bad M raises its ValueError before the estimate
+    _require_memory("table1", N, 16 * M**2 * (4 * min(TABLE1_BLOCK, N) + 3))
     params = {**geometry.to_dict(), "M": M}
     # Label by label, as scalars: a vectorized 2 pi label / N rounds differently,
     # and the residuals stay bit for bit those of a cell-by-cell check.
@@ -203,9 +207,11 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     at one s, and each block gives its O[:, s, r] in one matrix-matrix
     product with the (N, N^2) array of Q-basis bras (sample_bras).  The call
     holds the bras, the (N, N, N) result and one block of kets: 16 (2 N^3 +
-    DFT_KET_BLOCK N^2) bytes, plus numpy's ufunc buffers.
+    DFT_KET_BLOCK N^2) bytes, plus numpy's ufunc buffers.  When that exceeds
+    the available memory the call raises MemoryError before it samples anything.
     """
     N = _require_quantized(geometry)
+    _require_memory("dft", N, 16 * (2 * N**3 + DFT_KET_BLOCK * N**2))
     bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
                        geometry, N)
     out = np.empty((N, N, N), dtype=complex)

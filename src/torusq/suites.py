@@ -4,6 +4,8 @@ Each suite returns a list of CheckResult fragments; the CLI assembles them
 into a VerificationReport.  Randomized suites draw from seeded generators
 with dyadic-rational coefficients so that reports are reproducible and the
 coefficient-exact contracts of the symbolic layer actually hold bit for bit.
+A run too large for memory raises MemoryError before it allocates, checked
+where the peak is: here, or in the torusq.finite call that table1 or dft makes.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 import numpy as np
 
 from .finite import (
-    DFT_KET_BLOCK,
-    TABLE1_BLOCK,
     dft_basis_change,
     physical_grid_overlaps,
     table1_matrices,
@@ -26,6 +26,7 @@ from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
+    _require_memory,
     _require_quantized,
     chart_consistency_check,
     make_geometry,
@@ -76,26 +77,6 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     ]
 
 
-def _available_memory() -> int | None:
-    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as meminfo:
-            fields = dict(line.split(":", 1) for line in meminfo)
-        return int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError, ValueError):
-        return None
-
-
-def _require_memory(suite: str, N: int, need: int) -> None:
-    """Raise MemoryError, before the suite builds anything, when its estimated
-    peak of `need` bytes exceeds the available memory; where that is unknown
-    the suite runs."""
-    available = _available_memory()
-    if available is not None and need > available:
-        raise MemoryError(f"{suite} at N={N} needs ~{need / 2**30:.3g} GiB, "
-                          f"but {available / 2**30:.3g} GiB is available")
-
-
 def _gram_residual(states, geometry: TorusGeometry, M: int) -> float:
     """max |G - I| for the Gram matrix G of `states` by quadrature on the
     M x M grid, summed over bands of GRAM_BAND_ROWS grid rows."""
@@ -136,13 +117,8 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
 
 
 def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """All eight operator/basis cells as grid identities on the physical grid.
-
-    When table1_verify's peak at M = N, 16 N^2 (4B + 3) bytes with
-    B = min(TABLE1_BLOCK, N), exceeds the available memory the suite raises
-    MemoryError before it builds any state."""
-    N = _require_quantized(geometry)
-    _require_memory("table1", N, 16 * N**2 * (4 * min(TABLE1_BLOCK, N) + 3))
+    """All eight operator/basis cells as grid identities on the physical grid
+    (table1_verify, which refuses a run too large for memory)."""
     return table1_verify(geometry, tol=tol)
 
 
@@ -150,18 +126,19 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
     """Commutation phase and unitarity of the clock and shift, the Q-basis
     matrices of EXP_QLEFT and EXP_PLEFT read from the action table.
 
-    The peak is inside weyl_commutation_check: its own clock and shift and
-    their two products, next to this suite's C, S and float identity, and
-    the float moduli of the products, fewer than eight complex N x N arrays.
-    When 16 * 8 N^2 bytes exceed the available memory the suite raises
-    MemoryError before it builds any matrix.
+    weyl_commutation_check runs first, so its matrices are freed before this
+    suite builds C and S.  The peak, C, S, S^N, the float identity and the two
+    products of the commutator, is 5.5 complex N x N arrays; when 96 N^2 bytes
+    exceed the available memory the suite refuses before it builds any matrix.
+    weyl/nth_power_commutes, |C S^N - S^N C|, is 0 whenever
+    weyl/shift_nth_power_identity passes (S^N is then exactly the identity).
     """
     N = _require_quantized(geometry)
-    _require_memory("weyl", N, 16 * 8 * N**2)
+    _require_memory("weyl", N, 16 * 6 * N**2)
+    omega = weyl_commutation_check(N)
     C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
     S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
     eye = np.eye(N)
-    omega = weyl_commutation_check(N)
     r_order = abs(omega**N - 1.0)
     # A primitive root keeps every power omega^k, 0 < k < N, at least
     # 2 sin(pi/N) away from 1; a non-primitive one returns to 1 at some k.
@@ -173,7 +150,9 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
     r_su = float(np.abs(S.conj().T @ S - eye).max())
     SN = np.linalg.matrix_power(S, N)
     r_shift_order = float(np.abs(SN - eye).max())
-    r_commute = float(np.abs(C @ SN - SN @ C).max())
+    commutator = C @ SN
+    commutator -= SN @ C  # in place: no third N x N array
+    r_commute = float(np.abs(commutator).max())
     params = {"N": N, "omega": [omega.real, omega.imag]}
     return [
         CheckResult("weyl/scalar_phase_order", params, r_order, tol),
@@ -190,28 +169,23 @@ def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckR
 def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Unitarity, intertwining, and grid-overlap oracle for the basis change.
 
-    The peak is inside physical_grid_overlaps, 16 (2 N^3 + DFT_KET_BLOCK N^2)
-    bytes, next to this suite's K.  When 16 (2 N^3 + (DFT_KET_BLOCK + 1) N^2)
-    bytes exceed the available memory the suite raises MemoryError before
-    it builds any matrix or state.
+    The oracle (physical_grid_overlaps) runs first: it refuses a run too
+    large for memory before anything is built, and its peak is the suite's.
     """
     N = _require_quantized(geometry)
-    _require_memory("dft", N, 16 * (2 * N**3 + (DFT_KET_BLOCK + 1) * N**2))
+    overlaps = physical_grid_overlaps(geometry)
     K = dft_basis_change(N)
+    # In place, no second (N, N, N) array; unit grid states' overlaps carry 1/sqrt(N).
+    overlaps -= (K / np.sqrt(N))[:, None, :]
+    r_oracle = float(np.abs(overlaps).max())
     r_unitary = float(np.abs(K.conj().T @ K - np.eye(N)).max())
     checks = [CheckResult("dft/unitary", {"N": N}, r_unitary, tol)]
     for which in GridShift:
         mp, mq = table1_matrices(which, N)
         resid = float(np.abs(K @ mp - mq @ K).max())
         checks.append(CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N}, resid, tol))
-    overlaps = physical_grid_overlaps(geometry)
-    expected = K / np.sqrt(N)  # overlap of unit grid states carries 1/sqrt(N)
-    overlaps -= expected[:, None, :]  # in place: no second (N, N, N) array
-    r_oracle = float(np.abs(overlaps).max())
-    checks.append(
-        CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
-                    r_oracle, ORACLE_TOL)
-    )
+    checks.append(CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
+                              r_oracle, ORACLE_TOL))
     return checks
 
 

@@ -119,6 +119,26 @@ def _require_quantized(geometry: TorusGeometry) -> int:
     return geometry.N
 
 
+def _available_memory() -> int | None:
+    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as meminfo:
+            fields = dict(line.split(":", 1) for line in meminfo)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return None
+
+
+def _require_memory(name: str, N: int, need: int) -> None:
+    """Raise MemoryError, before the caller allocates anything, when its
+    estimated peak of `need` bytes exceeds the available memory; where that
+    is unknown the caller runs."""
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(f"{name} at N={N} needs ~{need / 2**30:.3g} GiB, "
+                          f"but {available / 2**30:.3g} GiB is available")
+
+
 def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> tuple:
     # Phase coefficients (c0, cq, cp, cqp) of the raw Q-basis state; valid
     # pointwise for any geometry, which the chart diagnostics rely on.  With

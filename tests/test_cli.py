@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import square_torus
-from torusq import cli, suites, torus
+from torusq import cli, finite, suites, torus
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -186,14 +186,14 @@ class TestVerify:
         monkeypatch.setattr(torus, "_sample_stack", counted_stack)
         for factory in ("make_torus_Q_basis", "make_torus_P_basis"):
             monkeypatch.setattr(suites, factory, counted(factory, getattr(suites, factory)))
-        monkeypatch.setattr(suites, "_available_memory", lambda: 1024)
+        monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
         with pytest.raises(MemoryError, match="N=4 needs"):
             suites.suite_orthonormality(square_torus(4))
         assert calls == []
         # Where the available memory is unknown the suite runs as before: at
         # N = 2 the M = 16 grid is one band, so each of the 2 N^2 states is
         # built once and sampled once.
-        monkeypatch.setattr(suites, "_available_memory", lambda: None)
+        monkeypatch.setattr(torus, "_available_memory", lambda: None)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
         assert [calls.count(name) for name in ("sampled", "make_torus_Q_basis",
                                                "make_torus_P_basis")] == [8, 4, 4]
@@ -202,7 +202,7 @@ class TestVerify:
         # `gram += band @ band.conj().T` allocates the (N^2, N^2) product
         # before adding it, so memory for the bras and one Gram is not enough.
         N, M, B = 4, 32, 16
-        monkeypatch.setattr(suites, "_available_memory",
+        monkeypatch.setattr(torus, "_available_memory",
                             lambda: 16 * (2 * N**2 * B * M + N**4))
         with pytest.raises(MemoryError, match="N=4 needs"):
             suites.suite_orthonormality(square_torus(N))
@@ -224,30 +224,32 @@ class TestVerify:
     # Each suite's estimate at N = 4 and N = 20 (TABLE1_BLOCK = 16 < N).
     ESTIMATES = {
         "table1": lambda N: 16 * N**2 * (4 * min(16, N) + 3),
-        "dft": lambda N: 16 * (2 * N**3 + 5 * N**2),
-        "weyl": lambda N: 16 * 8 * N**2,
+        "dft": lambda N: 16 * (2 * N**3 + 4 * N**2),
+        "weyl": lambda N: 96 * N**2,
     }
 
     @pytest.mark.parametrize("suite", sorted(ESTIMATES))
     def test_suite_refused_before_building_anything(self, monkeypatch, suite):
         # Every builder of states or matrices the suites call is counted: a
-        # refusal must come before all of them.
+        # refusal must come before all of them.  table1_verify and
+        # physical_grid_overlaps refuse from inside, so they are not counted;
+        # the states they sample are.
         calls = []
 
         def counted(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        monkeypatch.setattr(torus, "_sample_stack", counted("sampled", torus._sample_stack))
-        for name in ("table1_verify", "table1_matrices", "dft_basis_change",
-                     "physical_grid_overlaps", "weyl_commutation_check"):
+        for module in (torus, finite):
+            monkeypatch.setattr(module, "_sample_stack", counted("sampled", torus._sample_stack))
+        for name in ("table1_matrices", "dft_basis_change", "weyl_commutation_check"):
             monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
         for N in (4, 20):
             need = self.ESTIMATES[suite](N)
-            monkeypatch.setattr(suites, "_available_memory", lambda: need - 1)
+            monkeypatch.setattr(torus, "_available_memory", lambda: need - 1)
             with pytest.raises(MemoryError, match=f"{suite} at N={N} needs"):
                 suites.SUITES[suite](square_torus(N))
             assert calls == []
-        monkeypatch.setattr(suites, "_available_memory", lambda: self.ESTIMATES[suite](4))
+        monkeypatch.setattr(torus, "_available_memory", lambda: self.ESTIMATES[suite](4))
         assert all(c.passed for c in suites.SUITES[suite](square_torus(4)))
         assert calls
 

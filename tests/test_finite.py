@@ -302,6 +302,54 @@ def test_peak_memory_is_the_stated_formula(func):
     assert peak <= stated + 16 * np.getbufsize() + 2**16
 
 
+def test_weyl_peak_is_within_its_estimate():
+    # weyl_commutation_check's clock, shift and products are freed before the
+    # suite builds its own, so the traced peak fits the 96 N^2 bytes above
+    # which the suite refuses (7.1 complex N x N arrays, 114 N^2, when both
+    # sets were alive at once).
+    N = 256
+    suite_weyl(square_torus(2))  # numpy's lazily built state is not the suite's
+    tracemalloc.start()
+    try:
+        suite_weyl(square_torus(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * N**2
+
+
+class TestMemoryRefusal:
+    """table1_verify and physical_grid_overlaps refuse a run whose stated peak
+    exceeds the available memory themselves, for library callers too."""
+
+    @pytest.mark.parametrize("func, name", [(table1_verify, "table1"),
+                                            (physical_grid_overlaps, "dft")])
+    def test_refused_before_any_state_is_sampled(self, monkeypatch, func, name):
+        sampled = counting_stack(monkeypatch)
+        monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
+        with pytest.raises(MemoryError, match=f"^{name} at N=4 needs ~"):
+            func(square_torus(4))
+        assert sampled == []
+
+    def test_table1_estimate_is_on_the_grid_it_samples(self, monkeypatch):
+        # 16 M^2 (4B + 3) bytes with B = N = 4: enough for M = N, not M = 2N.
+        N = 4
+        sampled = counting_stack(monkeypatch)
+        monkeypatch.setattr(torus, "_available_memory", lambda: 16 * (2 * N)**2 * 19 - 1)
+        assert all(r.passed for r in table1_verify(square_torus(N)))
+        assert sampled
+        sampled.clear()
+        with pytest.raises(MemoryError, match=f"^table1 at N={N} needs ~"):
+            table1_verify(square_torus(N), M=2 * N)
+        assert sampled == []
+
+    @pytest.mark.parametrize("M", [7, 0, -4])
+    def test_bad_M_raises_its_value_error_first(self, monkeypatch, M):
+        monkeypatch.setattr(torus, "_available_memory", lambda: 0)
+        with pytest.raises(ValueError, match="M must be a positive multiple of N=4"):
+            table1_verify(square_torus(4), M=M)
+
+
 class TestCrossModuleConsistency:
     @pytest.mark.parametrize("N", [2, 3, 4, 8])
     def test_grid_matrix_elements_match_clock_and_shift(self, N):
