@@ -11,6 +11,7 @@ where the peak is: here, or in the torusq.finite call that table1 or dft makes.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -29,10 +30,10 @@ from .torus import (
     _require_memory,
     _require_quantized,
     chart_consistency_check,
+    grid_coordinates,
     make_geometry,
     make_torus_P_basis,
     make_torus_Q_basis,
-    sample_bras,
 )
 
 _SUITE_SEED = 714025
@@ -40,10 +41,6 @@ _SUITE_SEED = 714025
 # Each grid-overlap oracle entry is a sum of N^2 sampled phases whose roundoff
 # grows with N, so the oracle keeps this fixed tolerance instead of --tolerance.
 ORACLE_TOL = 1e-10
-
-# The orthonormality Gram sums over bands of this many grid rows, so its
-# memory is O(N^2 M) for the bras instead of O(N^2 M^2).
-GRAM_BAND_ROWS = 16
 
 
 def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -77,38 +74,80 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     ]
 
 
-def _gram_residual(states, geometry: TorusGeometry, M: int) -> float:
-    """max |G - I| for the Gram matrix G of `states` by quadrature on the
-    M x M grid, summed over bands of GRAM_BAND_ROWS grid rows."""
-    gram = np.zeros((len(states), len(states)), dtype=complex)
-    for start in range(0, M, GRAM_BAND_ROWS):
-        band = sample_bras(states, geometry, M, slice(start, start + GRAM_BAND_ROWS))
-        gram += band @ band.conj().T
-        del band  # the next band is sampled without this one alive
-    gram /= M * M
-    gram[np.diag_indices_from(gram)] -= 1.0  # in place: no N^4 identity or difference
-    return float(np.abs(gram).max())
+def _factor_gram(rates: np.ndarray, coords: np.ndarray, hbar: float) -> np.ndarray:
+    """(1/M) sum_i conj(f_a(x_i)) f_b(x_i) for f_a(x) = e^{i rates[a] x/hbar} at
+    M coordinates x_i, with the outer product taken as (n, 1) @ (1, M): a
+    broadcast's ufunc buffers would outweigh the arrays at small N."""
+    factors = (rates[:, None] @ coords[None, :]).astype(complex)
+    factors *= 1j / hbar
+    np.exp(factors, out=factors)
+    return factors.conj() @ factors.T / len(coords)
+
+
+def _basis_keys(geometry: TorusGeometry, basis: str, make, cqp: float):
+    """The distinct cp and cq values of a basis, in the order its states are
+    built, and D2[a, b] = |d|^2 of its state with the a-th cp and the b-th cq.
+    Each state is read as it is built; ValueError names the first that breaks
+    suite_orthonormality's precondition."""
+    N, hbar = geometry.N, geometry.hbar
+    D2, owner, cps, cqs = np.empty((N, N)), np.full((N, N), -1), {}, {}
+    for k in range(N * N):
+        wf = make(geometry, *divmod(k, N))
+        t = wf.terms[0] if len(wf.terms) == 1 else None
+        if t is None or list(t.prefactor) != [(0, 0)] or (t.cqp, t.hbar) != (cqp, hbar):
+            raise ValueError(f"{basis}-basis state (n, m) = {divmod(k, N)} is not one term "
+                             f"c e^(i(c0 + cq q + cp p + {cqp} q p)/hbar): {wf.to_json()}")
+        a, b = cps.setdefault(t.cp, len(cps)), cqs.setdefault(t.cq, len(cqs))
+        if a >= N or b >= N or owner[a, b] >= 0:
+            why = (f"brings a cp or cq beyond N={N} distinct values" if max(a, b) >= N
+                   else f"repeats the pair of state {divmod(int(owner[a, b]), N)}")
+            raise ValueError(f"{basis}-basis state (n, m) = {divmod(k, N)} with (cp, cq) = "
+                             f"({t.cp!r}, {t.cq!r}) {why}; the pairs must be the product "
+                             f"of N distinct cp and N distinct cq values")
+        owner[a, b], D2[a, b] = k, abs(t.amplitude * t.prefactor[(0, 0)]) ** 2
+    return D2, np.array(list(cps)), np.array(list(cqs))
+
+
+def _gram_residual(geometry: TorusGeometry, basis: str, make, cqp: float, M: int) -> float:
+    """max |G - I| of one basis on the M x M grid (see suite_orthonormality)."""
+    D2, cp, cq = _basis_keys(geometry, basis, make, cqp)
+    q, p = grid_coordinates(geometry, M)
+    A, B = _factor_gram(cp, p, geometry.hbar), _factor_gram(cq, q, geometry.hbar)
+    diagonal = float(np.abs(D2 * np.outer(A.diagonal(), B.diagonal()) - 1.0).max())
+    A, B = np.abs(A), np.abs(B)
+    across, within = D2.max() * B.max(), D2.max() * A.diagonal().max()
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(B, 0.0)
+    return max(diagonal, float(across * A.max()), float(within * B.max()))
 
 
 def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Gram matrices of both N^2-member bases equal the identity, by
-    quadrature on the M = 8N grid.
+    quadrature on the M = 8N grid, as G = D (A (x) B) D^H.
 
-    One basis is held at a time, one band of GRAM_BAND_ROWS grid rows at a
-    time: the band's (N^2, B M) array of bras (B = min(GRAM_BAND_ROWS, M))
-    and that array's conjugate, next to the (N^2, N^2) Gram they are summed
-    into and the (N^2, N^2) product of the band that is allocated before it
-    is added.  A peak of those four arrays, 16 (2 N^2 B M + 2 N^4) bytes,
-    above the available memory raises MemoryError before any state is built.
+    Precondition, checked as each state is built (ValueError names the state
+    that breaks it): each state is one term d e^{i (cq q + cp p + cqp q p)/hbar},
+    d = amplitude c e^{i c0/hbar} for a constant prefactor c, with its basis's
+    cqp at the geometry's hbar, and the (cp, cq) pairs are in bijection with
+    the product of N distinct cp and N distinct cq values.  The shared chirp
+    then cancels in conj(f_k) f_l: A and B are the N x N Grams of the
+    e^{i cp p/hbar} and e^{i cq q/hbar} factors and D holds the d.  max |G - I|
+    is the largest of |d|^2 A_aa B_bb - 1, max|d|^2 offmax|A| max|B| and
+    max|d|^2 max|diag A| offmax|B|: exact when every |d| is one value, as for
+    the basis factories, and an upper bound otherwise.
+
+    Time is O(N^2) to build the states plus O(N^2 M) = O(N^3) for A and B.
+    One basis is held at a time: D2, A, B and the N x N temporaries of the
+    residual (at most 4 N^2 complex numbers), the coordinates q and p, and
+    the (N, M) factors of one Gram with their conjugate.  When that peak,
+    16 (4 N^2 + 2 N M + M) bytes (about 320 N^2 at M = 8N), exceeds the
+    available memory the suite raises MemoryError before it builds any state.
     """
     N = _require_quantized(geometry)
     M = 8 * N
-    B = min(GRAM_BAND_ROWS, M)
-    _require_memory("orthonormality", N, 16 * (2 * N**2 * B * M + 2 * N**4))
-    labels = [(n, m) for n in range(N) for m in range(N)]
-    rq = _gram_residual([make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
-                        geometry, M)
-    rp = _gram_residual([make_torus_P_basis(geometry, n, m) for n, m in labels], geometry, M)
+    _require_memory("orthonormality", N, 16 * (4 * N**2 + 2 * N * M + M))
+    rq = _gram_residual(geometry, "Q", partial(make_torus_Q_basis, primed=True), 1.0, M)
+    rp = _gram_residual(geometry, "P", make_torus_P_basis, 0.0, M)
     params = {**geometry.to_dict(), "M": M}
     return [
         CheckResult("orthonormality/q_basis_gram", params, rq, tol),

@@ -202,24 +202,21 @@ def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.nd
     return np.arange(M) * (geometry.b / M), np.arange(M) * (geometry.a / M)
 
 
-def _sample_stack(states, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
-    """Sample each wave function of the sequence `states` on the grid rows
-    `rows` of the M x M grid, as the (len(states), R, M) array
-    stack[k, i, j] = states[k](q_j, p_i) over the R selected rows.
+def _sample_stack(states, geometry: TorusGeometry, M: int) -> np.ndarray:
+    """Sample each wave function of the sequence `states` on the M x M grid,
+    as the (len(states), M, M) array stack[k, i, j] = states[k](q_j, p_i).
 
     Each term is the outer product of amplitude * c * p^dp * e^{i cp p/hbar}
     (along p) and q^dq * e^{i (c0 + cq q)/hbar} (along q), summed over the
     prefactor monomials c q^dq p^dp, times the chirp e^{i cqp q p/hbar}.  The
     chirp is computed once per distinct (cqp, hbar) in the call and skipped
-    where cqp = 0.  A state's values depend only on the state and the
-    selected coordinates, so it samples bit for bit alike in any stack and a
-    band of rows is exactly those rows of the full grid.  Beyond the stack the
-    call holds one chirp per distinct (cqp, hbar) and, for a state of more
-    than one term, one (R, M) term.
+    where cqp = 0.  A state's values depend only on the state and the grid,
+    so it samples bit for bit alike in any stack.  Beyond the stack the call
+    holds one chirp per distinct (cqp, hbar) and, for a state of more than
+    one term, one (M, M) term.
     """
     q, p = grid_coordinates(geometry, M)
-    p = p[rows]
-    stack = np.empty((len(states), len(p), M), dtype=complex)
+    stack = np.empty((len(states), M, M), dtype=complex)
     chirps = {}
     for wf, values in zip(states, stack):
         if not wf.terms:
@@ -243,33 +240,31 @@ def _sample_stack(states, geometry: TorusGeometry, M: int, rows: slice = slice(N
     return stack
 
 
-def sample(wf: WaveFunction, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
+def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> np.ndarray:
     """Sample a wave function on the uniform M x M grid over one fundamental
     domain, as the (M, M) array values[i, j] = f(q_j, p_i).
 
-    `rows` selects grid rows i (all M by default): a band of rows gives
-    exactly those rows of the full array.  Each term is sampled in separable
-    factors times its chirp (see the grid notes above); the values agree with
-    wf.evaluate on the same coordinates to roundoff in the phase, a few eps
-    times the largest phase argument |c0 + cq q + cp p + cqp q p| / hbar.
+    Each term is sampled in separable factors times its chirp (see the grid
+    notes above); the values agree with wf.evaluate on the same coordinates
+    to roundoff in the phase, a few eps times the largest phase argument
+    |c0 + cq q + cp p + cqp q p| / hbar.
     """
-    return _sample_stack([wf], geometry, M, rows)[0]
+    return _sample_stack([wf], geometry, M)[0]
 
 
-def sample_bras(states, geometry: TorusGeometry, M: int, rows: slice = slice(None)) -> np.ndarray:
-    """Sample each wave function of the sequence `states` on the grid rows
-    `rows` of the M x M grid (all M by default; see sample), conjugated and
-    flattened, as the rows of a (len(states), rows M) array.
+def sample_bras(states, geometry: TorusGeometry, M: int) -> np.ndarray:
+    """Sample each wave function of the sequence `states` on the M x M grid
+    (see sample), conjugated and flattened, as the rows of a
+    (len(states), M^2) array.
 
     The states are sampled as one stack that is conjugated in place, so the
     array is the only one of its size the call allocates, and each row is
-    bit for bit the conjugate of that state's sample.  With all rows,
-    bras @ g.ravel() / M^2 holds the inner product of every state with the
-    sampled state g at once.
+    bit for bit the conjugate of that state's sample.  bras @ g.ravel() / M^2
+    holds the inner product of every state with the sampled state g at once.
     """
-    bras = _sample_stack(states, geometry, M, rows)
+    bras = _sample_stack(states, geometry, M)
     np.conjugate(bras, out=bras)
-    return bras.reshape(len(states), bras.shape[1] * M)
+    return bras.reshape(len(states), M * M)
 
 
 class GridShift(Enum):

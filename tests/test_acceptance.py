@@ -25,7 +25,7 @@ from torusq.finite import (
     weyl_commutation_check,
 )
 from torusq.plane import make_plane_Q_basis
-from torusq.suites import GRAM_BAND_ROWS, suite_orthonormality
+from torusq.suites import suite_orthonormality
 from torusq.symbolic import (
     OperatorKind,
     apply_operator,
@@ -214,14 +214,14 @@ def test_criterion_05_torus_orthonormality():
 
 
 def test_criterion_05_gram_holds_one_basis_at_a_time():
-    # The suite streams one basis at a time over bands of B grid rows: the
-    # band's (N^2, B M) bras, their conjugate, the (N^2, N^2) Gram and the
-    # band's (N^2, N^2) product are the estimate it refuses by, and the
-    # traced peak must stay near it.
+    # The suite holds one basis at a time: four N x N arrays, the grid
+    # coordinates and the (N, M) factors of one one-dimensional Gram with
+    # their conjugate are the estimate it refuses by, and the traced peak
+    # must stay near it.
     N = 8
     M = 8 * N
-    B = min(GRAM_BAND_ROWS, M)
-    estimate = 16 * (2 * N**2 * B * M + 2 * N**4)
+    estimate = 16 * (4 * N**2 + 2 * N * M + M)
+    suite_orthonormality(square_torus(2))  # lazily built state is not the suite's
     tracemalloc.start()
     try:
         checks = suite_orthonormality(square_torus(N))

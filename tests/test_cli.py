@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import square_torus
 from torusq import cli, finite, suites, torus
+from torusq.symbolic import WaveFunction
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -170,9 +172,8 @@ class TestVerify:
         assert "GiB is available" in res.stderr
 
     def test_orthonormality_refused_before_sampling(self, monkeypatch):
-        # Count every state handed to the stack sampler, which samples each
-        # Gram band, and every basis state the suite builds: a refusal must
-        # come before both.
+        # Count every state handed to the stack sampler and every basis state
+        # the suite builds: a refusal must come before both.
         calls = []
         real_stack = torus._sample_stack
 
@@ -191,21 +192,22 @@ class TestVerify:
             suites.suite_orthonormality(square_torus(4))
         assert calls == []
         # Where the available memory is unknown the suite runs as before: at
-        # N = 2 the M = 16 grid is one band, so each of the 2 N^2 states is
-        # built once and sampled once.
+        # N = 2 each of the 2 N^2 states is built once, and none is sampled on
+        # the grid, since the Gram is taken from one-dimensional factors.
         monkeypatch.setattr(torus, "_available_memory", lambda: None)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
         assert [calls.count(name) for name in ("sampled", "make_torus_Q_basis",
-                                               "make_torus_P_basis")] == [8, 4, 4]
+                                               "make_torus_P_basis")] == [0, 4, 4]
 
-    def test_orthonormality_estimate_counts_the_band_product(self, monkeypatch):
-        # `gram += band @ band.conj().T` allocates the (N^2, N^2) product
-        # before adding it, so memory for the bras and one Gram is not enough.
-        N, M, B = 4, 32, 16
-        monkeypatch.setattr(torus, "_available_memory",
-                            lambda: 16 * (2 * N**2 * B * M + N**4))
-        with pytest.raises(MemoryError, match="N=4 needs"):
+    def test_orthonormality_refused_one_byte_below_its_estimate(self, monkeypatch):
+        # The stated peak, 16 (4 N^2 + 2 N M + M) bytes at M = 8N, is the threshold.
+        N, M = 4, 32
+        need = 16 * (4 * N**2 + 2 * N * M + M)
+        monkeypatch.setattr(torus, "_available_memory", lambda: need - 1)
+        with pytest.raises(MemoryError, match="orthonormality at N=4 needs"):
             suites.suite_orthonormality(square_torus(N))
+        monkeypatch.setattr(torus, "_available_memory", lambda: need)
+        assert all(c.passed for c in suites.suite_orthonormality(square_torus(N)))
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
     @pytest.mark.parametrize("suite", ["table1", "dft", "weyl"])
@@ -262,6 +264,65 @@ class TestVerify:
         a.pop("timestamp")
         b.pop("timestamp")
         assert json.dumps(a, sort_keys=False) == json.dumps(b, sort_keys=False)
+
+
+def _rebuilt(wf, cqp=None, prefactor=None):
+    """The one-term state wf with its cqp or prefactor replaced."""
+    (t,) = wf.terms
+    return WaveFunction.single(1.0, t.c0, t.cq, t.cp, t.cqp if cqp is None else cqp,
+                               prefactor=prefactor, hbar=wf.hbar)
+
+
+class TestOrthonormalityPrecondition:
+    """The factored Gram holds only for bases of one-term states sharing
+    their chirp, with (cp, cq) pairs in bijection with a product of N values
+    each; the suite refuses any other basis, naming the state."""
+
+    # basis, label of the defective state, the defect, words the error must hold
+    DEFECTS = {
+        "two_labels_one_state": (
+            "Q", (1, 1), lambda g, wf: torus.make_torus_Q_basis(g, 0, 0, primed=True),
+            "(n, m) = (1, 1) with (cp, cq) = (0.0, 0.0) repeats the pair of state (0, 0)"),
+        "cqp_altered": ("Q", (2, 3), lambda g, wf: _rebuilt(wf, cqp=0.5),
+                        "(n, m) = (2, 3) is not one term"),
+        "two_terms": ("P", (3, 1), lambda g, wf: wf + torus.make_torus_P_basis(g, 0, 0),
+                      "(n, m) = (3, 1) is not one term"),
+        "linear_prefactor": ("P", (1, 2), lambda g, wf: _rebuilt(wf, prefactor={(1, 0): 1}),
+                             "(n, m) = (1, 2) is not one term"),
+    }
+
+    @staticmethod
+    def patch(monkeypatch, basis, label, defect):
+        name = f"make_torus_{basis}_basis"
+        real = getattr(suites, name)
+
+        def make(geometry, n, m, primed=False):
+            wf = real(geometry, n, m, primed=primed)
+            return defect(geometry, wf) if (n, m) == label else wf
+
+        monkeypatch.setattr(suites, name, make)
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_defective_basis_is_refused_naming_the_state(self, monkeypatch, capsys, defect):
+        basis, label, change, words = self.DEFECTS[defect]
+        self.patch(monkeypatch, basis, label, change)
+        with pytest.raises(ValueError, match=re.escape(f"{basis}-basis state {words}")):
+            suites.suite_orthonormality(square_torus(4))
+        assert cli.main(["verify", "--N", "4", "--suite", "orthonormality"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {basis}-basis state {words}")
+
+    def test_doubled_amplitude_fails_on_the_diagonal(self, monkeypatch, capsys):
+        # |d|^2 A_aa B_bb - 1 = 4 - 1 for the state of amplitude 2; a basis of
+        # the right structure is measured, not refused.
+        self.patch(monkeypatch, "P", (1, 3), lambda g, wf: wf.scale(2.0))
+        q_check, p_check = suites.suite_orthonormality(square_torus(4))
+        assert q_check.passed and not p_check.passed
+        assert abs(p_check.max_residual - 3.0) <= 1e-12
+        assert cli.main(["verify", "--N", "4", "--suite", "orthonormality"]) == 1
+        assert "FAIL  orthonormality/p_basis_gram" in capsys.readouterr().out
 
 
 class TestDump:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_wavefunction, square_torus
-from torusq.suites import _gram_residual
+from torusq import suites
+from torusq.suites import suite_orthonormality
 from torusq.symbolic import (
     BilinearPhaseTerm,
     OperatorKind,
@@ -301,14 +302,13 @@ class TestSampleStack:
         M = refine * geometry.N
         states = self.states(geometry, seed=M)
         q, p = grid_coordinates(geometry, M)
-        for rows in (slice(None), slice(M // 3, M // 3 + 16), slice(None, None, 3)):
-            stack = _sample_stack(states, geometry, M, rows)
-            assert stack.shape == (len(states), len(p[rows]), M)
-            for wf, values in zip(states, stack):
-                want = wf.evaluate(q[None, :], p[rows, None])
-                assert np.abs(values - want).max() <= sampling_error_bound(wf, q, p)
-                # A state samples alike alone and in any stack.
-                assert np.array_equal(values, sample(wf, geometry, M, rows))
+        stack = _sample_stack(states, geometry, M)
+        assert stack.shape == (len(states), M, M)
+        for wf, values in zip(states, stack):
+            want = wf.evaluate(q[None, :], p[:, None])
+            assert np.abs(values - want).max() <= sampling_error_bound(wf, q, p)
+            # A state samples alike alone and in any stack.
+            assert np.array_equal(values, sample(wf, geometry, M))
         assert not stack[-1].any()
 
 
@@ -346,33 +346,45 @@ class TestInnerProduct:
             want = np.array([np.vdot(sample(wf, g, M), k) / M**2 for wf in states])
             assert np.abs(bras @ k.ravel() / (M * M) - want).max() <= 1e-15
 
-    @pytest.mark.parametrize("geometry, M", [
-        (square_torus(3), 24),
-        (make_geometry(1.0, 2.0, 0.4), 40),
-    ])
-    def test_band_of_bras_is_those_rows_bit_for_bit(self, geometry, M):
-        states = ([make_torus_Q_basis(geometry, n, m, primed=True) for n in range(2) for m in (0, 1)]
-                  + [make_torus_P_basis(geometry, n, 1) for n in range(3)])
-        full = sample_bras(states, geometry, M)
-        for start, stop in ((0, 16), (16, 32), (5, 6), (M - 3, M + 13)):
-            band = sample_bras(states, geometry, M, slice(start, stop))
-            assert band.shape == (len(states), (min(stop, M) - start) * M)
-            assert np.array_equal(band, full[:, start * M:min(stop, M) * M])
-
     @pytest.mark.parametrize("geometry", [
         square_torus(1),
-        square_torus(3),  # M = 24: the second band is short
+        square_torus(3),
         make_geometry(1.0, 2.0, 0.4),  # N = 5, M = 40
+        make_geometry(3.0, 1.0, 0.25),  # N = 12, M = 96
     ])
     def test_streamed_gram_matches_one_shot(self, geometry):
+        # The suite's factored residual against the full Gram of the bases
+        # sampled on the M x M grid.
         N = geometry.N
         M = 8 * N
         labels = [(n, m) for n in range(N) for m in range(N)]
-        for states in ([make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
-                       [make_torus_P_basis(geometry, n, m) for n, m in labels]):
+        checks = suite_orthonormality(geometry)
+        for check, states in zip(checks, (
+                [make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
+                [make_torus_P_basis(geometry, n, m) for n, m in labels])):
             bras = sample_bras(states, geometry, M)
             one_shot = float(np.abs(bras @ bras.conj().T / M**2 - np.eye(N * N)).max())
-            assert abs(_gram_residual(states, geometry, M) - one_shot) <= 1e-15
+            assert abs(check.max_residual - one_shot) <= 2e-15, check.name
+
+    @pytest.mark.parametrize("cq_scale, cp_scale", [(1.0, 0.5), (0.5, 1.0)])
+    def test_factored_gram_is_exact_off_the_identity(self, monkeypatch, cq_scale, cp_scale):
+        # Halving every P-basis cp (or cq) keeps the product structure but
+        # breaks the orthogonality: the residual, now an off-diagonal entry of
+        # A (or B), must still equal the full sampled Gram's.
+        geometry = make_geometry(1.0, 2.0, 0.4)
+        N, M, h = geometry.N, 8 * geometry.N, geometry.h
+
+        def squeezed(geometry, n, m, primed=False):
+            return WaveFunction.single(1.0, 0.0, cq_scale * m * h / geometry.b,
+                                       -cp_scale * n * h / geometry.a, 0.0, hbar=geometry.hbar)
+
+        monkeypatch.setattr(suites, "make_torus_P_basis", squeezed)
+        residual = suite_orthonormality(geometry)[1].max_residual
+        bras = sample_bras([squeezed(geometry, n, m) for n in range(N) for m in range(N)],
+                           geometry, M)
+        one_shot = float(np.abs(bras @ bras.conj().T / M**2 - np.eye(N * N)).max())
+        assert one_shot > 0.5
+        assert abs(residual - one_shot) <= 1e-12
 
     def test_conjugate_symmetry_and_positivity(self):
         rng = np.random.default_rng(41)
