@@ -11,7 +11,6 @@ where the peak is: here, or in the torusq.finite call that table1 or dft makes.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -84,33 +83,38 @@ def _factor_gram(rates: np.ndarray, coords: np.ndarray, hbar: float) -> np.ndarr
     return factors.conj() @ factors.T / len(coords)
 
 
-def _basis_keys(geometry: TorusGeometry, basis: str, make, cqp: float):
+def _basis_keys(geometry: TorusGeometry, basis: str, make, primed: bool, cqp: float):
     """The distinct cp and cq values of a basis, in the order its states are
     built, and D2[a, b] = |d|^2 of its state with the a-th cp and the b-th cq.
     Each state is read as it is built; ValueError names the first that breaks
-    suite_orthonormality's precondition."""
+    suite_orthonormality's precondition.  make(geometry, n, m, primed) is
+    called positionally: a keyword call through * or a partial builds a
+    keyword dict per state, and the interpreter's free lists keep those dicts
+    on the traced heap, a few kB at small N."""
     N, hbar = geometry.N, geometry.hbar
     D2, owner, cps, cqs = np.empty((N, N)), np.full((N, N), -1), {}, {}
     for k in range(N * N):
-        wf = make(geometry, *divmod(k, N))
+        n, m = divmod(k, N)
+        wf = make(geometry, n, m, primed)
         t = wf.terms[0] if len(wf.terms) == 1 else None
         if t is None or list(t.prefactor) != [(0, 0)] or (t.cqp, t.hbar) != (cqp, hbar):
-            raise ValueError(f"{basis}-basis state (n, m) = {divmod(k, N)} is not one term "
+            raise ValueError(f"{basis}-basis state (n, m) = {(n, m)} is not one term "
                              f"c e^(i(c0 + cq q + cp p + {cqp} q p)/hbar): {wf.to_json()}")
         a, b = cps.setdefault(t.cp, len(cps)), cqs.setdefault(t.cq, len(cqs))
         if a >= N or b >= N or owner[a, b] >= 0:
             why = (f"brings a cp or cq beyond N={N} distinct values" if max(a, b) >= N
                    else f"repeats the pair of state {divmod(int(owner[a, b]), N)}")
-            raise ValueError(f"{basis}-basis state (n, m) = {divmod(k, N)} with (cp, cq) = "
+            raise ValueError(f"{basis}-basis state (n, m) = {(n, m)} with (cp, cq) = "
                              f"({t.cp!r}, {t.cq!r}) {why}; the pairs must be the product "
                              f"of N distinct cp and N distinct cq values")
         owner[a, b], D2[a, b] = k, abs(t.amplitude * t.prefactor[(0, 0)]) ** 2
     return D2, np.array(list(cps)), np.array(list(cqs))
 
 
-def _gram_residual(geometry: TorusGeometry, basis: str, make, cqp: float, M: int) -> float:
+def _gram_residual(geometry: TorusGeometry, basis: str, make, primed: bool, cqp: float,
+                   M: int) -> float:
     """max |G - I| of one basis on the M x M grid (see suite_orthonormality)."""
-    D2, cp, cq = _basis_keys(geometry, basis, make, cqp)
+    D2, cp, cq = _basis_keys(geometry, basis, make, primed, cqp)
     q, p = grid_coordinates(geometry, M)
     A, B = _factor_gram(cp, p, geometry.hbar), _factor_gram(cq, q, geometry.hbar)
     diagonal = float(np.abs(D2 * np.outer(A.diagonal(), B.diagonal()) - 1.0).max())
@@ -146,8 +150,8 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     N = _require_quantized(geometry)
     M = 8 * N
     _require_memory("orthonormality", N, 16 * (4 * N**2 + 2 * N * M + M))
-    rq = _gram_residual(geometry, "Q", partial(make_torus_Q_basis, primed=True), 1.0, M)
-    rp = _gram_residual(geometry, "P", make_torus_P_basis, 0.0, M)
+    rq = _gram_residual(geometry, "Q", make_torus_Q_basis, True, 1.0, M)
+    rp = _gram_residual(geometry, "P", make_torus_P_basis, False, 0.0, M)
     params = {**geometry.to_dict(), "M": M}
     return [
         CheckResult("orthonormality/q_basis_gram", params, rq, tol),
