@@ -48,8 +48,10 @@ print(S.real.astype(int))
 omega = weyl_commutation_check(N)
 print("\nWeyl phase omega =", omega, " (omega^N =", omega**N, ")")
 
-# The full eight-cell action table, verified as grid identities on the
-# physical N x N grid where the label equivalences are exact.
+# The full eight-cell action table, verified as integer identities of the
+# basis states' phase keys in lattice units: each cell counts the labels
+# whose image misses its target.  table1/lattice says how far the keys were
+# from the lattice, and the coefficients from 1.
 print("\naction-table verification:")
 for res in table1_verify(geometry):
     print(f"  {res.name:32s} residual {res.max_residual:.2e}  pass={res.passed}")

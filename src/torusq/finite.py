@@ -5,8 +5,9 @@ physically equivalent; fixing the canonical representatives (m = 0, n reduced
 mod N) leaves an N-dimensional space on which the exponentiated physical
 operators act as the clock and shift matrices.  Those matrices are read from
 the action table LABEL_ACTION (table1_matrices), the same table that
-table1_verify checks cell by cell against the grid operators, so every
-finite matrix here carries the table's signs.  The unexponentiated
+table1_verify checks cell by cell, as integer identities of the basis
+states' phase keys in lattice units, so every finite matrix here carries the
+table's signs.  The unexponentiated
 Heisenberg pair cannot survive the reduction: tr[A, B] = 0 for every finite
 pair while [Q, P] = i hbar would need trace i hbar N.
 
@@ -18,31 +19,24 @@ sampled basis states on the physical N x N grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .report import DEFAULT_TOL, CheckResult
+from .symbolic import exp_key_map
 from .torus import (
     GridShift,
     TorusGeometry,
+    _one_term,
     _require_memory,
     _require_quantized,
-    _sample_stack,
     grid_coordinates,
-    grid_shift_operator,
+    grid_shift_coefficient,
     make_torus_P_basis,
     make_torus_Q_basis,
     sample_bras,
 )
-
-# table1_verify walks the labels in blocks of this many m values, and
-# physical_grid_overlaps samples the P-basis kets in blocks of this many r
-# values; each states the memory that follows and refuses a run above it.
-TABLE1_BLOCK = 16
-DFT_KET_BLOCK = 4
-
 
 def _require_dimension(N: int) -> None:
     if N < 1:
@@ -80,7 +74,6 @@ LABEL_ACTION = {
 }
 # The label that survives the reduction to the physical space.
 PHYSICAL_LABEL = {"P": 1, "Q": 0}
-_FACTORIES = {"P": make_torus_P_basis, "Q": make_torus_Q_basis}
 
 
 def _label_phase(sign: int, label, N: int):
@@ -136,65 +129,85 @@ def weyl_commutation_check(N: int) -> complex:
     return omega
 
 
-def table1_verify(geometry: TorusGeometry, M: int | None = None,
-                  tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Verify all eight operator/basis action cells as grid identities.
+def _read_keys(geometry: TorusGeometry, factory, size: int, name: str, cqp: float | None):
+    """Phase keys (size, size, 4) and coefficients d (size, size) of the
+    primed states (n, m), 0 <= n, m < size, of one basis, each built once
+    and read by _one_term, which names a state it refuses as
+    f"{name} = {(n, m)}"."""
+    keys, d = np.empty((size, size, 4)), np.empty((size, size), dtype=complex)
+    for n in range(size):
+        for m in range(size):
+            keys[n, m], d[n, m] = _one_term(factory(geometry, n, m, True), geometry.hbar, cqp,
+                                            name, (n, m))
+    return keys, d
 
-    For every label pair (n, m) in [0, N)^2 and each exponentiated operator,
-    the sampled primed basis state is pushed through grid_shift_operator and
-    compared with the LABEL_ACTION phase times the sampled state with the
-    shifted (unreduced) label.  Runs on the physical grid M = N by default,
-    where the label equivalences hold exactly on samples.  Failures are
-    reported, not raised.
 
-    The labels are walked in blocks of B = min(TABLE1_BLOCK, N) values of m,
-    n going down, as stacks of the B + 1 states (n, m..m+B): the block plus
-    its boundary column.  Each state is sampled once per basis, apart from
-    the boundary columns, which are sampled again as the first column of the
-    next block: (N+1)(N + ceil(N/B)) samples per basis.  Each operator is
-    applied to the whole block at once.  A phase cell compares with the
-    source state itself, a raising cell with the separately sampled state at
-    (n+1, m) or (n, m+1), never with a roll of the source.  The call holds
-    the stacks of rows n and n+1, the operator's image of the block, one
-    temporary of its size and one M x M chirp: 16 M^2 (4B + 3) bytes, plus
-    numpy's ufunc buffers.  When that exceeds the available memory the call
-    raises MemoryError before it samples anything.
+def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
+    """Verify all eight operator/basis action cells as integer identities of
+    the basis states' phase keys, plus the lattice check that licenses them.
+
+    Every primed basis state (n, m), 0 <= n, m <= N, is built once and read
+    as its phase key and coefficient d (ValueError names a state that is not
+    one term with a constant prefactor).  For each cell the key map of the
+    operator (symbolic.exp_key_map, the map exp_operator_apply applies)
+    takes the keys of the labels [0, N)^2 to their images.  Source, image
+    and target keys are divided by the lattice units (h/N, h/b, h/a, 1) and
+    rounded to integers.  A phase cell's target is the source with
+    sign * label added to c0, a raising cell's the state at the raised,
+    unreduced label; c0 is compared mod N, since e^{i c0/hbar} is 1 at
+    c0 = N units.  Each cell reports the number of labels whose image
+    differs from its target, against tolerance 0.
+
+    table1/lattice carries all of the floating point: the larger of
+    max |d - 1|, so a label phase moved from c0 into the amplitude fails,
+    and the largest distance of any source, image or target key from the
+    lattice, as the phase error it makes on the fundamental domain, in
+    turns: the distances of (c0, cq, cp, cqp) in lattice units times
+    (1/N, 1, 1, N).  Its error model is about N eps, the roundoff of phase
+    arguments up to 2 pi N.  In plain lattice units c0, up to N^2 + 2N
+    units, would carry about N^2 eps: 1.8e-12 at N = 100 on a = 1, b = 2.
+
+    Time is O(N^2): 2 (N+1)^2 states built, then array arithmetic.  The call
+    holds both bases' keys, coefficients and lattice coordinates and the
+    temporaries of one cell, at most 16 * 24 (N+1)^2 bytes; when that
+    exceeds the available memory it raises MemoryError before it builds any
+    state.  Failures are reported, not raised.
     """
     N = _require_quantized(geometry)
-    M = N if M is None else M
-    grid_coordinates(geometry, M)  # a bad M raises its ValueError before the estimate
-    _require_memory("table1", N, 16 * M**2 * (4 * min(TABLE1_BLOCK, N) + 3))
-    params = {**geometry.to_dict(), "M": M}
-    # Label by label, as scalars: a vectorized 2 pi label / N rounds differently,
-    # and the residuals stay bit for bit those of a cell-by-cell check.
-    phases = {sign: np.array([_label_phase(sign, label, N) for label in range(N)])
-              for sign in (-1, +1)}
+    _require_memory("table1", N, 16 * 24 * (N + 1) ** 2)
+    params = geometry.to_dict()
+    unit = np.array([geometry.h / N, geometry.h / geometry.b, geometry.h / geometry.a, 1.0])
+    turns = np.array([1.0 / N, 1.0, 1.0, N])  # phase error per lattice unit on the domain
+    labels = np.indices((N, N))
+    mismatched, distance, amplitude = {}, 0.0, 0.0
 
-    def stack(factory, n, columns):
-        return _sample_stack([factory(geometry, n, m, primed=True) for m in columns], geometry, M)
+    def on_lattice(keys):
+        # Integer lattice coordinates, and the distance of the keys from them.
+        nonlocal distance
+        units = keys / unit
+        rounded = np.rint(units)
+        distance = max(distance, float((np.abs(units - rounded) * turns).max()))
+        return rounded
 
-    worst = dict.fromkeys(itertools.product(LABEL_ACTION, _FACTORIES), 0.0)
-    for basis, factory in _FACTORIES.items():
-        for start in range(0, N, TABLE1_BLOCK):
-            stop = min(start + TABLE1_BLOCK, N)
-            ms, columns = np.arange(start, stop), range(start, stop + 1)
-            below = stack(factory, 0, columns)
-            for n in range(N):
-                above = stack(factory, n + 1, columns)
-                for which, cells in LABEL_ACTION.items():
-                    label, sign = cells[basis]
-                    moved = grid_shift_operator(which, below[:-1], geometry)
-                    if sign == RAISE:
-                        moved -= (above[:-1], below[1:])[label]
-                    else:
-                        labels = (np.full(len(ms), n), ms)[label]
-                        moved -= phases[sign][labels][:, None, None] * below[:-1]
-                    residual = float(np.abs(moved).max())
-                    worst[which, basis] = max(worst[which, basis], residual)
-                below = above
+    for basis, factory in (("P", make_torus_P_basis), ("Q", make_torus_Q_basis)):
+        keys, d = _read_keys(geometry, factory, N + 1, f"{basis}-basis state (n, m)", None)
+        amplitude = max(amplitude, float(np.abs(d - 1.0).max()))
+        lattice = on_lattice(keys)
+        for which, cells in LABEL_ACTION.items():
+            label, sign = cells[basis]
+            key_map = exp_key_map(*grid_shift_coefficient(which, geometry))
+            image = on_lattice(np.stack(key_map(*np.moveaxis(keys[:N, :N], -1, 0)), axis=-1))
+            if sign == RAISE:
+                image -= (lattice[1:, :N], lattice[:N, 1:])[label]
+            else:
+                image -= lattice[:N, :N]
+                image[..., 0] -= sign * labels[label]
+            image[..., 0] %= N
+            mismatched[which, basis] = float(np.count_nonzero(image.any(axis=-1)))
     return [CheckResult(f"table1/{which.name.lower()}/{basis}-basis", params,
-                        worst[which, basis], tol)
-            for which, cells in LABEL_ACTION.items() for basis in cells]
+                        mismatched[which, basis], 0.0)
+            for which, cells in LABEL_ACTION.items() for basis in cells] + [
+        CheckResult("table1/lattice", params, max(distance, amplitude), tol)]
 
 
 def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
@@ -207,23 +220,41 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     P-basis states are periodic, but the Q-basis states are sections whose
     transition factors sample to one only there.  On M = 2N the overlaps miss
     K / sqrt(N) by 0.55 at N = 2, 0.35 at N = 3 and 0.21 at N = 5.
-    The N^2 P-basis kets are sampled in blocks of DFT_KET_BLOCK values of r
-    at one s, and each block gives its O[:, s, r] in one matrix-matrix
-    product with the (N, N^2) array of Q-basis bras (sample_bras).  The call
-    holds the bras, the (N, N, N) result and one block of kets: 16 (2 N^3 +
-    DFT_KET_BLOCK N^2) bytes, plus numpy's ufunc buffers.  When that exceeds
-    the available memory the call raises MemoryError before it samples anything.
+
+    The N Q-basis bras are sampled (sample_bras).  The P-basis kets are not:
+    each state (s, r) is read (_one_term) as d_sr u_s(p) (x) v_r(q), with
+    u_s = e^{i cp p/hbar} from its own cp, v_r = e^{i cq q/hbar} from its
+    own cq and d_sr = amplitude c e^{i c0/hbar}.  Precondition, checked as
+    each state is read (ValueError names the state that breaks it): each is
+    one term with a constant prefactor and cqp = 0, its cp is that of state
+    (s, 0) and its cq that of state (0, r).  Then
+    O[n, s, r] = d_sr sum_ij bras[n, i, j] u_s(p_i) v_r(q_j) / N^2 in two
+    matrix products, 2 N^4 multiply-adds.  The call holds the bras and the
+    first product, then the first product and O, beside the N x N keys and
+    factors: 16 (2 N^3 + 6 N^2) bytes, plus numpy's ufunc buffers.  When that
+    exceeds the available memory the call raises MemoryError before it
+    builds any state.
     """
     N = _require_quantized(geometry)
-    _require_memory("dft", N, 16 * (2 * N**3 + DFT_KET_BLOCK * N**2))
-    bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
-                       geometry, N)
-    out = np.empty((N, N, N), dtype=complex)
-    for s in range(N):
-        for start in range(0, N, DFT_KET_BLOCK):
-            stop = min(start + DFT_KET_BLOCK, N)
-            kets = _sample_stack([make_torus_P_basis(geometry, s, r, primed=True)
-                                  for r in range(start, stop)], geometry, N)
-            out[:, s, start:stop] = bras @ kets.reshape(stop - start, N * N).T / (N * N)
-            del kets  # freed before the next block is sampled
+    _require_memory("dft", N, 16 * (2 * N**3 + 6 * N**2))
+    hbar = geometry.hbar
+    keys, d = _read_keys(geometry, make_torus_P_basis, N, "P-basis state (s, r)", 0.0)
+    c0, cq, cp = keys[..., 0], keys[0, :, 1], keys[:, 0, 2]
+    broken = np.argwhere((keys[..., 2] != cp[:, None]) | (keys[..., 1] != cq))
+    if len(broken):
+        s, r = (int(label) for label in broken[0])
+        raise ValueError(f"P-basis state (s, r) = {(s, r)} has (cp, cq) = "
+                         f"({keys[s, r, 2]!r}, {keys[s, r, 1]!r}); the oracle needs the cp of "
+                         f"state {(s, 0)} and the cq of state {(0, r)}")
+    q, p = grid_coordinates(geometry, N)
+    U = np.exp(1j / hbar * np.multiply.outer(cp, p))
+    V = np.exp(1j / hbar * np.multiply.outer(cq, q))
+    d *= np.exp(1j / hbar * c0) / (N * N)
+    bras = sample_bras([make_torus_Q_basis(geometry, n, 0, True) for n in range(N)],
+                       geometry, N).reshape(N, N, N)
+    first = U @ bras  # first[n, s, j] = sum_i u_s(p_i) bras[n, i, j]
+    del bras
+    out = first @ V.T
+    del first
+    out *= d
     return out

@@ -26,6 +26,7 @@ from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
+    _one_term,
     _require_memory,
     _require_quantized,
     chart_consistency_check,
@@ -95,19 +96,16 @@ def _basis_keys(geometry: TorusGeometry, basis: str, make, primed: bool, cqp: fl
     D2, owner, cps, cqs = np.empty((N, N)), np.full((N, N), -1), {}, {}
     for k in range(N * N):
         n, m = divmod(k, N)
-        wf = make(geometry, n, m, primed)
-        t = wf.terms[0] if len(wf.terms) == 1 else None
-        if t is None or list(t.prefactor) != [(0, 0)] or (t.cqp, t.hbar) != (cqp, hbar):
-            raise ValueError(f"{basis}-basis state (n, m) = {(n, m)} is not one term "
-                             f"c e^(i(c0 + cq q + cp p + {cqp} q p)/hbar): {wf.to_json()}")
-        a, b = cps.setdefault(t.cp, len(cps)), cqs.setdefault(t.cq, len(cqs))
+        (_, cq, cp, _), d = _one_term(make(geometry, n, m, primed), hbar, cqp,
+                                      f"{basis}-basis state (n, m)", (n, m))
+        a, b = cps.setdefault(cp, len(cps)), cqs.setdefault(cq, len(cqs))
         if a >= N or b >= N or owner[a, b] >= 0:
             why = (f"brings a cp or cq beyond N={N} distinct values" if max(a, b) >= N
                    else f"repeats the pair of state {divmod(int(owner[a, b]), N)}")
             raise ValueError(f"{basis}-basis state (n, m) = {(n, m)} with (cp, cq) = "
-                             f"({t.cp!r}, {t.cq!r}) {why}; the pairs must be the product "
+                             f"({cp!r}, {cq!r}) {why}; the pairs must be the product "
                              f"of N distinct cp and N distinct cq values")
-        owner[a, b], D2[a, b] = k, abs(t.amplitude * t.prefactor[(0, 0)]) ** 2
+        owner[a, b], D2[a, b] = k, abs(d) ** 2
     return D2, np.array(list(cps)), np.array(list(cqs))
 
 
@@ -160,7 +158,9 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
 
 
 def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """All eight operator/basis cells as grid identities on the physical grid
+    """All eight operator/basis cells as integer identities of the basis
+    states' phase keys, each a count of mismatched labels against tolerance
+    0, and table1/lattice, the keys' distance from the lattice against tol
     (table1_verify, which refuses a run too large for memory)."""
     return table1_verify(geometry, tol=tol)
 

@@ -394,6 +394,25 @@ def exp_affine_map(kind: OperatorKind,
     return tuple(shift), tuple(phase)
 
 
+def exp_key_map(kind: OperatorKind, coefficient: float):
+    """The phase-key map of the exponential of `kind` with coefficient s.
+
+    Returns a function of (c0, cq, cp, cqp) giving the phase key of the
+    image of e^{i (c0 + cq q + cp p + cqp q p)/hbar}: the row's linear phase
+    (aq, ap) is added, then the translation by (sq, sp) (exp_affine_map) is
+    substituted into the phase polynomial.  The map takes floats or numpy
+    arrays of keys alike; exp_operator_apply applies it to each term, and
+    torusq.finite.table1_verify to whole arrays of basis-state keys.
+    """
+    (sq, sp), (aq, ap) = exp_affine_map(kind, coefficient)
+
+    def key_map(c0, cq, cp, cqp):
+        cq, cp = cq + aq, cp + ap
+        return c0 - cq * sq - cp * sp + cqp * sq * sp, cq - cqp * sp, cp - cqp * sq, cqp
+
+    return key_map
+
+
 def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction) -> WaveFunction:
     """Apply the exponential of an operator as an exact affine substitution.
 
@@ -410,9 +429,12 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
     no rejection path.  The phase and the translation act on different
     coordinates, so they commute and are applied in one pass: the phase
     coefficients are added first, then the binomial expansion of the
-    prefactor and the shifted phase polynomial give f(q - sq, p - sp).
+    prefactor and the shifted phase polynomial (exp_key_map) give
+    f(q - sq, p - sp).
     """
-    (sq, sp), (aq, ap) = exp_affine_map(kind, float(coefficient))
+    coefficient = float(coefficient)
+    (sq, sp), _ = exp_affine_map(kind, coefficient)
+    key_map = exp_key_map(kind, coefficient)
 
     def pairs(prefactor):
         for (a, b), c in prefactor.items():
@@ -423,9 +445,7 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
 
     def image(t):
         # The only transform that makes new phase keys, so the only one that checks them.
-        cq, cp, cqp = t.cq + aq, t.cp + ap, t.cqp
-        key = (t.c0 - cq * sq - cp * sp + cqp * sq * sp, cq - cqp * sp, cp - cqp * sq, cqp)
-        return _checked_key(key, t.hbar), pairs(t.prefactor)
+        return _checked_key(key_map(*t.phase_key), t.hbar), pairs(t.prefactor)
 
     return _term_by_term(wf, image)
 

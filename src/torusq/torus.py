@@ -15,10 +15,12 @@ periodic functions: crossing the q-period multiplies them by the transition
 factor e^{ibp/hbar} and crossing the p-period by e^{2 pi i N q / b}.  On the
 N x N grid (M = N samples per axis) both factors sample to one, the label
 equivalences n -> n + N and m -> m + N become exact grid identities, and the
-grid carries a faithful copy of the N-dimensional physical space.  That grid
-is the canonical place to verify operator actions; larger multiples of N are
-used for quadrature, where only translation-free checks (inner products) are
-run.
+grid carries a faithful copy of the N-dimensional physical space.  The
+operator actions themselves are checked on phase keys, not on grids: every
+basis state is one term whose phase coefficients are integers in lattice
+units, and _one_term reads it as its key and coefficient.  The grids serve
+the inner products: the dft oracle on M = N, and quadrature on larger
+multiples of N.
 """
 
 from __future__ import annotations
@@ -143,6 +145,22 @@ def _require_memory(name: str, N: int, need: int) -> None:
     if available is not None and need > available:
         raise MemoryError(f"{name} at N={N} needs ~{need / 2**30:.3g} GiB, "
                           f"but {available / 2**30:.3g} GiB is available")
+
+
+def _one_term(wf: WaveFunction, hbar: float, cqp: float | None, name: str,
+              labels: tuple) -> tuple[tuple, complex]:
+    """The phase key (c0, cq, cp, cqp) and coefficient d = amplitude * c of a
+    one-term state c e^{i (c0 + cq q + cp p + cqp q p)/hbar} with constant
+    prefactor {(0, 0): c}, at the given hbar and, unless it is None, the
+    given cqp.  Any other state raises ValueError naming it as
+    f"{name} = {labels}", for example "Q-basis state (n, m) = (2, 3)"."""
+    t = wf.terms[0] if len(wf.terms) == 1 else None
+    if (t is None or list(t.prefactor) != [(0, 0)] or t.hbar != hbar
+            or cqp is not None and t.cqp != cqp):
+        raise ValueError(f"{name} = {labels} is not one term c e^(i(c0 + cq q + cp p + "
+                         f"{'cqp' if cqp is None else cqp} q p)/hbar) at hbar={hbar}: "
+                         f"{wf.to_json()}")
+    return t.phase_key, t.amplitude * t.prefactor[(0, 0)]
 
 
 def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> tuple:

@@ -77,7 +77,7 @@ class TestVerify:
         res = run_cli("verify", "--N", "4", "--suite", "table1", "--json")
         assert res.returncode == 0
         report = json.loads(res.stdout)
-        assert len(report["checks"]) == 8
+        assert len(report["checks"]) == 9
         assert report["overall_pass"] is True
         for check in report["checks"]:
             assert check["max_residual"] <= 1e-12
@@ -121,15 +121,26 @@ class TestVerify:
                 assert (check["params"]["a"], check["params"]["b"]) == (1.0, 2.0), check["check"]
 
     def test_tolerance_reaches_table1_and_charts(self):
-        for suite in ("table1", "charts"):
-            res = run_cli("verify", "--N", "4", "--suite", suite, "--tolerance", "1e-30", "--json")
-            assert res.returncode == 1, suite
-            report = json.loads(res.stdout)
-            failed = [c["check"] for c in report["checks"] if not c["pass"]]
-            assert failed, suite
-            for check in report["checks"]:
-                if check["check"] != "chart_mismatch_without_transition":
-                    assert check["tolerance"] == 1e-30, check["check"]
+        # The table1 cells count mismatched labels against tolerance 0 and
+        # pass at any --tolerance; table1/lattice, which carries the
+        # floating point, takes the tolerance given.  N = 5 puts the keys a
+        # few eps off the lattice.
+        res = run_cli("verify", "--N", "5", "--suite", "table1", "--tolerance", "1e-30", "--json")
+        assert res.returncode == 1
+        checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
+        lattice = checks.pop("table1/lattice")
+        assert (lattice["tolerance"], lattice["pass"]) == (1e-30, False)
+        assert len(checks) == 8
+        for check in checks.values():
+            assert (check["tolerance"], check["max_residual"], check["pass"]) == (0.0, 0.0, True)
+        res = run_cli("verify", "--N", "4", "--suite", "charts", "--tolerance", "1e-30", "--json")
+        assert res.returncode == 1
+        report = json.loads(res.stdout)
+        failed = [c["check"] for c in report["checks"] if not c["pass"]]
+        assert failed
+        for check in report["checks"]:
+            if check["check"] != "chart_mismatch_without_transition":
+                assert check["tolerance"] == 1e-30, check["check"]
 
     def test_tolerance_reaches_weyl_without_traceback(self):
         # --tolerance is a verdict threshold, never an internal invariant.
@@ -147,7 +158,7 @@ class TestVerify:
         # geometry (c0 up to ~3e299) have finite cells.
         res = run_cli("verify", "--N", "3", "--h", "1e300", "--suite", "all")
         assert res.returncode == 0, res.stderr
-        assert "overall: PASS (27 checks)" in res.stdout
+        assert "overall: PASS (28 checks)" in res.stdout
 
     def test_tiny_hbar_exits_2_naming_hbar(self):
         # cqp / hbar ~ 6e300 has no finite cell at h = 1e-300.
@@ -223,10 +234,10 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stderr.startswith(f"error: {suite} at N=100000 needs ~")
 
-    # Each suite's estimate at N = 4 and N = 20 (TABLE1_BLOCK = 16 < N).
+    # Each suite's estimate, checked at N = 4 and N = 20.
     ESTIMATES = {
-        "table1": lambda N: 16 * N**2 * (4 * min(16, N) + 3),
-        "dft": lambda N: 16 * (2 * N**3 + 4 * N**2),
+        "table1": lambda N: 16 * 24 * (N + 1)**2,
+        "dft": lambda N: 16 * (2 * N**3 + 6 * N**2),
         "weyl": lambda N: 96 * N**2,
     }
 
@@ -235,14 +246,16 @@ class TestVerify:
         # Every builder of states or matrices the suites call is counted: a
         # refusal must come before all of them.  table1_verify and
         # physical_grid_overlaps refuse from inside, so they are not counted;
-        # the states they sample are.
+        # the states they build and sample are.
         calls = []
 
         def counted(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for module in (torus, finite):
-            monkeypatch.setattr(module, "_sample_stack", counted("sampled", torus._sample_stack))
+        monkeypatch.setattr(torus, "_sample_stack", counted("sampled", torus._sample_stack))
+        for module in (finite, suites):
+            for name in ("make_torus_Q_basis", "make_torus_P_basis"):
+                monkeypatch.setattr(module, name, counted(name, getattr(torus, name)))
         for name in ("table1_matrices", "dft_basis_change", "weyl_commutation_check"):
             monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
         for N in (4, 20):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,8 @@ import pytest
 from conftest import square_torus
 from torusq import finite, torus
 from torusq.finite import (
-    DFT_KET_BLOCK,
     LABEL_ACTION,
     RAISE,
-    TABLE1_BLOCK,
     dft_basis_change,
     physical_grid_overlaps,
     table1_matrices,
@@ -19,6 +18,7 @@ from torusq.finite import (
     weyl_commutation_check,
 )
 from torusq.suites import run_suites, suite_weyl
+from torusq.symbolic import WaveFunction
 from torusq.torus import (
     GridShift,
     _sample_stack,
@@ -37,18 +37,44 @@ def non_square_torus(N):
 
 
 def counting_stack(monkeypatch):
-    """Replace the stack sampler, as finite calls it and as torus.sample and
-    torus.sample_bras call it, with a wrapper that records every state it
-    samples."""
+    """Replace the stack sampler, as torus.sample and torus.sample_bras call
+    it, with a wrapper that records every state it samples."""
     sampled = []
 
     def counted(states, *args, **kwargs):
         sampled.extend(states)
         return _sample_stack(states, *args, **kwargs)
 
-    monkeypatch.setattr(finite, "_sample_stack", counted)
     monkeypatch.setattr(torus, "_sample_stack", counted)
     return sampled
+
+
+def patch_factory(monkeypatch, basis, change):
+    """Make finite build each basis state (n, m) of one basis as
+    change(geometry, n, m, state)."""
+    name = f"make_torus_{basis}_basis"
+    real = getattr(torus, name)
+
+    def make(geometry, n, m, primed=False):
+        return change(geometry, n, m, real(geometry, n, m, primed))
+
+    monkeypatch.setattr(finite, name, make)
+
+
+def counting_factories(monkeypatch):
+    """Record the (basis, n, m) of every basis state finite builds."""
+    built = []
+    for basis in "PQ":
+        patch_factory(monkeypatch, basis,
+                      lambda g, n, m, wf, basis=basis: built.append((basis, n, m)) or wf)
+    return built
+
+
+def rebuilt(wf, amplitude=1.0, c0=None, cq=None, cqp=None):
+    """The one-term state wf with its amplitude, c0, cq or cqp replaced."""
+    (t,) = wf.terms
+    return WaveFunction.single(amplitude, t.c0 if c0 is None else c0, t.cq if cq is None else cq,
+                               t.cp, t.cqp if cqp is None else cqp, hbar=wf.hbar)
 
 
 def clock(N):
@@ -192,11 +218,32 @@ class TestDftBasisChange:
         assert np.abs(overlaps - direct).max() <= 1e-14
 
     def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
-        # The N Q-basis bras and the N^2 P-basis kets, each sampled once.
+        # The N Q-basis bras are sampled once each; the N^2 P-basis kets are
+        # built once each and read as factors, never sampled.
         N = 4
         sampled = counting_stack(monkeypatch)
+        built = counting_factories(monkeypatch)
         physical_grid_overlaps(square_torus(N))
-        assert len(sampled) == N + N * N
+        assert len(sampled) == N
+        kets = [label for label in built if label[0] == "P"]
+        assert sorted(kets) == [("P", s, r) for s in range(N) for r in range(N)]
+
+    @pytest.mark.parametrize("defect, change", [
+        ("chirped", lambda g, wf: rebuilt(wf, cqp=1.0)),
+        ("two_terms", lambda g, wf: wf + make_torus_P_basis(g, 0, 0)),
+    ])
+    def test_grid_overlaps_refuse_a_non_factored_ket(self, monkeypatch, defect, change):
+        patch_factory(monkeypatch, "P", lambda g, s, r, wf: change(g, wf) if (s, r) == (2, 1) else wf)
+        with pytest.raises(ValueError, match=re.escape("P-basis state (s, r) = (2, 1) is not one term")):
+            physical_grid_overlaps(square_torus(4))
+
+    def test_grid_overlaps_refuse_a_cp_not_shared_along_r(self, monkeypatch):
+        # u_s is taken from state (s, 0); a state (s, r) with another cp
+        # does not factor through it.
+        patch_factory(monkeypatch, "P", lambda g, s, r, wf: (
+            make_torus_P_basis(g, s + 1, r, primed=True) if (s, r) == (1, 3) else wf))
+        with pytest.raises(ValueError, match=re.escape("P-basis state (s, r) = (1, 3) has (cp, cq)")):
+            physical_grid_overlaps(square_torus(4))
 
 
 def reference_table1_residuals(geometry, M):
@@ -227,10 +274,11 @@ class TestTable1:
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_all_cells_pass(self, N):
         results = table1_verify(square_torus(N))
-        assert len(results) == 8
+        assert len(results) == 9 and results[-1].name == "table1/lattice"
         for res in results:
             assert res.passed, (res.name, res.max_residual)
             assert res.max_residual <= 1e-12
+        assert all(res.max_residual == 0.0 and res.tolerance == 0.0 for res in results[:8])
 
     def test_dimension_one_is_trivial(self):
         for res in table1_verify(square_torus(1)):
@@ -240,30 +288,78 @@ class TestTable1:
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_residuals_match_reference_bit_for_bit(self, N, refine, shape):
+        # The table on keys agrees with the grid, the cross-layer oracle:
+        # on the physical grid every reference cell holds to roundoff where
+        # table1_verify counts no mismatched label.
         geometry = shape(N)
-        M = refine * N
-        results = table1_verify(geometry, M=M)
-        assert {r.name: r.max_residual for r in results} == reference_table1_residuals(geometry, M)
-        failing = sorted(r.name for r in results if not r.passed)
+        results = table1_verify(geometry)
+        assert [r.max_residual for r in results[:8]] == [0.0] * 8
+        reference = reference_table1_residuals(geometry, refine * N)
+        assert sorted(reference) == sorted(r.name for r in results[:8])
         if refine == 1:
-            assert failing == []
+            assert max(reference.values()) <= 1e-12
         else:
-            # Off the physical grid the wrapped strip of a Q-basis section is
-            # misrepresented: every Q-basis cell fails, by about 2.
-            assert failing == sorted(r.name for r in results if r.name.endswith("Q-basis"))
-            for r in results:
-                if not r.passed:
-                    assert abs(r.max_residual - 2.0) <= 1e-6
+            # The omitted-transition control: off the physical grid the
+            # wrapped strip of a Q-basis section is misrepresented, and the
+            # plain roll fails every Q-basis cell, by about 2, and no other.
+            for name, residual in reference.items():
+                if name.endswith("Q-basis"):
+                    assert abs(residual - 2.0) <= 1e-6, name
+                else:
+                    assert residual <= 1e-12, name
 
     def test_samples_each_state_once(self, monkeypatch):
-        # Two blocks of m values, the second one short: each of the (N+1)^2
-        # labels is sampled once per basis, and the boundary column between
-        # the blocks once more.
-        N = TABLE1_BLOCK + 4
+        # Each of the (N+1)^2 labels is built once per basis, and nothing is
+        # sampled on a grid.
+        N = 5
         sampled = counting_stack(monkeypatch)
+        built = counting_factories(monkeypatch)
         assert all(r.passed for r in table1_verify(square_torus(N)))
-        boundary_columns = 2 * (N + 1)
-        assert len(sampled) == 2 * (N + 1) ** 2 + boundary_columns
+        assert sorted(built) == [(b, n, m) for b in "PQ" for n in range(N + 1)
+                                 for m in range(N + 1)]
+        assert sampled == []
+
+    @staticmethod
+    def verdicts(geometry):
+        return {r.name: r.passed for r in table1_verify(geometry)}
+
+    def test_flipped_cq_sign_fails_cells(self, monkeypatch):
+        # A Q-basis factory with cq = +m h/b: the keys stay on the lattice,
+        # so only cells can see it.
+        patch_factory(monkeypatch, "Q", lambda g, n, m, wf: rebuilt(wf, cq=-wf.terms[0].cq))
+        verdicts = self.verdicts(non_square_torus(4))
+        failing = sorted(name for name, passed in verdicts.items() if not passed)
+        assert failing and all(name.endswith("Q-basis") for name in failing)
+        assert verdicts["table1/lattice"]
+
+    @pytest.mark.parametrize("basis", ["P", "Q"])
+    def test_quarter_step_c0_fails_the_lattice(self, monkeypatch, basis):
+        # A constant phase shared by every state is invisible to the cells
+        # (and to the grid); its distance from the lattice is not.
+        N = 4
+        geometry = non_square_torus(N)
+        step = geometry.h / N
+        patch_factory(monkeypatch, basis, lambda g, n, m, wf: rebuilt(wf, c0=wf.terms[0].c0 + step / 4))
+        results = table1_verify(geometry)
+        assert [r.name for r in results if not r.passed] == ["table1/lattice"]
+        assert abs(results[-1].max_residual - 0.25 / N) <= 1e-12
+
+    @pytest.mark.parametrize("basis", ["P", "Q"])
+    def test_label_phase_in_the_amplitude_fails_the_lattice(self, monkeypatch, basis):
+        # omega^{nm} as the amplitude of the unprimed state instead of in c0:
+        # the same function, but not a state of the primed convention.
+        N = 4
+        geometry = non_square_torus(N)
+        patch_factory(monkeypatch, basis, lambda g, n, m, wf: rebuilt(
+            wf, amplitude=np.exp(2j * np.pi * n * m / N), c0=0.0))
+        verdicts = self.verdicts(geometry)
+        assert not verdicts["table1/lattice"]
+
+    def test_two_term_state_is_refused_naming_it(self, monkeypatch):
+        patch_factory(monkeypatch, "Q", lambda g, n, m, wf: (
+            wf + make_torus_Q_basis(g, 0, 0) if (n, m) == (3, 2) else wf))
+        with pytest.raises(ValueError, match=re.escape("Q-basis state (n, m) = (3, 2) is not one term")):
+            table1_verify(square_torus(4))
 
     @pytest.mark.parametrize("which, basis, corrupted", [
         (GridShift.EXP_QLEFT, "Q", (0, -1)),      # phase sign flipped
@@ -277,20 +373,20 @@ class TestTable1:
         table[which][basis] = corrupted
         monkeypatch.setattr(finite, "LABEL_ACTION", table)
         results = table1_verify(non_square_torus(4))
-        assert len(results) == 8
+        assert len(results) == 9
         failing = [r.name for r in results if not r.passed]
         assert failing == [f"table1/{which.name.lower()}/{basis}-basis"]
 
 
 @pytest.mark.parametrize("func", [table1_verify, physical_grid_overlaps])
 def test_peak_memory_is_the_stated_formula(func):
-    # The traced peak at N = 32 (M = N) against the bytes the docstrings
-    # state, plus one ufunc buffer of np.getbufsize() complex values and
-    # 64 KiB for the Python objects of a block of states.
+    # The traced peak at N = 32 against the bytes the docstrings state,
+    # plus one ufunc buffer of np.getbufsize() complex values and 64 KiB
+    # for the Python objects of the states being read.
     N = 32
     stated = {
-        table1_verify: 16 * N**2 * (4 * min(TABLE1_BLOCK, N) + 3),
-        physical_grid_overlaps: 16 * (2 * N**3 + DFT_KET_BLOCK * N**2),
+        table1_verify: 16 * 24 * (N + 1)**2,
+        physical_grid_overlaps: 16 * (2 * N**3 + 6 * N**2),
     }[func]
     func(square_torus(2))  # numpy's lazily built state is not the function's
     tracemalloc.start()
@@ -326,28 +422,11 @@ class TestMemoryRefusal:
                                             (physical_grid_overlaps, "dft")])
     def test_refused_before_any_state_is_sampled(self, monkeypatch, func, name):
         sampled = counting_stack(monkeypatch)
+        built = counting_factories(monkeypatch)
         monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
         with pytest.raises(MemoryError, match=f"^{name} at N=4 needs ~"):
             func(square_torus(4))
-        assert sampled == []
-
-    def test_table1_estimate_is_on_the_grid_it_samples(self, monkeypatch):
-        # 16 M^2 (4B + 3) bytes with B = N = 4: enough for M = N, not M = 2N.
-        N = 4
-        sampled = counting_stack(monkeypatch)
-        monkeypatch.setattr(torus, "_available_memory", lambda: 16 * (2 * N)**2 * 19 - 1)
-        assert all(r.passed for r in table1_verify(square_torus(N)))
-        assert sampled
-        sampled.clear()
-        with pytest.raises(MemoryError, match=f"^table1 at N={N} needs ~"):
-            table1_verify(square_torus(N), M=2 * N)
-        assert sampled == []
-
-    @pytest.mark.parametrize("M", [7, 0, -4])
-    def test_bad_M_raises_its_value_error_first(self, monkeypatch, M):
-        monkeypatch.setattr(torus, "_available_memory", lambda: 0)
-        with pytest.raises(ValueError, match="M must be a positive multiple of N=4"):
-            table1_verify(square_torus(4), M=M)
+        assert sampled == [] and built == []
 
 
 class TestCrossModuleConsistency:
