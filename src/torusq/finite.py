@@ -28,9 +28,10 @@ from .symbolic import exp_key_map
 from .torus import (
     GridShift,
     TorusGeometry,
-    _one_term,
+    _read_basis,
     _require_memory,
     _require_quantized,
+    _separable,
     grid_coordinates,
     grid_shift_coefficient,
     make_torus_P_basis,
@@ -129,19 +130,6 @@ def weyl_commutation_check(N: int) -> complex:
     return omega
 
 
-def _read_keys(geometry: TorusGeometry, factory, size: int, name: str, cqp: float | None):
-    """Phase keys (size, size, 4) and coefficients d (size, size) of the
-    primed states (n, m), 0 <= n, m < size, of one basis, each built once
-    and read by _one_term, which names a state it refuses as
-    f"{name} = {(n, m)}"."""
-    keys, d = np.empty((size, size, 4)), np.empty((size, size), dtype=complex)
-    for n in range(size):
-        for m in range(size):
-            keys[n, m], d[n, m] = _one_term(factory(geometry, n, m, True), geometry.hbar, cqp,
-                                            name, (n, m))
-    return keys, d
-
-
 def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Verify all eight operator/basis action cells as integer identities of
     the basis states' phase keys, plus the lattice check that licenses them.
@@ -190,7 +178,7 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
         return rounded
 
     for basis, factory in (("P", make_torus_P_basis), ("Q", make_torus_Q_basis)):
-        keys, d = _read_keys(geometry, factory, N + 1, f"{basis}-basis state (n, m)", None)
+        keys, d = _read_basis(geometry, factory, N + 1, True, None, f"{basis}-basis state (n, m)")
         amplitude = max(amplitude, float(np.abs(d - 1.0).max()))
         lattice = on_lattice(keys)
         for which, cells in LABEL_ACTION.items():
@@ -222,12 +210,11 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     K / sqrt(N) by 0.55 at N = 2, 0.35 at N = 3 and 0.21 at N = 5.
 
     The N Q-basis bras are sampled (sample_bras).  The P-basis kets are not:
-    each state (s, r) is read (_one_term) as d_sr u_s(p) (x) v_r(q), with
-    u_s = e^{i cp p/hbar} from its own cp, v_r = e^{i cq q/hbar} from its
-    own cq and d_sr = amplitude c e^{i c0/hbar}.  Precondition, checked as
-    each state is read (ValueError names the state that breaks it): each is
-    one term with a constant prefactor and cqp = 0, its cp is that of state
-    (s, 0) and its cq that of state (0, r).  Then
+    each state (s, r) is read (_read_basis, _separable) as d_sr u_s(p) (x)
+    v_r(q), with u_s = e^{i cp p/hbar} from the cp of state (s, 0),
+    v_r = e^{i cq q/hbar} from the cq of state (0, r) and d_sr = amplitude c
+    e^{i c0/hbar}; ValueError names a state that is not one term with a
+    constant prefactor and cqp = 0, or lacks that cp or cq.  Then
     O[n, s, r] = d_sr sum_ij bras[n, i, j] u_s(p_i) v_r(q_j) / N^2 in two
     matrix products, 2 N^4 multiply-adds.  The call holds the bras and the
     first product, then the first product and O, beside the N x N keys and
@@ -238,18 +225,13 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     N = _require_quantized(geometry)
     _require_memory("dft", N, 16 * (2 * N**3 + 6 * N**2))
     hbar = geometry.hbar
-    keys, d = _read_keys(geometry, make_torus_P_basis, N, "P-basis state (s, r)", 0.0)
-    c0, cq, cp = keys[..., 0], keys[0, :, 1], keys[:, 0, 2]
-    broken = np.argwhere((keys[..., 2] != cp[:, None]) | (keys[..., 1] != cq))
-    if len(broken):
-        s, r = (int(label) for label in broken[0])
-        raise ValueError(f"P-basis state (s, r) = {(s, r)} has (cp, cq) = "
-                         f"({keys[s, r, 2]!r}, {keys[s, r, 1]!r}); the oracle needs the cp of "
-                         f"state {(s, 0)} and the cq of state {(0, r)}")
+    name = "P-basis state (s, r)"
+    keys, d = _read_basis(geometry, make_torus_P_basis, N, True, 0.0, name)
+    cp, cq = _separable(keys, name)
     q, p = grid_coordinates(geometry, N)
     U = np.exp(1j / hbar * np.multiply.outer(cp, p))
     V = np.exp(1j / hbar * np.multiply.outer(cq, q))
-    d *= np.exp(1j / hbar * c0) / (N * N)
+    d *= np.exp(1j / hbar * keys[..., 0]) / (N * N)
     bras = sample_bras([make_torus_Q_basis(geometry, n, 0, True) for n in range(N)],
                        geometry, N).reshape(N, N, N)
     first = U @ bras  # first[n, s, j] = sum_i u_s(p_i) bras[n, i, j]

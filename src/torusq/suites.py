@@ -26,9 +26,10 @@ from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
-    _one_term,
+    _read_basis,
     _require_memory,
     _require_quantized,
+    _separable,
     chart_consistency_check,
     grid_coordinates,
     make_geometry,
@@ -84,35 +85,13 @@ def _factor_gram(rates: np.ndarray, coords: np.ndarray, hbar: float) -> np.ndarr
     return factors.conj() @ factors.T / len(coords)
 
 
-def _basis_keys(geometry: TorusGeometry, basis: str, make, primed: bool, cqp: float):
-    """The distinct cp and cq values of a basis, in the order its states are
-    built, and D2[a, b] = |d|^2 of its state with the a-th cp and the b-th cq.
-    Each state is read as it is built; ValueError names the first that breaks
-    suite_orthonormality's precondition.  make(geometry, n, m, primed) is
-    called positionally: a keyword call through * or a partial builds a
-    keyword dict per state, and the interpreter's free lists keep those dicts
-    on the traced heap, a few kB at small N."""
-    N, hbar = geometry.N, geometry.hbar
-    D2, owner, cps, cqs = np.empty((N, N)), np.full((N, N), -1), {}, {}
-    for k in range(N * N):
-        n, m = divmod(k, N)
-        (_, cq, cp, _), d = _one_term(make(geometry, n, m, primed), hbar, cqp,
-                                      f"{basis}-basis state (n, m)", (n, m))
-        a, b = cps.setdefault(cp, len(cps)), cqs.setdefault(cq, len(cqs))
-        if a >= N or b >= N or owner[a, b] >= 0:
-            why = (f"brings a cp or cq beyond N={N} distinct values" if max(a, b) >= N
-                   else f"repeats the pair of state {divmod(int(owner[a, b]), N)}")
-            raise ValueError(f"{basis}-basis state (n, m) = {(n, m)} with (cp, cq) = "
-                             f"({cp!r}, {cq!r}) {why}; the pairs must be the product "
-                             f"of N distinct cp and N distinct cq values")
-        owner[a, b], D2[a, b] = k, abs(d) ** 2
-    return D2, np.array(list(cps)), np.array(list(cqs))
-
-
-def _gram_residual(geometry: TorusGeometry, basis: str, make, primed: bool, cqp: float,
+def _gram_residual(geometry: TorusGeometry, name: str, make, primed: bool, cqp: float,
                    M: int) -> float:
     """max |G - I| of one basis on the M x M grid (see suite_orthonormality)."""
-    D2, cp, cq = _basis_keys(geometry, basis, make, primed, cqp)
+    keys, d = _read_basis(geometry, make, geometry.N, primed, cqp, name)
+    cp, cq = _separable(keys, name)
+    D2 = np.abs(d) ** 2
+    del keys, d  # the Grams below hold no keys
     q, p = grid_coordinates(geometry, M)
     A, B = _factor_gram(cp, p, geometry.hbar), _factor_gram(cq, q, geometry.hbar)
     diagonal = float(np.abs(D2 * np.outer(A.diagonal(), B.diagonal()) - 1.0).max())
@@ -127,29 +106,30 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     """Gram matrices of both N^2-member bases equal the identity, by
     quadrature on the M = 8N grid, as G = D (A (x) B) D^H.
 
-    Precondition, checked as each state is built (ValueError names the state
-    that breaks it): each state is one term d e^{i (cq q + cp p + cqp q p)/hbar},
-    d = amplitude c e^{i c0/hbar} for a constant prefactor c, with its basis's
-    cqp at the geometry's hbar, and the (cp, cq) pairs are in bijection with
-    the product of N distinct cp and N distinct cq values.  The shared chirp
-    then cancels in conj(f_k) f_l: A and B are the N x N Grams of the
-    e^{i cp p/hbar} and e^{i cq q/hbar} factors and D holds the d.  max |G - I|
-    is the largest of |d|^2 A_aa B_bb - 1, max|d|^2 offmax|A| max|B| and
-    max|d|^2 max|diag A| offmax|B|: exact when every |d| is one value, as for
-    the basis factories, and an upper bound otherwise.
+    Precondition, checked as the states are read (_read_basis, _separable;
+    ValueError names the state that breaks it): state (n, m) is one term
+    d e^{i (cq q + cp p + cqp q p)/hbar}, d = amplitude c e^{i c0/hbar} for a
+    constant prefactor c, with its basis's cqp at the geometry's hbar, the cp
+    of state (n, 0) and the cq of state (0, m).  The shared chirp then cancels
+    in conj(f_k) f_l: A and B are the N x N Grams of the e^{i cp[n] p/hbar}
+    and e^{i cq[m] q/hbar} factors (a repeated cp is an off-diagonal 1 in A)
+    and D holds the d.  max |G - I| is the largest of |d|^2 A_nn B_mm - 1,
+    max|d|^2 offmax|A| max|B| and max|d|^2 max|diag A| offmax|B|: exact when
+    every |d| is one value, as for the basis factories, else an upper bound.
 
     Time is O(N^2) to build the states plus O(N^2 M) = O(N^3) for A and B.
-    One basis is held at a time: D2, A, B and the N x N temporaries of the
-    residual (at most 4 N^2 complex numbers), the coordinates q and p, and
-    the (N, M) factors of one Gram with their conjugate.  When that peak,
-    16 (4 N^2 + 2 N M + M) bytes (about 320 N^2 at M = 8N), exceeds the
-    available memory the suite raises MemoryError before it builds any state.
+    One basis is held at a time: its keys and d while it is read (3 N^2
+    complex numbers), then D2, A, B and the N x N temporaries of the residual
+    (at most 4 N^2), the coordinates q and p, and the (N, M) factors of one
+    Gram with their conjugate.  When that peak, 16 (4 N^2 + 2 N M + M) bytes
+    (about 320 N^2 at M = 8N), exceeds the available memory the suite raises
+    MemoryError before it builds any state.
     """
     N = _require_quantized(geometry)
     M = 8 * N
     _require_memory("orthonormality", N, 16 * (4 * N**2 + 2 * N * M + M))
-    rq = _gram_residual(geometry, "Q", make_torus_Q_basis, True, 1.0, M)
-    rp = _gram_residual(geometry, "P", make_torus_P_basis, False, 0.0, M)
+    rq = _gram_residual(geometry, "Q-basis state (n, m)", make_torus_Q_basis, True, 1.0, M)
+    rp = _gram_residual(geometry, "P-basis state (n, m)", make_torus_P_basis, False, 0.0, M)
     params = {**geometry.to_dict(), "M": M}
     return [
         CheckResult("orthonormality/q_basis_gram", params, rq, tol),

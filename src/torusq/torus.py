@@ -18,7 +18,7 @@ equivalences n -> n + N and m -> m + N become exact grid identities, and the
 grid carries a faithful copy of the N-dimensional physical space.  The
 operator actions themselves are checked on phase keys, not on grids: every
 basis state is one term whose phase coefficients are integers in lattice
-units, and _one_term reads it as its key and coefficient.  The grids serve
+units, and _read_basis reads each as its key and coefficient.  The grids serve
 the inner products: the dft oracle on M = N, and quadrature on larger
 multiples of N.
 """
@@ -31,6 +31,7 @@ from enum import Enum
 
 import numpy as np
 
+from .plane import make_plane_Q_basis
 from .report import DEFAULT_TOL, CheckResult
 from .symbolic import OperatorKind, WaveFunction, exp_affine_map
 
@@ -147,29 +148,42 @@ def _require_memory(name: str, N: int, need: int) -> None:
                           f"but {available / 2**30:.3g} GiB is available")
 
 
-def _one_term(wf: WaveFunction, hbar: float, cqp: float | None, name: str,
-              labels: tuple) -> tuple[tuple, complex]:
-    """The phase key (c0, cq, cp, cqp) and coefficient d = amplitude * c of a
-    one-term state c e^{i (c0 + cq q + cp p + cqp q p)/hbar} with constant
-    prefactor {(0, 0): c}, at the given hbar and, unless it is None, the
-    given cqp.  Any other state raises ValueError naming it as
-    f"{name} = {labels}", for example "Q-basis state (n, m) = (2, 3)"."""
-    t = wf.terms[0] if len(wf.terms) == 1 else None
-    if (t is None or list(t.prefactor) != [(0, 0)] or t.hbar != hbar
-            or cqp is not None and t.cqp != cqp):
-        raise ValueError(f"{name} = {labels} is not one term c e^(i(c0 + cq q + cp p + "
-                         f"{'cqp' if cqp is None else cqp} q p)/hbar) at hbar={hbar}: "
-                         f"{wf.to_json()}")
-    return t.phase_key, t.amplitude * t.prefactor[(0, 0)]
+def _read_basis(geometry: TorusGeometry, make, size: int, primed: bool, cqp: float | None,
+                name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Phase keys (size, size, 4) and coefficients d (size, size) of the states
+    make(geometry, n, m, primed), 0 <= n, m < size, each built once (called
+    positionally: a keyword call builds a dict per state that free lists keep).
+    Each must be one term c e^{i (c0 + cq q + cp p + cqp q p)/hbar}, prefactor
+    {(0, 0): c}, at the geometry's hbar and, unless it is None, the given cqp;
+    its key is (c0, cq, cp, cqp) and d = amplitude * c.  ValueError names any
+    other state as f"{name} = {(n, m)}", e.g. "Q-basis state (n, m) = (2, 3)"."""
+    hbar = geometry.hbar
+    keys, d = np.empty((size, size, 4)), np.empty((size, size), dtype=complex)
+    for n in range(size):
+        for m in range(size):
+            wf = make(geometry, n, m, primed)
+            t = wf.terms[0] if len(wf.terms) == 1 else None
+            if (t is None or list(t.prefactor) != [(0, 0)] or t.hbar != hbar
+                    or cqp is not None and t.cqp != cqp):
+                raise ValueError(f"{name} = {(n, m)} is not one term c e^(i(c0 + cq q + cp p + "
+                                 f"{'cqp' if cqp is None else cqp} q p)/hbar) at hbar={hbar}: "
+                                 f"{wf.to_json()}")
+            keys[n, m], d[n, m] = t.phase_key, t.amplitude * t.prefactor[(0, 0)]
+    return keys, d
 
 
-def _torus_q_term(geometry: TorusGeometry, n: int, m: int, primed: bool) -> tuple:
-    # Phase coefficients (c0, cq, cp, cqp) of the raw Q-basis state; valid
-    # pointwise for any geometry, which the chart diagnostics rely on.  With
-    # hbar = h/2pi the pq coefficient is exactly one.
-    h = geometry.h
-    c0 = h * n * m / geometry.N if primed else 0.0
-    return c0, -m * h / geometry.b, -n * h / geometry.a, 1.0
+def _separable(keys: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(cp[n], cq[m]), copies of the cp of each state (n, 0) and the cq of each
+    state (0, m) of a basis read by _read_basis.  ValueError names as
+    f"{name} = {(n, m)}" the first state that does not carry both."""
+    cp, cq = keys[:, 0, 2].copy(), keys[0, :, 1].copy()
+    broken = np.argwhere((keys[..., 2] != cp[:, None]) | (keys[..., 1] != cq))
+    if len(broken):
+        n, m = broken[0].tolist()
+        raise ValueError(f"{name} = {(n, m)} has (cp, cq) = ({float(keys[n, m, 2])}, "
+                         f"{float(keys[n, m, 1])}), not the cp of state {(n, 0)} and the cq "
+                         f"of state {(0, m)}")
+    return cp, cq
 
 
 def make_torus_P_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = False) -> WaveFunction:
@@ -198,8 +212,12 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
     Eigenstate of Q_LEFT with eigenvalue n h / a = n b / N and of P_RIGHT
     with eigenvalue m h / b = m a / N.
     """
-    _require_quantized(geometry)
-    return WaveFunction.single(1.0, *_torus_q_term(geometry, n, m, primed), hbar=geometry.hbar)
+    N = _require_quantized(geometry)
+    h = geometry.h
+    c0 = h * n * m / N if primed else 0.0
+    return WaveFunction.single(
+        1.0, c0, -m * h / geometry.b, -n * h / geometry.a, 1.0, hbar=geometry.hbar
+    )
 
 
 # -- grids ----------------------------------------------------------------
@@ -372,10 +390,10 @@ def chart_consistency_check(
     if apply_transition:
         _require_quantized(geometry)
     delta = geometry.b / 8.0
-    # The raw section formula is evaluable pointwise for any geometry, which
-    # lets the omission diagnostic run on non-quantized tori.
-    wf = WaveFunction.single(1.0, *_torus_q_term(geometry, n, m, primed=False),
-                             hbar=geometry.hbar)
+    # The raw section, the plane Q-basis state at the torus labels, is defined
+    # on any geometry, so the omission diagnostic runs on non-quantized tori.
+    wf = make_plane_Q_basis(n * geometry.h / geometry.a, m * geometry.h / geometry.b,
+                            geometry.hbar)
 
     ps = np.arange(64) * (geometry.a / 64)
     qg, pg = np.meshgrid(np.linspace(-delta, delta, 16), ps, indexing="ij")

@@ -288,14 +288,15 @@ def _rebuilt(wf, cqp=None, prefactor=None):
 
 class TestOrthonormalityPrecondition:
     """The factored Gram holds only for bases of one-term states sharing
-    their chirp, with (cp, cq) pairs in bijection with a product of N values
-    each; the suite refuses any other basis, naming the state."""
+    their chirp, where state (n, m) carries the cp of state (n, 0) and the cq
+    of state (0, m); the suite refuses any other basis, naming the state."""
 
     # basis, label of the defective state, the defect, words the error must hold
     DEFECTS = {
         "two_labels_one_state": (
             "Q", (1, 1), lambda g, wf: torus.make_torus_Q_basis(g, 0, 0, primed=True),
-            "(n, m) = (1, 1) with (cp, cq) = (0.0, 0.0) repeats the pair of state (0, 0)"),
+            "(n, m) = (1, 1) has (cp, cq) = (0.0, 0.0), not the cp of state (1, 0) "
+            "and the cq of state (0, 1)"),
         "cqp_altered": ("Q", (2, 3), lambda g, wf: _rebuilt(wf, cqp=0.5),
                         "(n, m) = (2, 3) is not one term"),
         "two_terms": ("P", (3, 1), lambda g, wf: wf + torus.make_torus_P_basis(g, 0, 0),
@@ -336,6 +337,19 @@ class TestOrthonormalityPrecondition:
         assert abs(p_check.max_residual - 3.0) <= 1e-12
         assert cli.main(["verify", "--N", "4", "--suite", "orthonormality"]) == 1
         assert "FAIL  orthonormality/p_basis_gram" in capsys.readouterr().out
+
+    def test_duplicated_row_fails_the_gram(self, monkeypatch, capsys):
+        # Every (1, m) built as (0, m) carries the cp of state (1, 0), so it
+        # passes the precondition; the repeated cp is an off-diagonal 1 in A,
+        # and the Gram measures the fault instead of a refusal naming it.
+        real = suites.make_torus_Q_basis
+        monkeypatch.setattr(suites, "make_torus_Q_basis", lambda geometry, n, m, primed=False:
+                            real(geometry, 0 if n == 1 else n, m, primed))
+        q_check, p_check = suites.suite_orthonormality(square_torus(4))
+        assert not q_check.passed and p_check.passed
+        assert q_check.max_residual == 1.0
+        assert cli.main(["verify", "--N", "4", "--suite", "orthonormality"]) == 1
+        assert "FAIL  orthonormality/q_basis_gram" in capsys.readouterr().out
 
 
 class TestDump:

@@ -242,7 +242,8 @@ class TestDftBasisChange:
         # does not factor through it.
         patch_factory(monkeypatch, "P", lambda g, s, r, wf: (
             make_torus_P_basis(g, s + 1, r, primed=True) if (s, r) == (1, 3) else wf))
-        with pytest.raises(ValueError, match=re.escape("P-basis state (s, r) = (1, 3) has (cp, cq)")):
+        with pytest.raises(ValueError, match=re.escape(
+                "P-basis state (s, r) = (1, 3) has (cp, cq) = (-1.0, 1.5)")):
             physical_grid_overlaps(square_torus(4))
 
 
