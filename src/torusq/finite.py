@@ -178,7 +178,7 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
         return rounded
 
     for basis, factory in (("P", make_torus_P_basis), ("Q", make_torus_Q_basis)):
-        keys, d = _read_basis(geometry, factory, N + 1, True, None, f"{basis}-basis state (n, m)")
+        keys, d = _read_basis(geometry, factory, N + 1, None, f"{basis}-basis state (n, m)")
         amplitude = max(amplitude, float(np.abs(d - 1.0).max()))
         lattice = on_lattice(keys)
         for which, cells in LABEL_ACTION.items():
@@ -212,7 +212,7 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     The N Q-basis bras are sampled (sample_bras).  The P-basis kets are not:
     each state (s, r) is read (_read_basis, _separable) as d_sr u_s(p) (x)
     v_r(q), with u_s = e^{i cp p/hbar} from the cp of state (s, 0),
-    v_r = e^{i cq q/hbar} from the cq of state (0, r) and d_sr = amplitude c
+    v_r = e^{i cq q/hbar} from the cq of state (0, r) and d_sr = c
     e^{i c0/hbar}; ValueError names a state that is not one term with a
     constant prefactor and cqp = 0, or lacks that cp or cq.  Then
     O[n, s, r] = d_sr sum_ij bras[n, i, j] u_s(p_i) v_r(q_j) / N^2 in two
@@ -226,7 +226,7 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     _require_memory("dft", N, 16 * (2 * N**3 + 6 * N**2))
     hbar = geometry.hbar
     name = "P-basis state (s, r)"
-    keys, d = _read_basis(geometry, make_torus_P_basis, N, True, 0.0, name)
+    keys, d = _read_basis(geometry, make_torus_P_basis, N, 0.0, name)
     cp, cq = _separable(keys, name)
     q, p = grid_coordinates(geometry, N)
     U = np.exp(1j / hbar * np.multiply.outer(cp, p))

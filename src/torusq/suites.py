@@ -85,10 +85,9 @@ def _factor_gram(rates: np.ndarray, coords: np.ndarray, hbar: float) -> np.ndarr
     return factors.conj() @ factors.T / len(coords)
 
 
-def _gram_residual(geometry: TorusGeometry, name: str, make, primed: bool, cqp: float,
-                   M: int) -> float:
+def _gram_residual(geometry: TorusGeometry, name: str, make, cqp: float, M: int) -> float:
     """max |G - I| of one basis on the M x M grid (see suite_orthonormality)."""
-    keys, d = _read_basis(geometry, make, geometry.N, primed, cqp, name)
+    keys, d = _read_basis(geometry, make, geometry.N, cqp, name)
     cp, cq = _separable(keys, name)
     D2 = np.abs(d) ** 2
     del keys, d  # the Grams below hold no keys
@@ -103,19 +102,20 @@ def _gram_residual(geometry: TorusGeometry, name: str, make, primed: bool, cqp: 
 
 
 def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Gram matrices of both N^2-member bases equal the identity, by
-    quadrature on the M = 8N grid, as G = D (A (x) B) D^H.
+    """Gram matrices of both N^2-member bases, read primed, equal the
+    identity, by quadrature on the M = 8N grid, as G = D (A (x) B) D^H.
 
     Precondition, checked as the states are read (_read_basis, _separable;
     ValueError names the state that breaks it): state (n, m) is one term
-    d e^{i (cq q + cp p + cqp q p)/hbar}, d = amplitude c e^{i c0/hbar} for a
-    constant prefactor c, with its basis's cqp at the geometry's hbar, the cp
-    of state (n, 0) and the cq of state (0, m).  The shared chirp then cancels
-    in conj(f_k) f_l: A and B are the N x N Grams of the e^{i cp[n] p/hbar}
-    and e^{i cq[m] q/hbar} factors (a repeated cp is an off-diagonal 1 in A)
-    and D holds the d.  max |G - I| is the largest of |d|^2 A_nn B_mm - 1,
+    d e^{i (cq q + cp p + cqp q p)/hbar}, d = c e^{i c0/hbar} for a constant
+    prefactor c, with its basis's cqp at the geometry's hbar, the cp of state
+    (n, 0) and the cq of state (0, m).  The shared chirp then cancels in
+    conj(f_k) f_l: A and B are the N x N Grams of the e^{i cp[n] p/hbar} and
+    e^{i cq[m] q/hbar} factors (a repeated cp is an off-diagonal 1 in A) and
+    D holds the d.  max |G - I| is the largest of |d|^2 A_nn B_mm - 1,
     max|d|^2 offmax|A| max|B| and max|d|^2 max|diag A| offmax|B|: exact when
     every |d| is one value, as for the basis factories, else an upper bound.
+    Priming moves only c0, in neither |d|^2 nor A nor B, so it cannot change G.
 
     Time is O(N^2) to build the states plus O(N^2 M) = O(N^3) for A and B.
     One basis is held at a time: its keys and d while it is read (3 N^2
@@ -128,8 +128,8 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     N = _require_quantized(geometry)
     M = 8 * N
     _require_memory("orthonormality", N, 16 * (4 * N**2 + 2 * N * M + M))
-    rq = _gram_residual(geometry, "Q-basis state (n, m)", make_torus_Q_basis, True, 1.0, M)
-    rp = _gram_residual(geometry, "P-basis state (n, m)", make_torus_P_basis, False, 0.0, M)
+    rq = _gram_residual(geometry, "Q-basis state (n, m)", make_torus_Q_basis, 1.0, M)
+    rp = _gram_residual(geometry, "P-basis state (n, m)", make_torus_P_basis, 0.0, M)
     params = {**geometry.to_dict(), "M": M}
     return [
         CheckResult("orthonormality/q_basis_gram", params, rq, tol),

@@ -399,16 +399,17 @@ def exp_key_map(kind: OperatorKind, coefficient: float):
 
     Returns a function of (c0, cq, cp, cqp) giving the phase key of the
     image of e^{i (c0 + cq q + cp p + cqp q p)/hbar}: the row's linear phase
-    (aq, ap) is added, then the translation by (sq, sp) (exp_affine_map) is
-    substituted into the phase polynomial.  The map takes floats or numpy
-    arrays of keys alike; exp_operator_apply applies it to each term, and
+    (aq, ap) is added, then the translation (sq, sp) of exp_affine_map, along
+    one axis so that sq sp = 0 and no cqp sq sp term arises, is substituted
+    into the phase polynomial.  The map takes floats or numpy arrays of keys
+    alike; exp_operator_apply applies it to each term, and
     torusq.finite.table1_verify to whole arrays of basis-state keys.
     """
     (sq, sp), (aq, ap) = exp_affine_map(kind, coefficient)
 
     def key_map(c0, cq, cp, cqp):
         cq, cp = cq + aq, cp + ap
-        return c0 - cq * sq - cp * sp + cqp * sq * sp, cq - cqp * sp, cp - cqp * sq, cqp
+        return c0 - cq * sq - cp * sp, cq - cqp * sp, cp - cqp * sq, cqp
 
     return key_map
 
@@ -428,20 +429,19 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
     linear-phase multiplication; no input can leave the family, so there is
     no rejection path.  The phase and the translation act on different
     coordinates, so they commute and are applied in one pass: the phase
-    coefficients are added first, then the binomial expansion of the
-    prefactor and the shifted phase polynomial (exp_key_map) give
-    f(q - sq, p - sp).
+    coefficients are added first, then the shifted phase polynomial
+    (exp_key_map) and the binomial expansion of each monomial along the one
+    translated axis give f(q - sq, p - sp).
     """
-    coefficient = float(coefficient)
-    (sq, sp), _ = exp_affine_map(kind, coefficient)
-    key_map = exp_key_map(kind, coefficient)
+    s = float(coefficient)
+    axis = kind.value.axis
+    key_map = exp_key_map(kind, s)
 
     def pairs(prefactor):
         for (a, b), c in prefactor.items():
-            for ia in range(a + 1):
-                qfac = math.comb(a, ia) * (-sq) ** (a - ia)
-                for ib in range(b + 1):
-                    yield (ia, ib), c * qfac * (math.comb(b, ib) * (-sp) ** (b - ib))
+            degree = (a, b)[axis]
+            for i in range(degree + 1):
+                yield ((i, b), (a, i))[axis], c * (math.comb(degree, i) * (-s) ** (degree - i))
 
     def image(t):
         # The only transform that makes new phase keys, so the only one that checks them.

@@ -148,27 +148,27 @@ def _require_memory(name: str, N: int, need: int) -> None:
                           f"but {available / 2**30:.3g} GiB is available")
 
 
-def _read_basis(geometry: TorusGeometry, make, size: int, primed: bool, cqp: float | None,
+def _read_basis(geometry: TorusGeometry, make, size: int, cqp: float | None,
                 name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Phase keys (size, size, 4) and coefficients d (size, size) of the states
-    make(geometry, n, m, primed), 0 <= n, m < size, each built once (called
+    """Phase keys (size, size, 4) and coefficients d (size, size) of the primed
+    states make(geometry, n, m, True), 0 <= n, m < size, each built once (called
     positionally: a keyword call builds a dict per state that free lists keep).
     Each must be one term c e^{i (c0 + cq q + cp p + cqp q p)/hbar}, prefactor
     {(0, 0): c}, at the geometry's hbar and, unless it is None, the given cqp;
-    its key is (c0, cq, cp, cqp) and d = amplitude * c.  ValueError names any
-    other state as f"{name} = {(n, m)}", e.g. "Q-basis state (n, m) = (2, 3)"."""
+    its key is (c0, cq, cp, cqp) and d = c (canonical amplitudes are 1).
+    ValueError names any other state as f"{name} = {(n, m)}"."""
     hbar = geometry.hbar
     keys, d = np.empty((size, size, 4)), np.empty((size, size), dtype=complex)
     for n in range(size):
         for m in range(size):
-            wf = make(geometry, n, m, primed)
+            wf = make(geometry, n, m, True)
             t = wf.terms[0] if len(wf.terms) == 1 else None
             if (t is None or list(t.prefactor) != [(0, 0)] or t.hbar != hbar
                     or cqp is not None and t.cqp != cqp):
                 raise ValueError(f"{name} = {(n, m)} is not one term c e^(i(c0 + cq q + cp p + "
                                  f"{'cqp' if cqp is None else cqp} q p)/hbar) at hbar={hbar}: "
                                  f"{wf.to_json()}")
-            keys[n, m], d[n, m] = t.phase_key, t.amplitude * t.prefactor[(0, 0)]
+            keys[n, m], d[n, m] = t.phase_key, t.prefactor[(0, 0)]
     return keys, d
 
 
@@ -248,14 +248,13 @@ def _sample_stack(states, geometry: TorusGeometry, M: int) -> np.ndarray:
     """Sample each wave function of the sequence `states` on the M x M grid,
     as the (len(states), M, M) array stack[k, i, j] = states[k](q_j, p_i).
 
-    Each term is the outer product of amplitude * c * p^dp * e^{i cp p/hbar}
-    (along p) and q^dq * e^{i (c0 + cq q)/hbar} (along q), summed over the
-    prefactor monomials c q^dq p^dp, times the chirp e^{i cqp q p/hbar}.  The
-    chirp is computed once per distinct (cqp, hbar) in the call and skipped
-    where cqp = 0.  A state's values depend only on the state and the grid,
-    so it samples bit for bit alike in any stack.  Beyond the stack the call
-    holds one chirp per distinct (cqp, hbar) and, for a state of more than
-    one term, one (M, M) term.
+    Each term (amplitude 1, as in every canonical term) is the outer product
+    of c * p^dp * e^{i cp p/hbar} (along p) and q^dq * e^{i (c0 + cq q)/hbar}
+    (along q), summed over the prefactor monomials c q^dq p^dp, times the
+    chirp e^{i cqp q p/hbar}.  Beyond the stack the call holds one chirp per
+    distinct (cqp, hbar), none for cqp = 0, and for a state of more than one
+    term one (M, M) term.  A state's values depend only on the state and the
+    grid, so it samples bit for bit alike in any stack.
     """
     q, p = grid_coordinates(geometry, M)
     stack = np.empty((len(states), M, M), dtype=complex)
@@ -265,7 +264,7 @@ def _sample_stack(states, geometry: TorusGeometry, M: int) -> np.ndarray:
             values.fill(0)
         for index, t in enumerate(wf.terms):
             along_q = np.exp(1j * (t.c0 + t.cq * q) / t.hbar)
-            along_p = t.amplitude * np.exp(1j * t.cp * p / t.hbar)
+            along_p = np.exp(1j * t.cp * p / t.hbar)
             factors = [(c * p**dp * along_p, q**dq * along_q)
                        for (dq, dp), c in t.prefactor.items()]
             term = np.multiply.outer(*factors[0], out=None if index else values)

@@ -96,6 +96,11 @@ class TestVerify:
         assert abs(omega**3 - 1.0) <= 1e-12
         assert abs(omega - 1.0) > 0.5  # primitive cube root of unity
 
+    def test_run_suites_names_the_choices_for_an_unknown_suite(self):
+        choices = "['charts', 'commutators', 'dft', 'orthonormality', 'table1', 'weyl'] or 'all'"
+        with pytest.raises(ValueError, match=re.escape(f"unknown suite 'bogus'; choose from {choices}")):
+            suites.run_suites("bogus", square_torus(4))
+
     def test_unknown_suite_exits_2(self):
         res = run_cli("verify", "--N", "4", "--suite", "nonsense")
         assert res.returncode == 2

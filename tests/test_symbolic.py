@@ -77,6 +77,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WaveFunction([t1, t2])
 
+    def test_empty_wave_function_needs_hbar(self):
+        with pytest.raises(ValueError, match="hbar is required for the empty wave function"):
+            WaveFunction([])
+
+    def test_sum_of_different_hbar_rejected(self):
+        a = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, hbar=1.0)
+        b = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, hbar=2.0)
+        for combine in (lambda: a + b, lambda: a - b, lambda: b + a):
+            with pytest.raises(ValueError, match="cannot add wave functions with different hbar"):
+                combine()
+
     def test_evaluation_matches_definition(self):
         t = BilinearPhaseTerm(2.0 + 1.0j, 0.5, -1.0, 0.25, 1.0, {(2, 1): 1.0 - 2.0j}, hbar=0.5)
         q, p = 0.3, -0.7
@@ -116,6 +127,15 @@ class TestCanonicalForm:
         assert [t.phase_key for t in wf.terms] == [(0.1 * eps, 0.0, 0.0, 0.0),
                                                    (0.7 * eps, 0.0, 0.0, 0.0)]
         assert [t.prefactor for t in wf.terms] == [{(0, 0): 2.0 + 0j}, {(0, 0): 1.0 + 0j}]
+
+    def test_zero_amplitude_term_claims_no_merge_cell(self):
+        # Both keys round to one merge cell.  The zero term sorts first, but it
+        # must not open the cell, or the surviving term would take its key 0.
+        wf = WaveFunction([BilinearPhaseTerm(0, 0.0, 0, 0, 0),
+                           BilinearPhaseTerm(1, 1e-13, 0, 0, 0)], hbar=1.0)
+        assert [t.phase_key for t in wf.terms] == [(1e-13, 0.0, 0.0, 0.0)]
+        assert [t.prefactor for t in wf.terms] == [{(0, 0): 1.0 + 0j}]
+        assert wf.scale(0).is_zero()
 
     def test_exponential_compositions_merge_back(self):
         # Roundoff in translated phase tuples must not split a term in two.
@@ -218,6 +238,10 @@ class TestApplyOperator:
                 # differentiation and multiplication never change phase tuples
                 in_keys = {t.phase_key for t in wf.terms}
                 assert {t.phase_key for t in out.terms} <= in_keys
+
+    def test_differentiate_rejects_unknown_variable(self):
+        with pytest.raises(ValueError, match="var must be 'q' or 'p', got 'x'"):
+            differentiate(plane_q_basis(1.0, 2.0), "x")
 
 
 class TestTransformOutputsAreCanonical:
