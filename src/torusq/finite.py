@@ -28,13 +28,11 @@ from .symbolic import exp_key_map
 from .torus import (
     GridShift,
     TorusGeometry,
-    _read_basis,
+    _basis_key,
     _require_memory,
     _require_quantized,
-    _separable,
     grid_coordinates,
     grid_shift_coefficient,
-    make_torus_P_basis,
     make_torus_Q_basis,
     sample_bras,
 )
@@ -63,8 +61,8 @@ def dft_basis_change(N: int) -> np.ndarray:
 # The action table: how each exponentiated operator acts on the primed labels
 # of both bases, label 0 being n (s in the P basis) and label 1 being m (r).
 # An entry (label, sign) multiplies the state by e^{sign 2 pi i label / N};
-# (label, RAISE) raises that label by one.  The basis factories are built
-# independently of this table, so table1_verify compares it against them;
+# (label, RAISE) raises that label by one.  The basis keys (torus._basis_key)
+# are stated independently of this table, so table1_verify compares them;
 # table1_matrices reads the physical-space matrices from it.
 RAISE = 0
 LABEL_ACTION = {
@@ -134,52 +132,54 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
     """Verify all eight operator/basis action cells as integer identities of
     the basis states' phase keys, plus the lattice check that licenses them.
 
-    Every primed basis state (n, m), 0 <= n, m <= N, is built once and read
-    as its phase key and coefficient d (ValueError names a state that is not
-    one term with a constant prefactor).  For each cell the key map of the
-    operator (symbolic.exp_key_map, the map exp_operator_apply applies)
-    takes the keys of the labels [0, N)^2 to their images.  Source, image
-    and target keys are divided by the lattice units (h/N, h/b, h/a, 1) and
-    rounded to integers.  A phase cell's target is the source with
-    sign * label added to c0, a raising cell's the state at the raised,
-    unreduced label; c0 is compared mod N, since e^{i c0/hbar} is 1 at
-    c0 = N units.  Each cell reports the number of labels whose image
-    differs from its target, against tolerance 0.
+    The phase keys of the primed basis states (n, m), 0 <= n, m <= N, are
+    evaluated as arrays (torus._basis_key, the key each factory stores).  For
+    each cell the key map of the operator (symbolic.exp_key_map, the map
+    exp_operator_apply applies) takes the keys of the labels [0, N)^2 to their
+    images.  Source, image and target keys are divided by the lattice units
+    (h/N, h/b, h/a, 1) and rounded to integers.  A phase cell's target is the
+    source with sign * label added to c0, a raising cell's the state at the
+    raised, unreduced label; c0 is compared mod N, since e^{i c0/hbar} is 1 at
+    c0 = N units.  Each cell reports the number of labels whose image differs
+    from its target, against tolerance 0.
 
-    table1/lattice carries all of the floating point: the larger of
-    max |d - 1|, so a label phase moved from c0 into the amplitude fails,
-    and the largest distance of any source, image or target key from the
-    lattice, as the phase error it makes on the fundamental domain, in
-    turns: the distances of (c0, cq, cp, cqp) in lattice units times
-    (1/N, 1, 1, N).  Its error model is about N eps, the roundoff of phase
-    arguments up to 2 pi N.  In plain lattice units c0, up to N^2 + 2N
-    units, would carry about N^2 eps: 1.8e-12 at N = 100 on a = 1, b = 2.
+    table1/lattice carries all of the floating point: the largest distance of
+    any source, image or target key from the lattice, as the phase error it
+    makes on the fundamental domain, in turns: the distances of
+    (c0, cq, cp, cqp) in lattice units times (1/N, 1, 1, N).  Its error model
+    is about N eps, the roundoff of phase arguments up to 2 pi N.  In plain
+    lattice units c0, up to N^2 + 2N units, would carry about N^2 eps:
+    1.8e-12 at N = 100 on a = 1, b = 2.
 
-    Time is O(N^2): 2 (N+1)^2 states built, then array arithmetic.  The call
-    holds both bases' keys, coefficients and lattice coordinates and the
-    temporaries of one cell, at most 16 * 24 (N+1)^2 bytes; when that
-    exceeds the available memory it raises MemoryError before it builds any
-    state.  Failures are reported, not raised.
+    Time is O(N^2) array arithmetic; no state is built.  The call holds the
+    labels and one basis's keys and lattice coordinates, beside one cell's
+    image and the temporaries of its rounding, at most 16 * 12 (N+1)^2 bytes;
+    when that exceeds the available memory it raises MemoryError before it
+    evaluates any key.  Failures are reported, not raised.
     """
     N = _require_quantized(geometry)
-    _require_memory("table1", N, 16 * 24 * (N + 1) ** 2)
+    _require_memory("table1", N, 16 * 12 * (N + 1) ** 2)
     params = geometry.to_dict()
     unit = np.array([geometry.h / N, geometry.h / geometry.b, geometry.h / geometry.a, 1.0])
     turns = np.array([1.0 / N, 1.0, 1.0, N])  # phase error per lattice unit on the domain
-    labels = np.indices((N, N))
-    mismatched, distance, amplitude = {}, 0.0, 0.0
+    labels = np.indices((N + 1, N + 1))
+    mismatched, distance = {}, 0.0
 
     def on_lattice(keys):
         # Integer lattice coordinates, and the distance of the keys from them.
         nonlocal distance
         units = keys / unit
         rounded = np.rint(units)
-        distance = max(distance, float((np.abs(units - rounded) * turns).max()))
+        units -= rounded
+        np.abs(units, out=units)
+        units *= turns
+        distance = max(distance, float(units.max()))
         return rounded
 
-    for basis, factory in (("P", make_torus_P_basis), ("Q", make_torus_Q_basis)):
-        keys, d = _read_basis(geometry, factory, N + 1, None, f"{basis}-basis state (n, m)")
-        amplitude = max(amplitude, float(np.abs(d - 1.0).max()))
+    for basis in "PQ":
+        # cqp comes back as a constant, broadcast to the labels' shape
+        keys = np.stack(np.broadcast_arrays(
+            *_basis_key(geometry, basis, *labels, primed=True)), axis=-1)
         lattice = on_lattice(keys)
         for which, cells in LABEL_ACTION.items():
             label, sign = cells[basis]
@@ -189,13 +189,14 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
                 image -= (lattice[1:, :N], lattice[:N, 1:])[label]
             else:
                 image -= lattice[:N, :N]
-                image[..., 0] -= sign * labels[label]
+                image[..., 0] -= sign * labels[label, :N, :N]
             image[..., 0] %= N
             mismatched[which, basis] = float(np.count_nonzero(image.any(axis=-1)))
+            del image  # before the next cell's image is built
     return [CheckResult(f"table1/{which.name.lower()}/{basis}-basis", params,
                         mismatched[which, basis], 0.0)
             for which, cells in LABEL_ACTION.items() for basis in cells] + [
-        CheckResult("table1/lattice", params, max(distance, amplitude), tol)]
+        CheckResult("table1/lattice", params, distance, tol)]
 
 
 def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
@@ -210,28 +211,25 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     K / sqrt(N) by 0.55 at N = 2, 0.35 at N = 3 and 0.21 at N = 5.
 
     The N Q-basis bras are sampled (sample_bras).  The P-basis kets are not:
-    each state (s, r) is read (_read_basis, _separable) as d_sr u_s(p) (x)
-    v_r(q), with u_s = e^{i cp p/hbar} from the cp of state (s, 0),
-    v_r = e^{i cq q/hbar} from the cq of state (0, r) and d_sr = c
-    e^{i c0/hbar}; ValueError names a state that is not one term with a
-    constant prefactor and cqp = 0, or lacks that cp or cq.  Then
-    O[n, s, r] = d_sr sum_ij bras[n, i, j] u_s(p_i) v_r(q_j) / N^2 in two
-    matrix products, 2 N^4 multiply-adds.  The call holds the bras and the
-    first product, then the first product and O, beside the N x N keys and
-    factors: 16 (2 N^3 + 6 N^2) bytes, plus numpy's ufunc buffers.  When that
-    exceeds the available memory the call raises MemoryError before it
-    builds any state.
+    each state (s, r) is d_sr u_s(p) (x) v_r(q), read from its phase key
+    (torus._basis_key), with u_s = e^{i cp[s] p/hbar}, v_r = e^{i cq[r] q/hbar}
+    and d_sr = e^{i c0[s, r]/hbar}.  Then O[n, s, r] = d_sr sum_ij
+    bras[n, i, j] u_s(p_i) v_r(q_j) / N^2 in two matrix products, 2 N^4
+    multiply-adds.  The call holds the bras and the first product, then the
+    first product and O, beside the N x N factors: 16 (2 N^3 + 4 N^2) bytes,
+    plus numpy's ufunc buffers.  When that exceeds the available memory the
+    call raises MemoryError before it builds any state.
     """
     N = _require_quantized(geometry)
-    _require_memory("dft", N, 16 * (2 * N**3 + 6 * N**2))
+    _require_memory("dft", N, 16 * (2 * N**3 + 4 * N**2))
     hbar = geometry.hbar
-    name = "P-basis state (s, r)"
-    keys, d = _read_basis(geometry, make_torus_P_basis, N, 0.0, name)
-    cp, cq = _separable(keys, name)
+    c0 = _basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
+    _, cq, cp, _ = _basis_key(geometry, "P", np.arange(N), np.arange(N))
     q, p = grid_coordinates(geometry, N)
     U = np.exp(1j / hbar * np.multiply.outer(cp, p))
     V = np.exp(1j / hbar * np.multiply.outer(cq, q))
-    d *= np.exp(1j / hbar * keys[..., 0]) / (N * N)
+    d = np.exp(1j / hbar * c0) / (N * N)
+    del c0
     bras = sample_bras([make_torus_Q_basis(geometry, n, 0, True) for n in range(N)],
                        geometry, N).reshape(N, N, N)
     first = U @ bras  # first[n, s, j] = sum_i u_s(p_i) bras[n, i, j]

@@ -26,15 +26,12 @@ from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
-    _read_basis,
+    _basis_key,
     _require_memory,
     _require_quantized,
-    _separable,
     chart_consistency_check,
     grid_coordinates,
     make_geometry,
-    make_torus_P_basis,
-    make_torus_Q_basis,
 )
 
 _SUITE_SEED = 714025
@@ -85,51 +82,46 @@ def _factor_gram(rates: np.ndarray, coords: np.ndarray, hbar: float) -> np.ndarr
     return factors.conj() @ factors.T / len(coords)
 
 
-def _gram_residual(geometry: TorusGeometry, name: str, make, cqp: float, M: int) -> float:
+def _gram_residual(geometry: TorusGeometry, basis: str, M: int) -> float:
     """max |G - I| of one basis on the M x M grid (see suite_orthonormality)."""
-    keys, d = _read_basis(geometry, make, geometry.N, cqp, name)
-    cp, cq = _separable(keys, name)
-    D2 = np.abs(d) ** 2
-    del keys, d  # the Grams below hold no keys
+    labels = np.arange(geometry.N)
+    _, cq, cp, _ = _basis_key(geometry, basis, labels, labels)
     q, p = grid_coordinates(geometry, M)
     A, B = _factor_gram(cp, p, geometry.hbar), _factor_gram(cq, q, geometry.hbar)
-    diagonal = float(np.abs(D2 * np.outer(A.diagonal(), B.diagonal()) - 1.0).max())
+    diagonal = float(np.abs(np.outer(A.diagonal(), B.diagonal()) - 1.0).max())
     A, B = np.abs(A), np.abs(B)
-    across, within = D2.max() * B.max(), D2.max() * A.diagonal().max()
+    across, within = B.max(), A.diagonal().max()
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(B, 0.0)
     return max(diagonal, float(across * A.max()), float(within * B.max()))
 
 
 def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Gram matrices of both N^2-member bases, read primed, equal the
-    identity, by quadrature on the M = 8N grid, as G = D (A (x) B) D^H.
+    """Gram matrices of both N^2-member bases equal the identity, by
+    quadrature on the M = 8N grid, as G = D (A (x) B) D^H.
 
-    Precondition, checked as the states are read (_read_basis, _separable;
-    ValueError names the state that breaks it): state (n, m) is one term
-    d e^{i (cq q + cp p + cqp q p)/hbar}, d = c e^{i c0/hbar} for a constant
-    prefactor c, with its basis's cqp at the geometry's hbar, the cp of state
-    (n, 0) and the cq of state (0, m).  The shared chirp then cancels in
-    conj(f_k) f_l: A and B are the N x N Grams of the e^{i cp[n] p/hbar} and
-    e^{i cq[m] q/hbar} factors (a repeated cp is an off-diagonal 1 in A) and
-    D holds the d.  max |G - I| is the largest of |d|^2 A_nn B_mm - 1,
-    max|d|^2 offmax|A| max|B| and max|d|^2 max|diag A| offmax|B|: exact when
-    every |d| is one value, as for the basis factories, else an upper bound.
-    Priming moves only c0, in neither |d|^2 nor A nor B, so it cannot change G.
+    State (n, m) is the one term e^{i (c0 + cq[m] q + cp[n] p + cqp q p)/hbar}
+    with its basis's constant cqp (torus._basis_key).  The shared chirp
+    cancels in conj(f_k) f_l: A and B are the N x N Grams of the
+    e^{i cp[n] p/hbar} and e^{i cq[m] q/hbar} factors (a repeated cp is an
+    off-diagonal 1 in A), and D holds the unit phases e^{i c0/hbar}, which
+    change no modulus, so priming cannot change |G|.  max |G - I| is exactly
+    the largest of |A_nn B_mm - 1|, offmax|A| max|B| and max|diag A|
+    offmax|B|.
 
-    Time is O(N^2) to build the states plus O(N^2 M) = O(N^3) for A and B.
-    One basis is held at a time: its keys and d while it is read (3 N^2
-    complex numbers), then D2, A, B and the N x N temporaries of the residual
-    (at most 4 N^2), the coordinates q and p, and the (N, M) factors of one
-    Gram with their conjugate.  When that peak, 16 (4 N^2 + 2 N M + M) bytes
-    (about 320 N^2 at M = 8N), exceeds the available memory the suite raises
-    MemoryError before it builds any state.
+    Time is O(N^2 M) = O(N^3) for A and B.  One basis is held at a time,
+    and the peak comes while its second Gram is taken: the first Gram, the
+    (N, M) factors with their conjugate and the second Gram, beside q, p and
+    the 1-D keys; the N x N temporaries of the residual stay below it.  When
+    16 (3 N^2 + 2 N M + M) bytes, which bounds that peak (about 307 N^2 at
+    M = 8N), exceeds the available memory the suite raises MemoryError
+    before it reads any key.
     """
     N = _require_quantized(geometry)
     M = 8 * N
-    _require_memory("orthonormality", N, 16 * (4 * N**2 + 2 * N * M + M))
-    rq = _gram_residual(geometry, "Q-basis state (n, m)", make_torus_Q_basis, 1.0, M)
-    rp = _gram_residual(geometry, "P-basis state (n, m)", make_torus_P_basis, 0.0, M)
+    _require_memory("orthonormality", N, 16 * (3 * N**2 + 2 * N * M + M))
+    rq = _gram_residual(geometry, "Q", M)
+    rp = _gram_residual(geometry, "P", M)
     params = {**geometry.to_dict(), "M": M}
     return [
         CheckResult("orthonormality/q_basis_gram", params, rq, tol),

@@ -17,9 +17,10 @@ N x N grid (M = N samples per axis) both factors sample to one, the label
 equivalences n -> n + N and m -> m + N become exact grid identities, and the
 grid carries a faithful copy of the N-dimensional physical space.  The
 operator actions themselves are checked on phase keys, not on grids: every
-basis state is one term whose phase coefficients are integers in lattice
-units, and _read_basis reads each as its key and coefficient.  The grids serve
-the inner products: the dft oracle on M = N, and quadrature on larger
+basis state is one term of amplitude 1 whose phase coefficients are integers
+in lattice units, and _basis_key states that key once, in closed form: the
+factories wrap it, and the suites evaluate it on arrays of labels.  The grids
+serve the inner products: the dft oracle on M = N, and quadrature on larger
 multiples of N.
 """
 
@@ -148,42 +149,17 @@ def _require_memory(name: str, N: int, need: int) -> None:
                           f"but {available / 2**30:.3g} GiB is available")
 
 
-def _read_basis(geometry: TorusGeometry, make, size: int, cqp: float | None,
-                name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Phase keys (size, size, 4) and coefficients d (size, size) of the primed
-    states make(geometry, n, m, True), 0 <= n, m < size, each built once (called
-    positionally: a keyword call builds a dict per state that free lists keep).
-    Each must be one term c e^{i (c0 + cq q + cp p + cqp q p)/hbar}, prefactor
-    {(0, 0): c}, at the geometry's hbar and, unless it is None, the given cqp;
-    its key is (c0, cq, cp, cqp) and d = c (canonical amplitudes are 1).
-    ValueError names any other state as f"{name} = {(n, m)}"."""
-    hbar = geometry.hbar
-    keys, d = np.empty((size, size, 4)), np.empty((size, size), dtype=complex)
-    for n in range(size):
-        for m in range(size):
-            wf = make(geometry, n, m, True)
-            t = wf.terms[0] if len(wf.terms) == 1 else None
-            if (t is None or list(t.prefactor) != [(0, 0)] or t.hbar != hbar
-                    or cqp is not None and t.cqp != cqp):
-                raise ValueError(f"{name} = {(n, m)} is not one term c e^(i(c0 + cq q + cp p + "
-                                 f"{'cqp' if cqp is None else cqp} q p)/hbar) at hbar={hbar}: "
-                                 f"{wf.to_json()}")
-            keys[n, m], d[n, m] = t.phase_key, t.prefactor[(0, 0)]
-    return keys, d
-
-
-def _separable(keys: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(cp[n], cq[m]), copies of the cp of each state (n, 0) and the cq of each
-    state (0, m) of a basis read by _read_basis.  ValueError names as
-    f"{name} = {(n, m)}" the first state that does not carry both."""
-    cp, cq = keys[:, 0, 2].copy(), keys[0, :, 1].copy()
-    broken = np.argwhere((keys[..., 2] != cp[:, None]) | (keys[..., 1] != cq))
-    if len(broken):
-        n, m = broken[0].tolist()
-        raise ValueError(f"{name} = {(n, m)} has (cp, cq) = ({float(keys[n, m, 2])}, "
-                         f"{float(keys[n, m, 1])}), not the cp of state {(n, 0)} and the cq "
-                         f"of state {(0, m)}")
-    return cp, cq
+def _basis_key(geometry: TorusGeometry, basis: str, n, m, primed: bool = False) -> tuple:
+    """The phase key (c0, cq, cp, cqp) of basis state (n, m) of basis "P" or
+    "Q", the one term of amplitude 1 its factory builds.  The labels are ints
+    or numpy integer arrays (then each key entry is an array, or the constant
+    cqp); in lattice units (h/N, h/b, h/a, 1) every entry is an integer."""
+    N = _require_quantized(geometry)
+    h = geometry.h
+    c0 = h * n * m / N if primed else 0.0
+    if basis == "P":
+        return c0, m * h / geometry.b, -n * h / geometry.a, 0.0
+    return c0, -m * h / geometry.b, -n * h / geometry.a, 1.0
 
 
 def make_torus_P_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = False) -> WaveFunction:
@@ -194,12 +170,7 @@ def make_torus_P_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
     e^{2 pi i n m / N}, the label convention under which the exponentiated
     operators shift (n, m) without extra phases.
     """
-    N = _require_quantized(geometry)
-    h = geometry.h
-    c0 = h * n * m / N if primed else 0.0
-    return WaveFunction.single(
-        1.0, c0, m * h / geometry.b, -n * h / geometry.a, 0.0, hbar=geometry.hbar
-    )
+    return WaveFunction.single(1.0, *_basis_key(geometry, "P", n, m, primed), hbar=geometry.hbar)
 
 
 def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = False) -> WaveFunction:
@@ -212,12 +183,7 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
     Eigenstate of Q_LEFT with eigenvalue n h / a = n b / N and of P_RIGHT
     with eigenvalue m h / b = m a / N.
     """
-    N = _require_quantized(geometry)
-    h = geometry.h
-    c0 = h * n * m / N if primed else 0.0
-    return WaveFunction.single(
-        1.0, c0, -m * h / geometry.b, -n * h / geometry.a, 1.0, hbar=geometry.hbar
-    )
+    return WaveFunction.single(1.0, *_basis_key(geometry, "Q", n, m, primed), hbar=geometry.hbar)
 
 
 # -- grids ----------------------------------------------------------------

@@ -19,6 +19,7 @@ from torusq.symbolic import (  # noqa: F401
     exp_operator_apply,
     random_wavefunction,
 )
+from torusq import torus
 from torusq.torus import make_geometry
 
 
@@ -26,6 +27,19 @@ def square_torus(N, h=1.0):
     """The symmetric quantized torus a = b = sqrt(N h)."""
     side = math.sqrt(N * h)
     return make_geometry(side, side, h)
+
+
+def patch_key(monkeypatch, module, basis, change):
+    """Make `module` read the phase key (c0, cq, cp, cqp) of every state (n, m)
+    of one basis, "P" or "Q", as change(n, m, key); n and m are the labels,
+    ints or arrays, that the module passes to torus._basis_key."""
+    real = torus._basis_key
+
+    def key(geometry, b, n, m, primed=False):
+        found = real(geometry, b, n, m, primed)
+        return change(n, m, found) if b == basis else found
+
+    monkeypatch.setattr(module, "_basis_key", key)
 
 
 def random_points(rng, count, scale=2.0):

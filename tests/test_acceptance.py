@@ -214,13 +214,13 @@ def test_criterion_05_torus_orthonormality():
 
 
 def test_criterion_05_gram_holds_one_basis_at_a_time():
-    # The suite holds one basis at a time: four N x N arrays, the grid
+    # The suite holds one basis at a time: three N x N arrays, the grid
     # coordinates and the (N, M) factors of one one-dimensional Gram with
     # their conjugate are the estimate it refuses by, and the traced peak
     # must stay near it.
     N = 8
     M = 8 * N
-    estimate = 16 * (4 * N**2 + 2 * N * M + M)
+    estimate = 16 * (3 * N**2 + 2 * N * M + M)
     suite_orthonormality(square_torus(2))  # lazily built state is not the suite's
     tracemalloc.start()
     try:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import square_torus
+from conftest import patch_key, square_torus
 from torusq import cli, finite, suites, torus
 from torusq.symbolic import WaveFunction
 
@@ -188,37 +188,38 @@ class TestVerify:
         assert "GiB is available" in res.stderr
 
     def test_orthonormality_refused_before_sampling(self, monkeypatch):
-        # Count every state handed to the stack sampler and every basis state
-        # the suite builds: a refusal must come before both.
+        # Count every state handed to the stack sampler, every wave function
+        # built and every phase-key evaluation: a refusal comes before all.
         calls = []
-        real_stack = torus._sample_stack
-
-        def counted(name, real):
-            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+        real_stack, real_merge = torus._sample_stack, WaveFunction._merge
 
         def counted_stack(states, *args, **kwargs):
             calls.extend("sampled" for _ in states)
             return real_stack(states, *args, **kwargs)
 
+        def counted_merge(self, *args, **kwargs):
+            calls.append("built")
+            return real_merge(self, *args, **kwargs)
+
         monkeypatch.setattr(torus, "_sample_stack", counted_stack)
-        for factory in ("make_torus_Q_basis", "make_torus_P_basis"):
-            monkeypatch.setattr(suites, factory, counted(factory, getattr(suites, factory)))
+        monkeypatch.setattr(WaveFunction, "_merge", counted_merge)
+        monkeypatch.setattr(suites, "_basis_key", lambda *args, **kwargs: (
+            calls.append("key") or torus._basis_key(*args, **kwargs)))
         monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
         with pytest.raises(MemoryError, match="N=4 needs"):
             suites.suite_orthonormality(square_torus(4))
         assert calls == []
         # Where the available memory is unknown the suite runs as before: at
-        # N = 2 each of the 2 N^2 states is built once, and none is sampled on
-        # the grid, since the Gram is taken from one-dimensional factors.
+        # N = 2 the keys of each basis are evaluated once, as 1-D label
+        # arrays, and no state is built or sampled.
         monkeypatch.setattr(torus, "_available_memory", lambda: None)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
-        assert [calls.count(name) for name in ("sampled", "make_torus_Q_basis",
-                                               "make_torus_P_basis")] == [0, 4, 4]
+        assert [calls.count(name) for name in ("sampled", "built", "key")] == [0, 0, 2]
 
     def test_orthonormality_refused_one_byte_below_its_estimate(self, monkeypatch):
-        # The stated peak, 16 (4 N^2 + 2 N M + M) bytes at M = 8N, is the threshold.
+        # The stated peak, 16 (3 N^2 + 2 N M + M) bytes at M = 8N, is the threshold.
         N, M = 4, 32
-        need = 16 * (4 * N**2 + 2 * N * M + M)
+        need = 16 * (3 * N**2 + 2 * N * M + M)
         monkeypatch.setattr(torus, "_available_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="orthonormality at N=4 needs"):
             suites.suite_orthonormality(square_torus(N))
@@ -241,26 +242,26 @@ class TestVerify:
 
     # Each suite's estimate, checked at N = 4 and N = 20.
     ESTIMATES = {
-        "table1": lambda N: 16 * 24 * (N + 1)**2,
-        "dft": lambda N: 16 * (2 * N**3 + 6 * N**2),
+        "table1": lambda N: 16 * 12 * (N + 1)**2,
+        "dft": lambda N: 16 * (2 * N**3 + 4 * N**2),
         "weyl": lambda N: 96 * N**2,
     }
 
     @pytest.mark.parametrize("suite", sorted(ESTIMATES))
     def test_suite_refused_before_building_anything(self, monkeypatch, suite):
-        # Every builder of states or matrices the suites call is counted: a
-        # refusal must come before all of them.  table1_verify and
-        # physical_grid_overlaps refuse from inside, so they are not counted;
-        # the states they build and sample are.
+        # Every builder of states, keys or matrices the suites call is
+        # counted, and every wave function built: a refusal must come before
+        # all of them.  table1_verify and physical_grid_overlaps refuse from
+        # inside, so they are not counted; the keys and states they make are.
         calls = []
 
         def counted(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
         monkeypatch.setattr(torus, "_sample_stack", counted("sampled", torus._sample_stack))
+        monkeypatch.setattr(WaveFunction, "_merge", counted("built", WaveFunction._merge))
         for module in (finite, suites):
-            for name in ("make_torus_Q_basis", "make_torus_P_basis"):
-                monkeypatch.setattr(module, name, counted(name, getattr(torus, name)))
+            monkeypatch.setattr(module, "_basis_key", counted("key", torus._basis_key))
         for name in ("table1_matrices", "dft_basis_change", "weyl_commutation_check"):
             monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
         for N in (4, 20):
@@ -284,72 +285,16 @@ class TestVerify:
         assert json.dumps(a, sort_keys=False) == json.dumps(b, sort_keys=False)
 
 
-def _rebuilt(wf, cqp=None, prefactor=None):
-    """The one-term state wf with its cqp or prefactor replaced."""
-    (t,) = wf.terms
-    return WaveFunction.single(1.0, t.c0, t.cq, t.cp, t.cqp if cqp is None else cqp,
-                               prefactor=prefactor, hbar=wf.hbar)
-
-
 class TestOrthonormalityPrecondition:
-    """The factored Gram holds only for bases of one-term states sharing
-    their chirp, where state (n, m) carries the cp of state (n, 0) and the cq
-    of state (0, m); the suite refuses any other basis, naming the state."""
-
-    # basis, label of the defective state, the defect, words the error must hold
-    DEFECTS = {
-        "two_labels_one_state": (
-            "Q", (1, 1), lambda g, wf: torus.make_torus_Q_basis(g, 0, 0, primed=True),
-            "(n, m) = (1, 1) has (cp, cq) = (0.0, 0.0), not the cp of state (1, 0) "
-            "and the cq of state (0, 1)"),
-        "cqp_altered": ("Q", (2, 3), lambda g, wf: _rebuilt(wf, cqp=0.5),
-                        "(n, m) = (2, 3) is not one term"),
-        "two_terms": ("P", (3, 1), lambda g, wf: wf + torus.make_torus_P_basis(g, 0, 0),
-                      "(n, m) = (3, 1) is not one term"),
-        "linear_prefactor": ("P", (1, 2), lambda g, wf: _rebuilt(wf, prefactor={(1, 0): 1}),
-                             "(n, m) = (1, 2) is not one term"),
-    }
-
-    @staticmethod
-    def patch(monkeypatch, basis, label, defect):
-        name = f"make_torus_{basis}_basis"
-        real = getattr(suites, name)
-
-        def make(geometry, n, m, primed=False):
-            wf = real(geometry, n, m, primed=primed)
-            return defect(geometry, wf) if (n, m) == label else wf
-
-        monkeypatch.setattr(suites, name, make)
-
-    @pytest.mark.parametrize("defect", sorted(DEFECTS))
-    def test_defective_basis_is_refused_naming_the_state(self, monkeypatch, capsys, defect):
-        basis, label, change, words = self.DEFECTS[defect]
-        self.patch(monkeypatch, basis, label, change)
-        with pytest.raises(ValueError, match=re.escape(f"{basis}-basis state {words}")):
-            suites.suite_orthonormality(square_torus(4))
-        assert cli.main(["verify", "--N", "4", "--suite", "orthonormality"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {basis}-basis state {words}")
-
-    def test_doubled_amplitude_fails_on_the_diagonal(self, monkeypatch, capsys):
-        # |d|^2 A_aa B_bb - 1 = 4 - 1 for the state of amplitude 2; a basis of
-        # the right structure is measured, not refused.
-        self.patch(monkeypatch, "P", (1, 3), lambda g, wf: wf.scale(2.0))
-        q_check, p_check = suites.suite_orthonormality(square_torus(4))
-        assert q_check.passed and not p_check.passed
-        assert abs(p_check.max_residual - 3.0) <= 1e-12
-        assert cli.main(["verify", "--N", "4", "--suite", "orthonormality"]) == 1
-        assert "FAIL  orthonormality/p_basis_gram" in capsys.readouterr().out
+    """The factored Gram measures a basis of the right structure, one term per
+    state with state (n, m) carrying cp[n] and cq[m]; a fault in those keys
+    is a failed check, not a refusal."""
 
     def test_duplicated_row_fails_the_gram(self, monkeypatch, capsys):
-        # Every (1, m) built as (0, m) carries the cp of state (1, 0), so it
-        # passes the precondition; the repeated cp is an off-diagonal 1 in A,
-        # and the Gram measures the fault instead of a refusal naming it.
-        real = suites.make_torus_Q_basis
-        monkeypatch.setattr(suites, "make_torus_Q_basis", lambda geometry, n, m, primed=False:
-                            real(geometry, 0 if n == 1 else n, m, primed))
+        # Row n = 1 read with the cp of row 0: the repeated cp is an
+        # off-diagonal 1 in A, and the Gram measures the fault.
+        patch_key(monkeypatch, suites, "Q", lambda n, m, key: (
+            *key[:2], np.where(n == 1, key[2][0], key[2]), key[3]))
         q_check, p_check = suites.suite_orthonormality(square_torus(4))
         assert not q_check.passed and p_check.passed
         assert q_check.max_residual == 1.0

@@ -1,12 +1,11 @@
 import itertools
 import math
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import square_torus
+from conftest import patch_key, square_torus
 from torusq import finite, torus
 from torusq.finite import (
     LABEL_ACTION,
@@ -49,32 +48,30 @@ def counting_stack(monkeypatch):
     return sampled
 
 
-def patch_factory(monkeypatch, basis, change):
-    """Make finite build each basis state (n, m) of one basis as
-    change(geometry, n, m, state)."""
-    name = f"make_torus_{basis}_basis"
-    real = getattr(torus, name)
-
-    def make(geometry, n, m, primed=False):
-        return change(geometry, n, m, real(geometry, n, m, primed))
-
-    monkeypatch.setattr(finite, name, make)
-
-
-def counting_factories(monkeypatch):
-    """Record the (basis, n, m) of every basis state finite builds."""
+def counting_builds(monkeypatch):
+    """Record every wave function built: each one is made by WaveFunction._merge."""
     built = []
-    for basis in "PQ":
-        patch_factory(monkeypatch, basis,
-                      lambda g, n, m, wf, basis=basis: built.append((basis, n, m)) or wf)
+    real = WaveFunction._merge
+
+    def merge(self, *args, **kwargs):
+        built.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(WaveFunction, "_merge", merge)
     return built
 
 
-def rebuilt(wf, amplitude=1.0, c0=None, cq=None, cqp=None):
-    """The one-term state wf with its amplitude, c0, cq or cqp replaced."""
-    (t,) = wf.terms
-    return WaveFunction.single(amplitude, t.c0 if c0 is None else c0, t.cq if cq is None else cq,
-                               t.cp, t.cqp if cqp is None else cqp, hbar=wf.hbar)
+def counting_keys(monkeypatch):
+    """Record the basis and the label shape of every phase-key evaluation
+    finite makes through torus._basis_key."""
+    calls = []
+
+    def key(geometry, basis, n, m, primed=False):
+        calls.append((basis, np.shape(n)))
+        return torus._basis_key(geometry, basis, n, m, primed)
+
+    monkeypatch.setattr(finite, "_basis_key", key)
+    return calls
 
 
 def clock(N):
@@ -218,33 +215,16 @@ class TestDftBasisChange:
         assert np.abs(overlaps - direct).max() <= 1e-14
 
     def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
-        # The N Q-basis bras are sampled once each; the N^2 P-basis kets are
-        # built once each and read as factors, never sampled.
+        # The N Q-basis bras are the only states built, and each is sampled
+        # once; the N^2 P-basis kets are read from phase keys as factors.
         N = 4
+        geometry = square_torus(N)
+        bras = [make_torus_Q_basis(geometry, n, 0, True).to_json() for n in range(N)]
         sampled = counting_stack(monkeypatch)
-        built = counting_factories(monkeypatch)
-        physical_grid_overlaps(square_torus(N))
-        assert len(sampled) == N
-        kets = [label for label in built if label[0] == "P"]
-        assert sorted(kets) == [("P", s, r) for s in range(N) for r in range(N)]
-
-    @pytest.mark.parametrize("defect, change", [
-        ("chirped", lambda g, wf: rebuilt(wf, cqp=1.0)),
-        ("two_terms", lambda g, wf: wf + make_torus_P_basis(g, 0, 0)),
-    ])
-    def test_grid_overlaps_refuse_a_non_factored_ket(self, monkeypatch, defect, change):
-        patch_factory(monkeypatch, "P", lambda g, s, r, wf: change(g, wf) if (s, r) == (2, 1) else wf)
-        with pytest.raises(ValueError, match=re.escape("P-basis state (s, r) = (2, 1) is not one term")):
-            physical_grid_overlaps(square_torus(4))
-
-    def test_grid_overlaps_refuse_a_cp_not_shared_along_r(self, monkeypatch):
-        # u_s is taken from state (s, 0); a state (s, r) with another cp
-        # does not factor through it.
-        patch_factory(monkeypatch, "P", lambda g, s, r, wf: (
-            make_torus_P_basis(g, s + 1, r, primed=True) if (s, r) == (1, 3) else wf))
-        with pytest.raises(ValueError, match=re.escape(
-                "P-basis state (s, r) = (1, 3) has (cp, cq) = (-1.0, 1.5)")):
-            physical_grid_overlaps(square_torus(4))
+        built = counting_builds(monkeypatch)
+        physical_grid_overlaps(geometry)
+        assert [wf.to_json() for wf in built] == bras
+        assert [wf.to_json() for wf in sampled] == bras
 
 
 def reference_table1_residuals(geometry, M):
@@ -310,15 +290,15 @@ class TestTable1:
                     assert residual <= 1e-12, name
 
     def test_samples_each_state_once(self, monkeypatch):
-        # Each of the (N+1)^2 labels is built once per basis, and nothing is
-        # sampled on a grid.
+        # No state is built or sampled: the keys of each basis are evaluated
+        # once, on the (N+1) x (N+1) label arrays.
         N = 5
         sampled = counting_stack(monkeypatch)
-        built = counting_factories(monkeypatch)
+        built = counting_builds(monkeypatch)
+        keys = counting_keys(monkeypatch)
         assert all(r.passed for r in table1_verify(square_torus(N)))
-        assert sorted(built) == [(b, n, m) for b in "PQ" for n in range(N + 1)
-                                 for m in range(N + 1)]
-        assert sampled == []
+        assert built == [] and sampled == []
+        assert keys == [(basis, (N + 1, N + 1)) for basis in "PQ"]
 
     @staticmethod
     def verdicts(geometry):
@@ -327,7 +307,7 @@ class TestTable1:
     def test_flipped_cq_sign_fails_cells(self, monkeypatch):
         # A Q-basis factory with cq = +m h/b: the keys stay on the lattice,
         # so only cells can see it.
-        patch_factory(monkeypatch, "Q", lambda g, n, m, wf: rebuilt(wf, cq=-wf.terms[0].cq))
+        patch_key(monkeypatch, finite, "Q", lambda n, m, key: (key[0], -key[1], *key[2:]))
         verdicts = self.verdicts(non_square_torus(4))
         failing = sorted(name for name, passed in verdicts.items() if not passed)
         assert failing and all(name.endswith("Q-basis") for name in failing)
@@ -340,27 +320,10 @@ class TestTable1:
         N = 4
         geometry = non_square_torus(N)
         step = geometry.h / N
-        patch_factory(monkeypatch, basis, lambda g, n, m, wf: rebuilt(wf, c0=wf.terms[0].c0 + step / 4))
+        patch_key(monkeypatch, finite, basis, lambda n, m, key: (key[0] + step / 4, *key[1:]))
         results = table1_verify(geometry)
         assert [r.name for r in results if not r.passed] == ["table1/lattice"]
         assert abs(results[-1].max_residual - 0.25 / N) <= 1e-12
-
-    @pytest.mark.parametrize("basis", ["P", "Q"])
-    def test_label_phase_in_the_amplitude_fails_the_lattice(self, monkeypatch, basis):
-        # omega^{nm} as the amplitude of the unprimed state instead of in c0:
-        # the same function, but not a state of the primed convention.
-        N = 4
-        geometry = non_square_torus(N)
-        patch_factory(monkeypatch, basis, lambda g, n, m, wf: rebuilt(
-            wf, amplitude=np.exp(2j * np.pi * n * m / N), c0=0.0))
-        verdicts = self.verdicts(geometry)
-        assert not verdicts["table1/lattice"]
-
-    def test_two_term_state_is_refused_naming_it(self, monkeypatch):
-        patch_factory(monkeypatch, "Q", lambda g, n, m, wf: (
-            wf + make_torus_Q_basis(g, 0, 0) if (n, m) == (3, 2) else wf))
-        with pytest.raises(ValueError, match=re.escape("Q-basis state (n, m) = (3, 2) is not one term")):
-            table1_verify(square_torus(4))
 
     @pytest.mark.parametrize("which, basis, corrupted", [
         (GridShift.EXP_QLEFT, "Q", (0, -1)),      # phase sign flipped
@@ -383,11 +346,11 @@ class TestTable1:
 def test_peak_memory_is_the_stated_formula(func):
     # The traced peak at N = 32 against the bytes the docstrings state,
     # plus one ufunc buffer of np.getbufsize() complex values and 64 KiB
-    # for the Python objects of the states being read.
+    # for the Python objects of the dft bras.
     N = 32
     stated = {
-        table1_verify: 16 * 24 * (N + 1)**2,
-        physical_grid_overlaps: 16 * (2 * N**3 + 6 * N**2),
+        table1_verify: 16 * 12 * (N + 1)**2,
+        physical_grid_overlaps: 16 * (2 * N**3 + 4 * N**2),
     }[func]
     func(square_torus(2))  # numpy's lazily built state is not the function's
     tracemalloc.start()
@@ -423,11 +386,12 @@ class TestMemoryRefusal:
                                             (physical_grid_overlaps, "dft")])
     def test_refused_before_any_state_is_sampled(self, monkeypatch, func, name):
         sampled = counting_stack(monkeypatch)
-        built = counting_factories(monkeypatch)
+        built = counting_builds(monkeypatch)
+        keys = counting_keys(monkeypatch)
         monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
         with pytest.raises(MemoryError, match=f"^{name} at N=4 needs ~"):
             func(square_torus(4))
-        assert sampled == [] and built == []
+        assert sampled == [] and built == [] and keys == []
 
 
 class TestCrossModuleConsistency:

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_wavefunction, square_torus
+from conftest import patch_key, random_wavefunction, square_torus
+from torusq.plane import make_plane_Q_basis
 from torusq import suites
 from torusq.suites import suite_orthonormality
 from torusq.symbolic import (
@@ -16,6 +18,7 @@ from torusq.symbolic import (
 from torusq.torus import (
     N_DETECT_REL_TOL,
     GridShift,
+    _basis_key,
     _sample_stack,
     chart_consistency_check,
     grid_coordinates,
@@ -51,6 +54,13 @@ def boundary_loop_integral(geometry, steps=10_000):
     total -= np.sum(a_q(qs, np.full_like(qs, a))) * (b / steps)      # (b,a) -> (0,a)
     total -= np.sum(a_p(np.zeros_like(ps), ps)) * (a / steps)        # (0,a) -> (0,0)
     return total
+
+
+# Every N up to 8 on the square torus, and two tori whose cq and cp lattice
+# units differ.
+KEY_GEOMETRIES = [square_torus(N) for N in range(1, 9)] + [
+    make_geometry(1.5, 2.0, 0.5), make_geometry(1.0, 2.0, 0.4)]
+KEY_IDS = [f"N{N}" for N in range(1, 9)] + ["a1.5-b2-h0.5", "a1-b2-h0.4"]
 
 
 class TestGeometry:
@@ -144,6 +154,16 @@ class TestCharts:
         with pytest.raises(ValueError):
             chart_consistency_check(broken, 0, 0, apply_transition=True)
 
+    @pytest.mark.parametrize("geometry", KEY_GEOMETRIES, ids=KEY_IDS)
+    def test_section_is_the_torus_q_state(self, geometry):
+        # chart_consistency_check builds its section with the plane factory
+        # at the torus labels; it must be the very state that table1 and dft
+        # read through the torus factory's key.
+        for n, m in itertools.product(range(geometry.N + 1), repeat=2):
+            section = make_plane_Q_basis(n * geometry.h / geometry.a, m * geometry.h / geometry.b,
+                                         geometry.hbar)
+            assert section.to_json() == make_torus_Q_basis(geometry, n, m).to_json(), (n, m)
+
 
 class TestBases:
     def test_p_basis_zero_labels_is_one(self):
@@ -195,6 +215,26 @@ class TestBases:
         for n, m in ((0, 0), (1, 2), (3, 3)):
             wf = make_torus_Q_basis(g, n, m, primed=True)
             assert abs(wf.evaluate(n * g.b / 4, m * g.a / 4) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("geometry", KEY_GEOMETRIES, ids=KEY_IDS)
+    def test_factories_wrap_the_basis_key(self, geometry):
+        # Each factory state is the one term of amplitude 1 whose key the
+        # suites read as arrays, and the array path gives the int path's
+        # key bit for bit, on 2-D and on 1-D labels.
+        N = geometry.N
+        labels = np.indices((N + 1, N + 1))
+        line = np.arange(N + 1)
+        for basis, factory in (("P", make_torus_P_basis), ("Q", make_torus_Q_basis)):
+            _, cq, cp, _ = _basis_key(geometry, basis, line, line)
+            for primed in (False, True):
+                arrays = np.broadcast_arrays(*_basis_key(geometry, basis, *labels, primed))
+                for n, m in itertools.product(range(N + 1), repeat=2):
+                    key = _basis_key(geometry, basis, n, m, primed)
+                    state = WaveFunction.single(1.0, *key, hbar=geometry.hbar)
+                    assert factory(geometry, n, m, primed).to_json() == state.to_json()
+                    bits = [float(k).hex() for k in key]
+                    assert [float(a[n, m]).hex() for a in arrays] == bits, (basis, n, m)
+                    assert [float(cq[m]).hex(), float(cp[n]).hex()] == bits[1:3]
 
     def test_non_quantized_geometry_refused(self):
         broken = make_geometry(1.0, 0.5, 1.0)
@@ -372,16 +412,17 @@ class TestInnerProduct:
         # breaks the orthogonality: the residual, now an off-diagonal entry of
         # A (or B), must still equal the full sampled Gram's.
         geometry = make_geometry(1.0, 2.0, 0.4)
-        N, M, h = geometry.N, 8 * geometry.N, geometry.h
+        N, M = geometry.N, 8 * geometry.N
 
-        def squeezed(geometry, n, m, primed=False):
-            return WaveFunction.single(1.0, 0.0, cq_scale * m * h / geometry.b,
-                                       -cp_scale * n * h / geometry.a, 0.0, hbar=geometry.hbar)
+        def squeezed(n, m, key):
+            c0, cq, cp, cqp = key
+            return c0, cq_scale * cq, cp_scale * cp, cqp
 
-        monkeypatch.setattr(suites, "make_torus_P_basis", squeezed)
+        patch_key(monkeypatch, suites, "P", squeezed)
         residual = suite_orthonormality(geometry)[1].max_residual
-        bras = sample_bras([squeezed(geometry, n, m) for n in range(N) for m in range(N)],
-                           geometry, M)
+        bras = sample_bras([WaveFunction.single(1.0, *suites._basis_key(geometry, "P", n, m),
+                                                hbar=geometry.hbar)
+                            for n in range(N) for m in range(N)], geometry, M)
         one_shot = float(np.abs(bras @ bras.conj().T / M**2 - np.eye(N * N)).max())
         assert one_shot > 0.5
         assert abs(residual - one_shot) <= 1e-12
