@@ -8,12 +8,15 @@ N-dimensional space where
   exp(2 pi i Q_LEFT / b)  -> the clock matrix diag(e^{2 pi i n / N}),
   exp(-2 pi i P_LEFT / a) -> the cyclic shift matrix,
 
-both read from the action table as the Q-basis matrices of EXP_QLEFT and
-EXP_PLEFT (table1_matrices).  They obey the finite Weyl relation
-clock @ shift = omega shift @ clock with omega a primitive N-th root of
-unity.  A discrete Fourier matrix connects the Q and P bases; its
-normalization 1/sqrt(N) is forced by unitarity and confirmed by inner
-products of sampled basis states on the N x N grid.
+the Q-basis actions of EXP_QLEFT and EXP_PLEFT.  Both are monomials of the
+finite Heisenberg-Weyl group, a label shift times N-th roots of unity, which
+the verification suites read from the action table and compose as integers;
+table1_matrices gives the dense matrices printed here.  They obey the finite
+Weyl relation clock @ shift = omega shift @ clock with omega a primitive
+N-th root of unity, read exactly from the group law.  A discrete Fourier
+matrix connects the Q and P bases; its normalization 1/sqrt(N) is forced by
+unitarity and confirmed by inner products of sampled basis states on the
+N x N grid.
 """
 
 import math

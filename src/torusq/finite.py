@@ -3,18 +3,13 @@
 States with labels shifted by N, or differing only in the shadow index m, are
 physically equivalent; fixing the canonical representatives (m = 0, n reduced
 mod N) leaves an N-dimensional space on which the exponentiated physical
-operators act as the clock and shift matrices.  Those matrices are read from
-the action table LABEL_ACTION (table1_matrices), the same table that
-table1_verify checks cell by cell, as integer identities of the basis
-states' phase keys in lattice units, so every finite matrix here carries the
-table's signs.  The unexponentiated
-Heisenberg pair cannot survive the reduction: tr[A, B] = 0 for every finite
-pair while [Q, P] = i hbar would need trace i hbar N.
-
-The discrete Fourier matrix connecting the two bases is not normalized here
-by fiat: its scale is fixed by unitarity and its phase orientation by two
-oracles, the clock/shift intertwining relations and the inner products of
-sampled basis states on the physical N x N grid.
+operators act as the clock and shift of the finite Heisenberg-Weyl group over
+Z_N, monomials M e_n = w^{e[n]} e_{n+k} (w = e^{2 pi i/N}) held as integers
+(k, e mod N).  _physical_action reads them from the action table LABEL_ACTION,
+which table1_verify checks against the basis states' phase keys, so every
+finite operator, and the basis change K checked against them, carries the
+table's signs.  The Heisenberg pair itself cannot survive the reduction:
+tr[A, B] = 0 for every finite pair while [Q, P] = i hbar needs trace i hbar N.
 """
 
 from __future__ import annotations
@@ -42,20 +37,24 @@ def _require_dimension(N: int) -> None:
         raise ValueError(f"N must be at least 1, got {N}")
 
 
+def _dft_exponents(N: int) -> np.ndarray:
+    """K's exponent table: K[n][s] = w^{n s} / sqrt(N), exponents mod N."""
+    _require_dimension(N)
+    return np.outer(np.arange(N), np.arange(N))
+
+
 def dft_basis_change(N: int) -> np.ndarray:
     """The unitary K mapping P-basis coefficient vectors to Q-basis ones.
 
-    K[n][s] = e^{2 pi i n s / N} / sqrt(N), at the canonical m = 0
+    K[n][s] = e^{2 pi i n s / N} / sqrt(N) (_dft_exponents), at the m = 0
     representative, with the first Q-basis index pairing against the second
     (physical) P-basis index.  The 1/sqrt(N) scale is forced by unitarity and
     the exponent sign by the requirement that K intertwine the actions of the
-    exponentiated operators in the two bases (table1_matrices); both choices are
+    exponentiated operators in the two bases (suite_dft); both choices are
     confirmed against inner products of sampled basis states on the physical
     grid (see physical_grid_overlaps).
     """
-    _require_dimension(N)
-    idx = np.arange(N)
-    return _label_phase(+1, np.outer(idx, idx), N) / math.sqrt(N)
+    return _root(_dft_exponents(N), N) / math.sqrt(N)
 
 
 # The action table: how each exponentiated operator acts on the primed labels
@@ -63,7 +62,7 @@ def dft_basis_change(N: int) -> np.ndarray:
 # An entry (label, sign) multiplies the state by e^{sign 2 pi i label / N};
 # (label, RAISE) raises that label by one.  The basis keys (torus._basis_key)
 # are stated independently of this table, so table1_verify compares them;
-# table1_matrices reads the physical-space matrices from it.
+# _physical_action reads the physical-space operators from it.
 RAISE = 0
 LABEL_ACTION = {
     GridShift.EXP_PLEFT: {"P": (1, -1), "Q": (0, RAISE)},
@@ -75,57 +74,84 @@ LABEL_ACTION = {
 PHYSICAL_LABEL = {"P": 1, "Q": 0}
 
 
-def _label_phase(sign: int, label, N: int):
-    return np.exp(sign * 2j * np.pi * label / N)
+def _root(e, N: int):
+    """w^e for w = e^{2 pi i/N}."""
+    return np.exp(2j * np.pi * e / N)
+
+
+def _physical_action(which: GridShift, basis: str, N: int) -> tuple[int, np.ndarray]:
+    """One operator on the physical labels of one basis, read from
+    LABEL_ACTION as the monomial (k, e mod N): M e_n = w^{e[n]} e_{n+k}.  An
+    action on the shadow label is the identity (0, 0)."""
+    _require_dimension(N)
+    label, sign = LABEL_ACTION[which][basis]
+    if label != PHYSICAL_LABEL[basis]:
+        return 0, np.zeros(N, dtype=int)
+    if sign == RAISE:
+        return 1 % N, np.zeros(N, dtype=int)
+    return 0, sign * np.arange(N) % N
+
+
+def _compose(a, b, N: int) -> tuple[int, np.ndarray]:
+    """The monomial a b (b acts first): (k1 + k2, e2 + roll(e1, -k2)) mod N."""
+    (k1, e1), (k2, e2) = a, b
+    return (k1 + k2) % N, (e2 + np.roll(e1, -k2)) % N
+
+
+def _power(a, p: int, N: int) -> tuple[int, np.ndarray]:
+    """The monomial a^p, p >= 0, by binary powering in O(N) memory."""
+    out = (0, np.zeros(N, dtype=int))
+    while p:
+        if p & 1:
+            out = _compose(out, a, N)
+        a, p = _compose(a, a, N), p >> 1
+    return out
+
+
+def _commutator(N: int):
+    """The clock C and the shift S (the Q-basis monomials of EXP_QLEFT and
+    EXP_PLEFT), the exponent field of C S against S C, and the k most share."""
+    C = _physical_action(GridShift.EXP_QLEFT, "Q", N)
+    S = _physical_action(GridShift.EXP_PLEFT, "Q", N)
+    field = (_compose(C, S, N)[1] - _compose(S, C, N)[1]) % N
+    return C, S, field, int(np.bincount(field, minlength=N).argmax())
+
+
+def _weyl_counts(N: int) -> tuple[int, dict[str, int]]:
+    """k with C S = w^k S C, and each weyl check's count of mismatched labels:
+    phase_primitive is gcd(k, N) - 1, the unitarity checks count the labels
+    the label map hits other than once, and the others compare the sides of
+    C S = w^k S C, S^N = I and C^N S = S C^N (shifts add in Z_N, so only
+    exponents can differ).  O(N log N) time, O(N) memory."""
+    C, S, field, k = _commutator(N)
+    CN = _power(C, N, N)
+    hits = [np.bincount((np.arange(N) + shift) % N, minlength=N) for shift, _ in (C, S)]
+    return k, {
+        "scalar_phase_order": np.count_nonzero(field != k),
+        "phase_primitive": math.gcd(k, N) - 1,
+        "clock_unitary": np.count_nonzero(hits[0] != 1),
+        "shift_unitary": np.count_nonzero(hits[1] != 1),
+        "shift_nth_power_identity": np.count_nonzero(_power(S, N, N)[1]),
+        "nth_power_commutes": np.count_nonzero(_compose(CN, S, N)[1] != _compose(S, CN, N)[1]),
+    }
 
 
 def table1_matrices(which: GridShift, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(P-basis matrix, Q-basis matrix) of one exponentiated operator on the
-    physical labels, read from LABEL_ACTION.
-
-    An action on the physical label is the diagonal of its phase or the
-    cyclic permutation sending index n to n+1 (mod N), whose entries are
-    exactly 0 and 1; an action on the shadow label is the identity on the
-    physical space.  The Q-basis matrices of EXP_QLEFT and EXP_PLEFT are the
-    clock diag(e^{2 pi i n / N}) and the shift.
+    physical labels, the dense form of _physical_action: column n holds
+    w^{e[n]} in row n + k.  The Q-basis matrices of EXP_QLEFT and EXP_PLEFT
+    are the clock diag(e^{2 pi i n / N}) and the shift, of entries 0 and 1.
     """
-    _require_dimension(N)
-    out = []
-    for basis, (label, sign) in LABEL_ACTION[which].items():
-        if label != PHYSICAL_LABEL[basis]:
-            out.append(np.eye(N, dtype=complex))
-        elif sign == RAISE:
-            out.append(np.roll(np.eye(N, dtype=complex), 1, axis=0))
-        else:
-            out.append(np.diag(_label_phase(sign, np.arange(N), N)))
-    return tuple(out)
+    return tuple(np.roll(np.diag(_root(e, N)), k, axis=0)
+                 for k, e in (_physical_action(which, basis, N) for basis in LABEL_ACTION[which]))
 
 
 def weyl_commutation_check(N: int) -> complex:
-    """The scalar omega with C @ S = omega * (S @ C), for the clock C and the
-    shift S of the action table: the Q-basis matrices of EXP_QLEFT and
-    EXP_PLEFT from table1_matrices.
-
-    Determined by brute force from those two matrices: the two products
-    have the same support and their entrywise ratio must be one constant.  A
-    ratio spread above DEFAULT_TOL raises, since it would signal an
-    implementation bug; the measured spread is at most 2.6e-15 for every
-    N <= 256 and for N in {512, 1024, 2048}.
-    omega is a primitive N-th root of unity for N > 1, and the N-th power of
-    either operator commutes with the other.
-    """
-    C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
-    S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
-    left = C @ S
-    right = S @ C
-    mask = np.abs(right) > 0.5
-    if not np.array_equal(mask, np.abs(left) > 0.5):
-        raise RuntimeError("clock/shift products differ in support; commutator is not scalar")
-    ratios = left[mask] / right[mask]
-    omega = complex(ratios.flat[0])
-    if np.abs(ratios - omega).max() > DEFAULT_TOL:
-        raise RuntimeError("clock/shift commutator is not a scalar within tolerance")
-    return omega
+    """The scalar omega with C S = omega S C for the clock C and the shift S
+    of the action table (_commutator): e^{2 pi i k/N} from the group law of
+    the monomials, with no assumed sign and no float tolerance.  omega is a
+    primitive N-th root of unity for N > 1."""
+    return complex(_root(_commutator(N)[3], N))
 
 
 def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:

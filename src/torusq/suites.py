@@ -10,14 +10,14 @@ where the peak is: here, or in the torusq.finite call that table1 or dft makes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .finite import (
+    _dft_exponents,
+    _physical_action,
+    _weyl_counts,
     dft_basis_change,
     physical_grid_overlaps,
-    table1_matrices,
     table1_verify,
     weyl_commutation_check,
 )
@@ -138,47 +138,15 @@ def suite_table1(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Chec
 
 
 def suite_weyl(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Commutation phase and unitarity of the clock and shift, the Q-basis
-    matrices of EXP_QLEFT and EXP_PLEFT read from the action table.
-
-    weyl_commutation_check runs first, so its matrices are freed before this
-    suite builds C and S.  The peak, C, S, S^N, the float identity and the two
-    products of the commutator, is 5.5 complex N x N arrays; when 96 N^2 bytes
-    exceed the available memory the suite refuses before it builds any matrix.
-    weyl/nth_power_commutes, |C S^N - S^N C|, is 0 whenever
-    weyl/shift_nth_power_identity passes (S^N is then exactly the identity).
-    """
+    """The finite Weyl relation of the clock and shift as integer monomials:
+    each check an exact count of mismatched labels (finite._weyl_counts)
+    against tolerance 0, and omega from weyl_commutation_check."""
     N = _require_quantized(geometry)
-    _require_memory("weyl", N, 16 * 6 * N**2)
+    k, counts = _weyl_counts(N)
     omega = weyl_commutation_check(N)
-    C = table1_matrices(GridShift.EXP_QLEFT, N)[1]
-    S = table1_matrices(GridShift.EXP_PLEFT, N)[1]
-    eye = np.eye(N)
-    r_order = abs(omega**N - 1.0)
-    # A primitive root keeps every power omega^k, 0 < k < N, at least
-    # 2 sin(pi/N) away from 1; a non-primitive one returns to 1 at some k.
-    # Half that separation tells the two apart at every N.
-    separation = min((abs(omega**k - 1.0) for k in range(1, N)), default=2.0)
-    threshold = math.sin(math.pi / N)
-    r_primitive = max(0.0, threshold - separation)
-    r_cu = float(np.abs(C.conj().T @ C - eye).max())
-    r_su = float(np.abs(S.conj().T @ S - eye).max())
-    SN = np.linalg.matrix_power(S, N)
-    r_shift_order = float(np.abs(SN - eye).max())
-    commutator = C @ SN
-    commutator -= SN @ C  # in place: no third N x N array
-    r_commute = float(np.abs(commutator).max())
-    params = {"N": N, "omega": [omega.real, omega.imag]}
-    return [
-        CheckResult("weyl/scalar_phase_order", params, r_order, tol),
-        CheckResult("weyl/phase_primitive",
-                    {**params, "min_separation": separation, "threshold": threshold},
-                    r_primitive, 0.0),
-        CheckResult("weyl/clock_unitary", {"N": N}, r_cu, tol),
-        CheckResult("weyl/shift_unitary", {"N": N}, r_su, tol),
-        CheckResult("weyl/shift_nth_power_identity", {"N": N}, r_shift_order, 0.0),
-        CheckResult("weyl/nth_power_commutes", {"N": N}, r_commute, tol),
-    ]
+    params = {"N": N, "omega": [omega.real, omega.imag], "exponent": k}
+    return [CheckResult(f"weyl/{name}", params, float(count), 0.0)
+            for name, count in counts.items()]
 
 
 def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -186,6 +154,9 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
 
     The oracle (physical_grid_overlaps) runs first: it refuses a run too
     large for memory before anything is built, and its peak is the suite's.
+    Each intertwining check counts the labels s where the exponents of K mp,
+    E[n, s+kp] + ep[s], and of mq K, E[n-kq, s] + eq[n-kq], differ mod N
+    (E = finite._dft_exponents, m e_s = w^{e[s]} e_{s+k}), against tolerance 0.
     """
     N = _require_quantized(geometry)
     overlaps = physical_grid_overlaps(geometry)
@@ -195,10 +166,12 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
     r_oracle = float(np.abs(overlaps).max())
     r_unitary = float(np.abs(K.conj().T @ K - np.eye(N)).max())
     checks = [CheckResult("dft/unitary", {"N": N}, r_unitary, tol)]
+    E = _dft_exponents(N)
     for which in GridShift:
-        mp, mq = table1_matrices(which, N)
-        resid = float(np.abs(K @ mp - mq @ K).max())
-        checks.append(CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N}, resid, tol))
+        (kp, ep), (kq, eq) = (_physical_action(which, basis, N) for basis in "PQ")
+        diff = (np.roll(E, -kp, axis=1) + ep - np.roll(E + eq[:, None], kq, axis=0)) % N
+        checks.append(CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N},
+                                  float(np.count_nonzero(diff.any(axis=0))), 0.0))
     checks.append(CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
                               r_oracle, ORACLE_TOL))
     return checks

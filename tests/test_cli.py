@@ -24,6 +24,13 @@ def run_cli(*args, timeout=120, preexec_fn=None):
     )
 
 
+def cap_address_space():
+    """Cap the child's address space at 2 GiB (a preexec_fn for run_cli)."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 class TestQuantize:
     def test_quantized_geometry(self):
         res = run_cli("quantize", "--a", "2", "--b", "3", "--h", "1")
@@ -176,13 +183,8 @@ class TestVerify:
     def test_orthonormality_too_large_is_refused(self):
         # The address-space cap and the timeout keep a run that builds the
         # states anyway from exhausting the machine.
-        def cap():
-            import resource
-
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
         res = run_cli("verify", "--N", "100000", "--suite", "orthonormality",
-                      timeout=30, preexec_fn=cap)
+                      timeout=30, preexec_fn=cap_address_space)
         assert res.returncode == 2
         assert res.stderr.startswith("error: orthonormality at N=100000 needs ~")
         assert "GiB is available" in res.stderr
@@ -227,24 +229,28 @@ class TestVerify:
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(N)))
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
-    @pytest.mark.parametrize("suite", ["table1", "dft", "weyl"])
+    @pytest.mark.parametrize("suite", ["table1", "dft"])
     def test_other_suites_too_large_are_refused(self, suite):
         # As for orthonormality: the cap and the timeout keep a run that
         # builds its matrices anyway from exhausting the machine.
-        def cap():
-            import resource
-
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        res = run_cli("verify", "--N", "100000", "--suite", suite, timeout=30, preexec_fn=cap)
+        res = run_cli("verify", "--N", "100000", "--suite", suite,
+                      timeout=30, preexec_fn=cap_address_space)
         assert res.returncode == 2
         assert res.stderr.startswith(f"error: {suite} at N=100000 needs ~")
+
+    @pytest.mark.parametrize("N", ["65536", "100000"])
+    def test_weyl_passes_at_large_N_in_bounded_memory(self, N):
+        # The clock and shift are integer monomials, O(N) labels: weyl needs
+        # no refusal, and passes under the same cap and timeout.
+        res = run_cli("verify", "--N", N, "--suite", "weyl",
+                      timeout=30, preexec_fn=cap_address_space)
+        assert res.returncode == 0, res.stderr
+        assert "overall: PASS (6 checks)" in res.stdout
 
     # Each suite's estimate, checked at N = 4 and N = 20.
     ESTIMATES = {
         "table1": lambda N: 16 * 12 * (N + 1)**2,
         "dft": lambda N: 16 * (2 * N**3 + 4 * N**2),
-        "weyl": lambda N: 96 * N**2,
     }
 
     @pytest.mark.parametrize("suite", sorted(ESTIMATES))
@@ -262,7 +268,7 @@ class TestVerify:
         monkeypatch.setattr(WaveFunction, "_merge", counted("built", WaveFunction._merge))
         for module in (finite, suites):
             monkeypatch.setattr(module, "_basis_key", counted("key", torus._basis_key))
-        for name in ("table1_matrices", "dft_basis_change", "weyl_commutation_check"):
+        for name in ("_physical_action", "_dft_exponents", "dft_basis_change"):
             monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
         for N in (4, 20):
             need = self.ESTIMATES[suite](N)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import patch_key, square_torus
-from torusq import finite, torus
+from torusq import finite, suites, torus
 from torusq.finite import (
     LABEL_ACTION,
     RAISE,
@@ -131,7 +131,7 @@ class TestWeylCommutation:
         assert weyl_commutation_check(1) == 1.0
 
     def test_brute_force_fixes_sign(self):
-        # Entrywise ratio of the two products, no assumed exponent sign.
+        # The commutator's exponent from the group law, no assumed sign.
         omega = weyl_commutation_check(4)
         assert abs(omega**4 - 1.0) <= 1e-12
         assert abs(omega - 1.0) > 0.5
@@ -165,6 +165,93 @@ class TestWeylCommutation:
         assert abs(weyl_commutation_check(N) - np.exp(-2j * np.pi / N)) <= 1e-12
         failing = sorted(c.name for c in run_suites("all", square_torus(N)) if not c.passed)
         assert failing == ["dft/intertwines_exp_qleft", "table1/exp_qleft/Q-basis"]
+
+
+def patch_reader(monkeypatch, mutate):
+    """Pass every monomial the reader returns through mutate(which, basis, k, e),
+    in finite and in the suites that import it."""
+    real = finite._physical_action
+
+    def reader(which, basis, N):
+        return mutate(which, basis, *real(which, basis, N))
+
+    for module in (finite, suites):
+        monkeypatch.setattr(module, "_physical_action", reader)
+
+
+def raised_exponent(target):
+    """A reader mutation: the target's exponent at label 0 raised by one."""
+    def mutate(which, basis, k, e):
+        if (which, basis) == target:
+            e = e.copy()
+            e[0] = (e[0] + 1) % len(e)
+        return k, e
+
+    return mutate
+
+
+CLOCK, SHIFT = (GridShift.EXP_QLEFT, "Q"), (GridShift.EXP_PLEFT, "Q")
+
+
+def negated_dft_table(monkeypatch):
+    """K with every exponent of its table negated: its complex conjugate."""
+    real = finite._dft_exponents
+    for module in (finite, suites):
+        monkeypatch.setattr(module, "_dft_exponents", lambda N: -real(N))
+
+
+class TestGroupFormControls:
+    """Mutants of the clock, the reader and K, each failing only the checks
+    that should see it, with the exact count the group law predicts."""
+
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_clock_sign_two_is_not_primitive(self, monkeypatch, N):
+        monkeypatch.setitem(LABEL_ACTION[GridShift.EXP_QLEFT], "Q", (0, 2))
+        failing = [c for c in suite_weyl(square_torus(N)) if not c.passed]
+        assert [(c.name, c.max_residual) for c in failing] == [("weyl/phase_primitive", 1.0)]
+        assert failing[0].params["exponent"] == 2
+
+    @pytest.mark.parametrize("N", [5, 8])
+    def test_one_wrong_clock_exponent_breaks_two_labels(self, monkeypatch, N):
+        # C S and S C read the wrong exponent at two labels, n = N - 1 and
+        # n = 0; every other label still carries w^1, and k is what most share.
+        patch_reader(monkeypatch, raised_exponent(CLOCK))
+        failing = [(c.name, c.max_residual) for c in suite_weyl(square_torus(N)) if not c.passed]
+        assert failing == [("weyl/scalar_phase_order", 2.0)]
+
+    @pytest.mark.parametrize("N", [5, 8])
+    def test_one_shift_phase_breaks_its_nth_power(self, monkeypatch, N):
+        # The phase commutes through the clock's constant step, so C S = w S C
+        # still holds, but S^N = w I misses the identity on all N labels.
+        patch_reader(monkeypatch, raised_exponent(SHIFT))
+        failing = [(c.name, c.max_residual) for c in suite_weyl(square_torus(N)) if not c.passed]
+        assert failing == [("weyl/shift_nth_power_identity", float(N))]
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_negated_K_fails_the_physical_intertwinings_and_the_oracle(self, monkeypatch, N):
+        negated_dft_table(monkeypatch)
+        failing = sorted(c.name for c in suites.suite_dft(square_torus(N)) if not c.passed)
+        assert failing == ["dft/grid_overlap_oracle", "dft/intertwines_exp_pleft",
+                           "dft/intertwines_exp_qleft"]
+
+    @pytest.mark.parametrize("mutant", [None, "clock_sign_two", "wrong_exponent", "negated_K"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+    def test_intertwining_count_agrees_with_dense_products(self, monkeypatch, N, mutant):
+        # The dense matrices, built from the same (mutated) reader and table,
+        # are the reference: a count of 0 exactly where |K mp - mq K| <= 1e-12.
+        if mutant == "clock_sign_two":
+            monkeypatch.setitem(LABEL_ACTION[GridShift.EXP_QLEFT], "Q", (0, 2))
+        elif mutant == "wrong_exponent":
+            patch_reader(monkeypatch, raised_exponent(CLOCK))
+        elif mutant == "negated_K":
+            negated_dft_table(monkeypatch)
+        counts = {c.name: c.max_residual for c in suites.suite_dft(square_torus(N))}
+        K = dft_basis_change(N)
+        for which in GridShift:
+            mp, mq = table1_matrices(which, N)
+            dense = float(np.abs(K @ mp - mq @ K).max())
+            count = counts[f"dft/intertwines_{which.name.lower()}"]
+            assert (count == 0) == (dense <= 1e-12), which
 
 
 class TestDftBasisChange:
@@ -363,11 +450,9 @@ def test_peak_memory_is_the_stated_formula(func):
 
 
 def test_weyl_peak_is_within_its_estimate():
-    # weyl_commutation_check's clock, shift and products are freed before the
-    # suite builds its own, so the traced peak fits the 96 N^2 bytes above
-    # which the suite refuses (7.1 complex N x N arrays, 114 N^2, when both
-    # sets were alive at once).
-    N = 256
+    # The clock and shift are integer monomials: the suite holds a few int64
+    # arrays of N labels (about 65 N bytes measured), no N x N matrix.
+    N = 4096
     suite_weyl(square_torus(2))  # numpy's lazily built state is not the suite's
     tracemalloc.start()
     try:
@@ -375,7 +460,7 @@ def test_weyl_peak_is_within_its_estimate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * N**2
+    assert peak <= 128 * N + 2**16
 
 
 class TestMemoryRefusal:
