@@ -153,6 +153,11 @@ class BilinearPhaseTerm:
         return out
 
 
+def _nonzero_sorted(sums: dict) -> dict:
+    """A prefactor's monomial sums, sorted by monomial, zero coefficients dropped."""
+    return {mon: c for mon, c in sorted(sums.items()) if c != 0}
+
+
 class WaveFunction:
     """A finite sum of BilinearPhaseTerm sharing one hbar.
 
@@ -161,7 +166,10 @@ class WaveFunction:
     addition under the cell's smallest tuple, whatever the input order; zero
     coefficients are dropped, amplitudes are folded into the prefactor, and
     terms are sorted by (c0, cq, cp, cqp).  The zero wave function has an
-    empty term list.
+    empty term list.  So the terms of an instance have strictly ascending
+    keys, one per merge cell: a transform that keeps every key (_map_terms)
+    maps them one by one, and only the producers that make keys or meet two
+    operands merge (_merge).
 
     The form is not unique for equal functions: a constant phase can sit in
     c0 or in the coefficients, so single(1, 0.5, 0, 0, 0) and
@@ -186,7 +194,9 @@ class WaveFunction:
     def _merge(self, entries, hbar: float) -> "WaveFunction":
         """Make this the canonical sum of entries (phase key, amplitude, pairs) for a
         valid hbar and return it; an entry is amplitude * sum(c q^dq p^dp) e^{i phase/hbar}.
-        The one place wave functions get terms; sorted entries open cells at their least key.
+        Where keys are made or two operands meet, wave functions get their terms here:
+        the constructor, single, from_json, +, - and exp_operator_apply.  Sorted entries
+        open cells at their least key.
 
         The merge checks nothing: every key must already be checked at hbar (the key
         of a term at hbar, or _checked_key's output), every amplitude complex and
@@ -204,7 +214,7 @@ class WaveFunction:
         canon = []
         make = BilinearPhaseTerm._canonical
         for key, pref in cells.values():
-            pref = {mon: c for mon, c in sorted(pref.items()) if c != 0}
+            pref = _nonzero_sorted(pref)
             if pref:
                 canon.append(make(key, pref, hbar))
         self.hbar, self.terms = hbar, tuple(canon)
@@ -240,8 +250,29 @@ class WaveFunction:
             return complex(out)
         return out
 
+    def _map_terms(self, poly) -> "WaveFunction":
+        """Each term t of self under its own key with the prefactor poly(t),
+        {int monomial: coefficient}, zero coefficients and emptied terms dropped.
+        The keys of self are strictly ascending, one per merge cell, so keeping
+        them keeps the form canonical with no sort, cell or merge.  poly sums each
+        monomial from 0j in the merge's order, so for finite coefficients the
+        result is the merge's to the last bit.  Terms come from _canonical."""
+        canon = []
+        make = BilinearPhaseTerm._canonical
+        for t in self.terms:
+            pref = _nonzero_sorted(poly(t))
+            if pref:
+                canon.append(make(t.phase_key, pref, self.hbar))
+        out = WaveFunction.__new__(WaveFunction)
+        out.hbar, out.terms = self.hbar, tuple(canon)
+        return out
+
     def scale(self, factor: complex) -> "WaveFunction":
-        return self._combine((self, complex(factor)))
+        f = complex(factor)
+        # 0j + turns a -0.0 part into 0.0, as the merge's sums do; as in the
+        # merge, a zero factor contributes nothing, whatever it multiplies.
+        return self._map_terms(lambda t: {
+            mon: 0j + f * c for mon, c in t.prefactor.items()} if f != 0 else {})
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
         return self._combine((self, 1.0 + 0.0j), (other, 1.0 + 0.0j))
@@ -305,14 +336,30 @@ class WaveFunction:
 
 # -- the four operators ---------------------------------------------------
 
-def _term_by_term(wf: WaveFunction, image) -> WaveFunction:
-    """The sum over the terms t of wf of image(t) = (phase key, pairs), where
-    pairs yields (int monomial, coefficient).  Each image is one entry of the
-    WaveFunction merge, which sums the pairs and drops zeros, so a transform
-    hands over every pair and builds no term of its own.  A key other than
-    t.phase_key must come from _checked_key."""
-    return WaveFunction.__new__(WaveFunction)._merge(
-        ((key, 1.0 + 0.0j, pairs) for key, pairs in map(image, wf.terms)), wf.hbar)
+def _row_image(kind: OperatorKind):
+    """The row's action on one prefactor P under the phase of a term t (the
+    formula of apply_operator): image(t, P) is the image prefactor
+    {int monomial: coefficient}, each monomial summed from 0j in the order
+    the contributions arise.  commutator_apply applies it twice."""
+    axis, sign, multiplies = kind.value
+
+    def image(t, prefactor):
+        y_coeff = float(multiplies) - sign * t.cqp
+        x_coeff = sign * t.phase_key[1 + axis]
+        d_coeff = sign * 1j * t.hbar
+        pref: dict = {}
+        get = pref.get
+        for (a, b), c in prefactor.items():
+            up = (a + axis, b + 1 - axis)
+            pref[up] = get(up, 0j) + c * y_coeff
+            pref[a, b] = get((a, b), 0j) + -c * x_coeff
+            degree = (a, b)[axis]
+            if degree:
+                down = (a - 1 + axis, b - axis)
+                pref[down] = get(down, 0j) + c * (d_coeff * degree)
+        return pref
+
+    return image
 
 
 def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
@@ -325,21 +372,11 @@ def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
 
     times the same phase.  Differentiation lowers prefactor exponents and
     multiplication by y raises them by one.  No division by hbar occurs,
-    which keeps results exact for exactly representable inputs.
+    which keeps results exact for exactly representable inputs.  Every
+    phase key is kept, so the terms are mapped one by one (_map_terms).
     """
-    axis, sign, multiplies = kind.value
-
-    def pairs(t):
-        c_x = t.phase_key[1 + axis]
-        y_coeff = float(multiplies) - sign * t.cqp
-        for (a, b), c in t.prefactor.items():
-            yield (a + axis, b + 1 - axis), c * y_coeff
-            yield (a, b), -c * (sign * c_x)
-            degree = (a, b)[axis]
-            if degree:
-                yield (a - 1 + axis, b - axis), c * (sign * 1j * t.hbar * degree)
-
-    return _term_by_term(wf, lambda t: (t.phase_key, pairs(t)))
+    image = _row_image(kind)
+    return wf._map_terms(lambda t: image(t, t.prefactor))
 
 
 def commutator_apply(kind_a: OperatorKind, kind_b: OperatorKind, wf: WaveFunction) -> WaveFunction:
@@ -347,11 +384,22 @@ def commutator_apply(kind_a: OperatorKind, kind_b: OperatorKind, wf: WaveFunctio
 
     Equals i*hbar*wf for (Q_LEFT, P_LEFT) and (Q_RIGHT, P_RIGHT), and the zero
     wave function for every mixed left/right pair.  Expects a canonical,
-    nonzero wave function.
+    nonzero wave function.  The operators keep phase keys, so each term t is
+    taken alone, with no intermediate wave function: A(B t) and B(A t) come
+    from apply_operator's row images, each applied to the canonical prefactor
+    of the one before, and are subtracted as `-` would.  The result has the
+    bytes of AB wf - BA wf formed with apply_operator and `-`.
     """
-    ab = apply_operator(kind_a, apply_operator(kind_b, wf))
-    ba = apply_operator(kind_b, apply_operator(kind_a, wf))
-    return ab - ba
+    image_a, image_b = _row_image(kind_a), _row_image(kind_b)
+
+    def poly(t):
+        ab = image_a(t, _nonzero_sorted(image_b(t, t.prefactor)))
+        ba = image_b(t, _nonzero_sorted(image_a(t, t.prefactor)))
+        for mon, c in ba.items():
+            ab[mon] = ab.get(mon, 0j) - c
+        return ab
+
+    return wf._map_terms(poly)
 
 
 def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
@@ -364,17 +412,23 @@ def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
         raise ValueError(f"var must be 'q' or 'p', got {var!r}")
     axis = "qp".index(var)
 
-    def pairs(t):
+    def poly(t):
         # With y the other variable: dP/dx + (i/hbar)(c_x + cqp y) P
-        c_x = t.phase_key[1 + axis]
+        x_coeff = 1j * t.phase_key[1 + axis] / t.hbar
+        y_coeff = 1j * t.cqp / t.hbar
+        pref: dict = {}
+        get = pref.get
         for (a, b), c in t.prefactor.items():
             degree = (a, b)[axis]
             if degree:
-                yield (a - 1 + axis, b - axis), degree * c
-            yield (a, b), c * (1j * c_x / t.hbar)
-            yield (a + axis, b + 1 - axis), c * (1j * t.cqp / t.hbar)
+                down = (a - 1 + axis, b - axis)
+                pref[down] = get(down, 0j) + degree * c
+            pref[a, b] = get((a, b), 0j) + c * x_coeff
+            up = (a + axis, b + 1 - axis)
+            pref[up] = get(up, 0j) + c * y_coeff
+        return pref
 
-    return _term_by_term(wf, lambda t: (t.phase_key, pairs(t)))
+    return wf._map_terms(poly)
 
 
 def exp_affine_map(kind: OperatorKind,
@@ -443,11 +497,11 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
             for i in range(degree + 1):
                 yield ((i, b), (a, i))[axis], c * (math.comb(degree, i) * (-s) ** (degree - i))
 
-    def image(t):
-        # The only transform that makes new phase keys, so the only one that checks them.
-        return _checked_key(key_map(*t.phase_key), t.hbar), pairs(t.prefactor)
-
-    return _term_by_term(wf, image)
+    # The only transform that makes new phase keys, so the only one that checks
+    # them and the only one that merges: two keys may land in one cell.
+    return WaveFunction.__new__(WaveFunction)._merge(
+        ((_checked_key(key_map(*t.phase_key), t.hbar), 1.0 + 0.0j, pairs(t.prefactor))
+         for t in wf.terms), wf.hbar)
 
 
 def is_eigenstate(kind: OperatorKind, wf: WaveFunction):

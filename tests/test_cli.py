@@ -191,9 +191,11 @@ class TestVerify:
 
     def test_orthonormality_refused_before_sampling(self, monkeypatch):
         # Count every state handed to the stack sampler, every wave function
-        # built and every phase-key evaluation: a refusal comes before all.
+        # built (by the merge or term by term) and every phase-key
+        # evaluation: a refusal comes before all.
         calls = []
         real_stack, real_merge = torus._sample_stack, WaveFunction._merge
+        real_map = WaveFunction._map_terms
 
         def counted_stack(states, *args, **kwargs):
             calls.extend("sampled" for _ in states)
@@ -203,8 +205,13 @@ class TestVerify:
             calls.append("built")
             return real_merge(self, *args, **kwargs)
 
+        def counted_map(*args, **kwargs):
+            calls.append("built")
+            return real_map(*args, **kwargs)
+
         monkeypatch.setattr(torus, "_sample_stack", counted_stack)
         monkeypatch.setattr(WaveFunction, "_merge", counted_merge)
+        monkeypatch.setattr(WaveFunction, "_map_terms", counted_map)
         monkeypatch.setattr(suites, "_basis_key", lambda *args, **kwargs: (
             calls.append("key") or torus._basis_key(*args, **kwargs)))
         monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
@@ -256,9 +263,10 @@ class TestVerify:
     @pytest.mark.parametrize("suite", sorted(ESTIMATES))
     def test_suite_refused_before_building_anything(self, monkeypatch, suite):
         # Every builder of states, keys or matrices the suites call is
-        # counted, and every wave function built: a refusal must come before
-        # all of them.  table1_verify and physical_grid_overlaps refuse from
-        # inside, so they are not counted; the keys and states they make are.
+        # counted, and every wave function built, by the merge or term by
+        # term: a refusal must come before all of them.  table1_verify and
+        # physical_grid_overlaps refuse from inside, so they are not counted;
+        # the keys and states they make are.
         calls = []
 
         def counted(name, real):
@@ -266,6 +274,7 @@ class TestVerify:
 
         monkeypatch.setattr(torus, "_sample_stack", counted("sampled", torus._sample_stack))
         monkeypatch.setattr(WaveFunction, "_merge", counted("built", WaveFunction._merge))
+        monkeypatch.setattr(WaveFunction, "_map_terms", counted("built", WaveFunction._map_terms))
         for module in (finite, suites):
             monkeypatch.setattr(module, "_basis_key", counted("key", torus._basis_key))
         for name in ("_physical_action", "_dft_exponents", "dft_basis_change"):

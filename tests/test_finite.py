@@ -49,15 +49,21 @@ def counting_stack(monkeypatch):
 
 
 def counting_builds(monkeypatch):
-    """Record every wave function built: each one is made by WaveFunction._merge."""
+    """Record every wave function built: each one is made by WaveFunction._merge
+    or, term by term from another, by WaveFunction._map_terms."""
     built = []
-    real = WaveFunction._merge
+    real_merge, real_map = WaveFunction._merge, WaveFunction._map_terms
 
     def merge(self, *args, **kwargs):
         built.append(self)
-        return real(self, *args, **kwargs)
+        return real_merge(self, *args, **kwargs)
+
+    def map_terms(*args, **kwargs):
+        built.append(real_map(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(WaveFunction, "_merge", merge)
+    monkeypatch.setattr(WaveFunction, "_map_terms", map_terms)
     return built
 
 

@@ -337,6 +337,210 @@ def _transforms(rng, a, b):
     return ops
 
 
+# -- the key-preserving transforms against the general merge ---------------
+
+def _merged(entries, hbar):
+    return WaveFunction.__new__(WaveFunction)._merge(entries, hbar)
+
+
+def merged_apply(kind, wf):
+    """apply_operator as every contribution of every term fed to the merge."""
+    axis, sign, multiplies = kind.value
+
+    def pairs(t):
+        c_x = t.phase_key[1 + axis]
+        y_coeff = float(multiplies) - sign * t.cqp
+        for (a, b), c in t.prefactor.items():
+            yield (a + axis, b + 1 - axis), c * y_coeff
+            yield (a, b), -c * (sign * c_x)
+            degree = (a, b)[axis]
+            if degree:
+                yield (a - 1 + axis, b - axis), c * (sign * 1j * t.hbar * degree)
+
+    return _merged(((t.phase_key, 1.0 + 0.0j, pairs(t)) for t in wf.terms), wf.hbar)
+
+
+def merged_differentiate(wf, var):
+    """differentiate as every contribution of every term fed to the merge."""
+    axis = "qp".index(var)
+
+    def pairs(t):
+        c_x = t.phase_key[1 + axis]
+        for (a, b), c in t.prefactor.items():
+            degree = (a, b)[axis]
+            if degree:
+                yield (a - 1 + axis, b - axis), degree * c
+            yield (a, b), c * (1j * c_x / t.hbar)
+            yield (a + axis, b + 1 - axis), c * (1j * t.cqp / t.hbar)
+
+    return _merged(((t.phase_key, 1.0 + 0.0j, pairs(t)) for t in wf.terms), wf.hbar)
+
+
+def merged_scale(wf, factor):
+    return _merged(((t.phase_key, complex(factor), t.prefactor.items()) for t in wf.terms),
+                   wf.hbar)
+
+
+def merged_commutator(kind_a, kind_b, wf):
+    """AB wf - BA wf, each side and their difference made by the merge."""
+    ab = merged_apply(kind_a, merged_apply(kind_b, wf))
+    ba = merged_apply(kind_b, merged_apply(kind_a, wf))
+    return _merged([(t.phase_key, 1.0 + 0.0j, t.prefactor.items()) for t in ab.terms]
+                   + [(t.phase_key, -1.0 + 0.0j, t.prefactor.items()) for t in ba.terms],
+                   wf.hbar)
+
+
+def dyadic_sum(rng, count, repeated=0.35, hbar=1.0):
+    """count dyadic terms of two monomials each; a share `repeated` of them
+    reuses an earlier phase key, so the build merges prefactors."""
+    keys = [tuple(dyadic(rng) for _ in range(4))
+            for _ in range(count - int(round(repeated * count)))]
+    keys += [keys[int(rng.integers(len(keys)))] for _ in range(count - len(keys))]
+    terms = []
+    for i in rng.permutation(count):
+        mons = rng.choice(9, size=2, replace=False)
+        pref = {(int(m) // 3, int(m) % 3): complex(dyadic(rng), dyadic(rng)) for m in mons}
+        amp = complex(int(rng.integers(1, 5)), int(rng.integers(-2, 3)))
+        terms.append(BilinearPhaseTerm(amp, *keys[i], prefactor=pref, hbar=hbar))
+    return WaveFunction(terms, hbar=hbar)
+
+
+def with_signed_zeros():
+    """Two terms whose coefficients carry -0.0 parts.  A build would turn
+    them into 0.0, so the terms are set in place: the transforms meet the
+    -0.0 parts themselves."""
+    make = BilinearPhaseTerm._canonical
+    wf = WaveFunction.__new__(WaveFunction)
+    wf.hbar, wf.terms = 0.5, (
+        make((0.0, -0.5, 0.25, 0.0), {(0, 0): complex(-0.0, 1.0), (1, 2): complex(0.5, -0.0)}, 0.5),
+        make((0.25, 0.5, -0.25, 0.75), {(0, 1): complex(-0.0, 0.25), (1, 1): complex(-1.5, -0.0)},
+             0.5))
+    return wf
+
+
+def equivalence_input(name):
+    if name.startswith("seed"):
+        seed = int(name[4:])
+        return random_wavefunction(np.random.default_rng(seed), hbar=(1.0, 0.5)[seed % 2])
+    if name == "dyadic1000":
+        return dyadic_sum(np.random.default_rng(41), 1000)
+    if name == "signed_zero":
+        return with_signed_zeros()
+    if name == "inexact":
+        # Coefficients that round when multiplied and summed, so a change in
+        # the order of any sum shows in the bytes.
+        rng = np.random.default_rng(53)
+        return WaveFunction([BilinearPhaseTerm(
+            1.0, *rng.uniform(-2, 2, 4),
+            prefactor={(int(i), int(j)): complex(*rng.normal(size=2))
+                       for i, j in rng.integers(0, 4, size=(5, 2))}, hbar=0.3)
+            for _ in range(40)], hbar=0.3)
+    # The constant term is annihilated by P_LEFT and Q_RIGHT, and by both
+    # derivatives; the other term is not.
+    assert name == "annihilated"
+    return (WaveFunction.single(1.0, 0.0, 0.0, 0.0, 0.0)
+            + WaveFunction.single(0.5 - 0.25j, 0.0, 0.5, -0.25, 1.0, {(1, 0): 1.0}))
+
+
+EQUIVALENCE_INPUTS = [f"seed{i}" for i in range(50)] + ["dyadic1000", "inexact",
+                                                         "signed_zero", "annihilated"]
+SCALE_FACTORS = (2, -1, 1j, 0)
+
+
+def key_preserving_outputs(wf):
+    """(name, output, reference made by the merge) for every key-preserving transform."""
+    out = [(f"apply {k.name}", apply_operator(k, wf), merged_apply(k, wf)) for k in ALL_KINDS]
+    out += [(f"d/d{v}", differentiate(wf, v), merged_differentiate(wf, v)) for v in "qp"]
+    out += [(f"scale {f}", wf.scale(f), merged_scale(wf, f)) for f in SCALE_FACTORS]
+    out += [(f"[{a.name}, {b.name}]", commutator_apply(a, b, wf), merged_commutator(a, b, wf))
+            for a in ALL_KINDS for b in ALL_KINDS]
+    return out
+
+
+def assert_canonical(wf):
+    keys = [t.phase_key for t in wf.terms]
+    assert keys == sorted(set(keys))
+    cells = {tuple(round(k / wf.hbar / PHASE_MERGE_TOL) for k in key) for key in keys}
+    assert len(cells) == len(keys)
+    for t in wf.terms:
+        assert t.prefactor and list(t.prefactor) == sorted(t.prefactor)
+        assert all(c != 0 for c in t.prefactor.values())
+        assert t.amplitude == 1.0 and t.hbar == wf.hbar
+
+
+class TestTermByTerm:
+    """apply_operator, differentiate, scale and commutator_apply keep every
+    phase key and map the terms one by one: the same bytes as the merge,
+    without it."""
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_INPUTS)
+    def test_same_bytes_as_the_merge(self, name):
+        wf = equivalence_input(name)
+        for label, got, want in key_preserving_outputs(wf):
+            assert got.to_json() == want.to_json(), label
+            assert_canonical(got)
+        for a in ALL_KINDS:
+            for b in ALL_KINDS:
+                composed = (apply_operator(a, apply_operator(b, wf))
+                            - apply_operator(b, apply_operator(a, wf)))
+                assert commutator_apply(a, b, wf).to_json() == composed.to_json()
+        assert wf.scale(0).terms == () and wf.scale(0).hbar == wf.hbar
+
+    def test_inputs_reach_every_case(self):
+        # The inputs above do what their names say: the large one merges
+        # repeated keys, the signed zeros reach the transforms, and the
+        # annihilated term leaves no term behind under Q_RIGHT.
+        assert len(equivalence_input("dyadic1000").terms) < 1000
+        parts = [math.copysign(1.0, x) for t in with_signed_zeros().terms
+                 for c in t.prefactor.values() for x in (c.real, c.imag)]
+        assert -1.0 in parts
+        wf = equivalence_input("annihilated")
+        assert len(wf.terms) == 2 and len(apply_operator(Q_RIGHT, wf).terms) == 1
+
+    def test_zero_factor_drops_even_a_non_finite_coefficient(self):
+        # As in the merge, a zero factor contributes nothing: 0 * inf is not
+        # summed into a nan coefficient.
+        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): math.inf, (1, 0): 1.0})
+        assert wf.scale(0).terms == () and merged_scale(wf, 0).terms == ()
+
+    @staticmethod
+    def counting_merges(monkeypatch):
+        calls = []
+        real = WaveFunction._merge
+
+        def merge(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(WaveFunction, "_merge", merge)
+        return calls
+
+    def test_key_preserving_transforms_never_merge(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        inputs = [random_wavefunction(rng) for _ in range(5)] + [dyadic_sum(rng, 200)]
+        calls = self.counting_merges(monkeypatch)
+        for wf in inputs:
+            ops = [lambda k=k: apply_operator(k, wf) for k in ALL_KINDS]
+            ops += [lambda v=v: differentiate(wf, v) for v in "qp"]
+            ops += [lambda f=f: wf.scale(f) for f in SCALE_FACTORS]
+            ops += [lambda a=a, b=b: commutator_apply(a, b, wf)
+                    for a in ALL_KINDS for b in ALL_KINDS]
+            for op in ops:
+                assert_canonical(op())
+        assert calls == []
+
+    def test_key_making_and_two_operand_producers_merge_once(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        a, b = random_wavefunction(rng), random_wavefunction(rng)
+        calls = self.counting_merges(monkeypatch)
+        ops = [lambda k=k: exp_operator_apply(k, 0.25, a) for k in ALL_KINDS]
+        ops += [lambda: a + b, lambda: a - b, lambda: WaveFunction(a.terms + b.terms)]
+        for op in ops:
+            calls.clear()
+            out = op()
+            assert calls == [out]
+
+
 class TestCommutators:
     def test_single_term_canonical_pair(self):
         wf = WaveFunction.single(1.0, 0.0, 0.5, -0.25, 0.75, hbar=0.5)
