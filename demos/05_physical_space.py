@@ -79,10 +79,9 @@ for which in GridShift:
     print(f"  intertwining residual for {which.name}:", np.abs(K @ mp - mq @ K).max())
 
 # The inner-product oracle: overlaps of sampled basis states on the N x N
-# grid equal K / sqrt(N) entrywise, for every shadow index s.
-overlaps = physical_grid_overlaps(geometry)
-resid = max(np.abs(overlaps[:, s, :] - K / np.sqrt(N)).max() for s in range(N))
-print("grid-overlap oracle residual:", resid)
+# grid equal K / sqrt(N) entrywise, for every shadow index s; the oracle
+# returns the largest miss, one bra at a time.
+print("grid-overlap oracle residual:", physical_grid_overlaps(geometry))
 
 # Why the unexponentiated pair cannot survive: any finite commutator is
 # traceless, but [Q, P] = i hbar would need trace i hbar N.  The trace is

@@ -26,10 +26,10 @@ from .torus import (
     _basis_key,
     _require_memory,
     _require_quantized,
+    _sample_each,
     grid_coordinates,
     grid_shift_coefficient,
     make_torus_Q_basis,
-    sample_bras,
 )
 
 def _require_dimension(N: int) -> None:
@@ -225,9 +225,10 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
         CheckResult("table1/lattice", params, distance, tol)]
 
 
-def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
-    """Inner products O[n, s, r] = <sampled Q-basis n, m=0 | sampled P-basis s, r>
-    on the physical grid M = N, both bases in the primed convention.
+def physical_grid_overlaps(geometry: TorusGeometry) -> float:
+    """max |O[n, s, r] - K[n][r] / sqrt(N)| over the inner products
+    O[n, s, r] = <sampled Q-basis n, m=0 | sampled P-basis s, r> on the
+    physical grid M = N, both bases in the primed convention.
 
     This is the independent oracle for dft_basis_change: the overlaps equal
     e^{2 pi i n r / N} / N for every shadow index s, i.e. K[n][r] / sqrt(N).
@@ -236,18 +237,24 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     transition factors sample to one only there.  On M = 2N the overlaps miss
     K / sqrt(N) by 0.55 at N = 2, 0.35 at N = 3 and 0.21 at N = 5.
 
-    The N Q-basis bras are sampled (sample_bras).  The P-basis kets are not:
+    The N Q-basis bras are sampled one at a time (torus._sample_each, which
+    computes their shared chirp once per call).  The P-basis kets are not:
     each state (s, r) is d_sr u_s(p) (x) v_r(q), read from its phase key
     (torus._basis_key), with u_s = e^{i cp[s] p/hbar}, v_r = e^{i cq[r] q/hbar}
-    and d_sr = e^{i c0[s, r]/hbar}.  Then O[n, s, r] = d_sr sum_ij
-    bras[n, i, j] u_s(p_i) v_r(q_j) / N^2 in two matrix products, 2 N^4
-    multiply-adds.  The call holds the bras and the first product, then the
-    first product and O, beside the N x N factors: 16 (2 N^3 + 4 N^2) bytes,
-    plus numpy's ufunc buffers.  When that exceeds the available memory the
-    call raises MemoryError before it builds any state.
+    and d_sr = e^{i c0[s, r]/hbar}.  Then the slice O[n] = d * sum_ij
+    bra_n[i, j] u_s(p_i) v_r(q_j) / N^2 takes two matrix products, 2 N^3
+    multiply-adds, and row n of K / sqrt(N) is subtracted from each of its
+    rows before the slice's largest modulus is kept: 2 N^4 in all, on purpose,
+    since the oracle assumes none of the DFT structure it confirms.
+
+    No (N, N, N) array is formed.  The loop holds seven N x N complex arrays,
+    U, V, d, K / sqrt(N), the chirp, the bra (which then takes the slice) and
+    the first product, and the moduli of one slice as floats: 16 * 7 N^2 +
+    8 N^2 bytes, plus O(N) vectors and numpy's ufunc buffers.  When that exceeds the
+    available memory the call raises MemoryError before it builds any state.
     """
     N = _require_quantized(geometry)
-    _require_memory("dft", N, 16 * (2 * N**3 + 4 * N**2))
+    _require_memory("dft", N, 16 * 7 * N**2 + 8 * N**2)
     hbar = geometry.hbar
     c0 = _basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
     _, cq, cp, _ = _basis_key(geometry, "P", np.arange(N), np.arange(N))
@@ -256,11 +263,15 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> np.ndarray:
     V = np.exp(1j / hbar * np.multiply.outer(cq, q))
     d = np.exp(1j / hbar * c0) / (N * N)
     del c0
-    bras = sample_bras([make_torus_Q_basis(geometry, n, 0, True) for n in range(N)],
-                       geometry, N).reshape(N, N, N)
-    first = U @ bras  # first[n, s, j] = sum_i u_s(p_i) bras[n, i, j]
-    del bras
-    out = first @ V.T
-    del first
-    out *= d
-    return out
+    expected = dft_basis_change(N) / math.sqrt(N)
+    first = np.empty((N, N), dtype=complex)
+    residual = 0.0
+    bras = _sample_each((make_torus_Q_basis(geometry, n, 0, True) for n in range(N)), geometry, N)
+    for n, bra in enumerate(bras):
+        np.conjugate(bra, out=bra)
+        np.matmul(U, bra, out=first)  # first[s, j] = sum_i u_s(p_i) bra[i, j]
+        overlaps = np.matmul(first, V.T, out=bra)  # the slice overwrites its bra
+        overlaps *= d
+        overlaps -= expected[n]
+        residual = max(residual, float(np.abs(overlaps).max()))
+    return residual

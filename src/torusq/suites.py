@@ -153,17 +153,15 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
     """Unitarity, intertwining, and grid-overlap oracle for the basis change.
 
     The oracle (physical_grid_overlaps) runs first: it refuses a run too
-    large for memory before anything is built, and its peak is the suite's.
+    large for memory before anything is built, its peak is the suite's, and
+    it returns its residual, max |O - K / sqrt(N)| over the sampled overlaps.
     Each intertwining check counts the labels s where the exponents of K mp,
     E[n, s+kp] + ep[s], and of mq K, E[n-kq, s] + eq[n-kq], differ mod N
     (E = finite._dft_exponents, m e_s = w^{e[s]} e_{s+k}), against tolerance 0.
     """
     N = _require_quantized(geometry)
-    overlaps = physical_grid_overlaps(geometry)
+    r_oracle = physical_grid_overlaps(geometry)
     K = dft_basis_change(N)
-    # In place, no second (N, N, N) array; unit grid states' overlaps carry 1/sqrt(N).
-    overlaps -= (K / np.sqrt(N))[:, None, :]
-    r_oracle = float(np.abs(overlaps).max())
     r_unitary = float(np.abs(K.conj().T @ K - np.eye(N)).max())
     checks = [CheckResult("dft/unitary", {"N": N}, r_unitary, tol)]
     E = _dft_exponents(N)

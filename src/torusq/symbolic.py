@@ -22,6 +22,7 @@ immutable values; nothing here mutates shared state.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -91,6 +92,17 @@ def _checked_key(key, hbar: float) -> tuple:
     return tuple(floats)
 
 
+def _check_coefficients(amplitude: complex, pairs) -> None:
+    """ValueError unless the complex amplitude and the coefficient of every
+    (monomial, complex) pair are finite in both parts: the merge's complex
+    products would turn an infinite part into a nan one."""
+    if not cmath.isfinite(amplitude):
+        raise ValueError(f"amplitude={amplitude} is not finite")
+    for mon, c in pairs:
+        if not cmath.isfinite(c):
+            raise ValueError(f"prefactor[{mon}]={c} is not finite")
+
+
 @dataclass(frozen=True)
 class BilinearPhaseTerm:
     """A single term amplitude * prefactor(q, p) * exp(i*phase(q, p)/hbar).
@@ -99,7 +111,8 @@ class BilinearPhaseTerm:
     carrying units of action (they are divided by hbar on evaluation).  The
     prefactor maps exponent pairs (dq, dp) to complex coefficients.  Phase
     coefficients k are stored as floats, -0.0 as 0.0; k / hbar /
-    PHASE_MERGE_TOL must be finite.
+    PHASE_MERGE_TOL must be finite, and so must the amplitude and every
+    prefactor coefficient.
     """
 
     amplitude: complex
@@ -114,9 +127,11 @@ class BilinearPhaseTerm:
         _check_hbar(self.hbar)
         for name, k in zip(_PHASE_NAMES, _checked_key(self.phase_key, self.hbar)):
             object.__setattr__(self, name, k)
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "prefactor", {(int(dq), int(dp)): complex(c)
-                                               for (dq, dp), c in self.prefactor.items()})
+        amplitude = complex(self.amplitude)
+        prefactor = {(int(dq), int(dp)): complex(c) for (dq, dp), c in self.prefactor.items()}
+        _check_coefficients(amplitude, prefactor.items())
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "prefactor", prefactor)
 
     @property
     def phase_key(self) -> tuple[float, float, float, float]:
@@ -228,9 +243,11 @@ class WaveFunction:
     def single(cls, amplitude, c0, cq, cp, cqp, prefactor=None, hbar=1.0) -> "WaveFunction":
         _check_hbar(hbar)
         key = _checked_key((c0, cq, cp, cqp), hbar)
+        amplitude = complex(amplitude)
         pairs = (((0, 0), 1.0 + 0.0j),) if prefactor is None else [
             ((int(dq), int(dp)), complex(c)) for (dq, dp), c in prefactor.items()]
-        return cls.__new__(cls)._merge([(key, complex(amplitude), pairs)], hbar)
+        _check_coefficients(amplitude, pairs)
+        return cls.__new__(cls)._merge([(key, amplitude, pairs)], hbar)
 
     def is_zero(self) -> bool:
         return not self.terms

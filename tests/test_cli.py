@@ -194,12 +194,16 @@ class TestVerify:
         # built (by the merge or term by term) and every phase-key
         # evaluation: a refusal comes before all.
         calls = []
-        real_stack, real_merge = torus._sample_stack, WaveFunction._merge
+        real_sampler, real_merge = torus._sample_each, WaveFunction._merge
         real_map = WaveFunction._map_terms
 
-        def counted_stack(states, *args, **kwargs):
-            calls.extend("sampled" for _ in states)
-            return real_stack(states, *args, **kwargs)
+        def counted_sampler(states, *args, **kwargs):
+            def noted():
+                for wf in states:
+                    calls.append("sampled")
+                    yield wf
+
+            return real_sampler(noted(), *args, **kwargs)
 
         def counted_merge(self, *args, **kwargs):
             calls.append("built")
@@ -209,7 +213,8 @@ class TestVerify:
             calls.append("built")
             return real_map(*args, **kwargs)
 
-        monkeypatch.setattr(torus, "_sample_stack", counted_stack)
+        for module in (torus, finite):
+            monkeypatch.setattr(module, "_sample_each", counted_sampler)
         monkeypatch.setattr(WaveFunction, "_merge", counted_merge)
         monkeypatch.setattr(WaveFunction, "_map_terms", counted_map)
         monkeypatch.setattr(suites, "_basis_key", lambda *args, **kwargs: (
@@ -257,14 +262,15 @@ class TestVerify:
     # Each suite's estimate, checked at N = 4 and N = 20.
     ESTIMATES = {
         "table1": lambda N: 16 * 12 * (N + 1)**2,
-        "dft": lambda N: 16 * (2 * N**3 + 4 * N**2),
+        "dft": lambda N: 16 * 7 * N**2 + 8 * N**2,
     }
 
     @pytest.mark.parametrize("suite", sorted(ESTIMATES))
     def test_suite_refused_before_building_anything(self, monkeypatch, suite):
         # Every builder of states, keys or matrices the suites call is
         # counted, and every wave function built, by the merge or term by
-        # term: a refusal must come before all of them.  table1_verify and
+        # term, and every call of the grid sampler: a refusal must come
+        # before all of them.  table1_verify and
         # physical_grid_overlaps refuse from inside, so they are not counted;
         # the keys and states they make are.
         calls = []
@@ -272,7 +278,8 @@ class TestVerify:
         def counted(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        monkeypatch.setattr(torus, "_sample_stack", counted("sampled", torus._sample_stack))
+        for module in (torus, finite):
+            monkeypatch.setattr(module, "_sample_each", counted("sampled", torus._sample_each))
         monkeypatch.setattr(WaveFunction, "_merge", counted("built", WaveFunction._merge))
         monkeypatch.setattr(WaveFunction, "_map_terms", counted("built", WaveFunction._map_terms))
         for module in (finite, suites):

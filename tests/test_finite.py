@@ -20,7 +20,8 @@ from torusq.suites import run_suites, suite_weyl
 from torusq.symbolic import WaveFunction
 from torusq.torus import (
     GridShift,
-    _sample_stack,
+    _sample_each,
+    grid_coordinates,
     grid_shift_operator,
     make_geometry,
     make_torus_P_basis,
@@ -36,16 +37,41 @@ def non_square_torus(N):
 
 
 def counting_stack(monkeypatch):
-    """Replace the stack sampler, as torus.sample and torus.sample_bras call
-    it, with a wrapper that records every state it samples."""
+    """Replace the grid sampler, as torus.sample, torus.sample_bras and the
+    dft oracle call it, with a wrapper that records every state it samples,
+    as the sampler takes it."""
     sampled = []
 
     def counted(states, *args, **kwargs):
-        sampled.extend(states)
-        return _sample_stack(states, *args, **kwargs)
+        def noted():
+            for wf in states:
+                sampled.append(wf)
+                yield wf
 
-    monkeypatch.setattr(torus, "_sample_stack", counted)
+        return _sample_each(noted(), *args, **kwargs)
+
+    for module in (torus, finite):
+        monkeypatch.setattr(module, "_sample_each", counted)
     return sampled
+
+
+def counting_chirps(monkeypatch):
+    """Record the shape of every grid-sized exp the sampler takes: the
+    chirps, since its one-axis factors are vectors."""
+    chirps = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                chirps.append(np.shape(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(torus, "np", Numpy())
+    return chirps
 
 
 def counting_builds(monkeypatch):
@@ -288,16 +314,30 @@ class TestDftBasisChange:
         # Inner products of sampled basis states on the physical grid agree
         # with the closed form on every entry, for every shadow index.
         for N in (1, 2, 3, 4, 8):
-            overlaps = physical_grid_overlaps(square_torus(N))
-            K = dft_basis_change(N)
-            expected = K / math.sqrt(N)
-            for s in range(N):
-                assert np.abs(overlaps[:, s, :] - expected).max() <= 1e-10
+            assert physical_grid_overlaps(square_torus(N)) <= 1e-10
+
+    @pytest.mark.parametrize("geometry", [square_torus(N) for N in (*range(1, 9), 16, 32)]
+                             + [non_square_torus(N) for N in (1, 3, 4, 5, 7)])
+    def test_streamed_residual_equals_the_batched_form(self, geometry):
+        # The oracle's earlier form: every bra sampled into one array, the
+        # (N, N, N) overlaps in two stacked products, and K / sqrt(N)
+        # subtracted from every shadow slice.  Streaming changes no bit.
+        N, hbar = geometry.N, geometry.hbar
+        c0 = torus._basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
+        _, cq, cp, _ = torus._basis_key(geometry, "P", np.arange(N), np.arange(N))
+        q, p = grid_coordinates(geometry, N)
+        U = np.exp(1j / hbar * np.multiply.outer(cp, p))
+        V = np.exp(1j / hbar * np.multiply.outer(cq, q))
+        d = np.exp(1j / hbar * c0) / (N * N)
+        bras = sample_bras([make_torus_Q_basis(geometry, n, 0, True) for n in range(N)],
+                           geometry, N).reshape(N, N, N)
+        overlaps = (U @ bras) @ V.T * d
+        overlaps -= (dft_basis_change(N) / np.sqrt(N))[:, None, :]
+        assert physical_grid_overlaps(geometry) == float(np.abs(overlaps).max())
 
     @pytest.mark.parametrize("N", [1, 3, 4])
     def test_grid_overlaps_equal_direct_inner_products(self, N):
         geometry = non_square_torus(N)
-        overlaps = physical_grid_overlaps(geometry)
         qs = [sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N)
               for n in range(N)]
         direct = np.zeros((N, N, N), dtype=complex)
@@ -305,19 +345,23 @@ class TestDftBasisChange:
             ket = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
             for n in range(N):
                 direct[n, s, r] = np.vdot(qs[n], ket) / N**2
-        assert np.abs(overlaps - direct).max() <= 1e-14
+        want = np.abs(direct - (dft_basis_change(N) / math.sqrt(N))[:, None, :]).max()
+        assert abs(physical_grid_overlaps(geometry) - want) <= 1e-14
 
     def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
         # The N Q-basis bras are the only states built, and each is sampled
-        # once; the N^2 P-basis kets are read from phase keys as factors.
+        # once, under one chirp; the N^2 P-basis kets are read from phase
+        # keys as factors.
         N = 4
         geometry = square_torus(N)
         bras = [make_torus_Q_basis(geometry, n, 0, True).to_json() for n in range(N)]
         sampled = counting_stack(monkeypatch)
         built = counting_builds(monkeypatch)
+        chirps = counting_chirps(monkeypatch)
         physical_grid_overlaps(geometry)
         assert [wf.to_json() for wf in built] == bras
         assert [wf.to_json() for wf in sampled] == bras
+        assert chirps == [(N, N)]
 
 
 def reference_table1_residuals(geometry, M):
@@ -443,7 +487,7 @@ def test_peak_memory_is_the_stated_formula(func):
     N = 32
     stated = {
         table1_verify: 16 * 12 * (N + 1)**2,
-        physical_grid_overlaps: 16 * (2 * N**3 + 4 * N**2),
+        physical_grid_overlaps: 16 * 7 * N**2 + 8 * N**2,
     }[func]
     func(square_torus(2))  # numpy's lazily built state is not the function's
     tracemalloc.start()
@@ -453,6 +497,24 @@ def test_peak_memory_is_the_stated_formula(func):
     finally:
         tracemalloc.stop()
     assert peak <= stated + 16 * np.getbufsize() + 2**16
+
+
+def test_dft_oracle_streams_in_quadratic_memory():
+    # At N = 128 the oracle holds seven N x N complex arrays and one of
+    # floats, never an (N, N, N) one: its traced peak is the stated formula
+    # within the slack above, and over 10x below the batched form's
+    # 16 (2 N^3 + 4 N^2) bytes.
+    N = 128
+    stated = 16 * 7 * N**2 + 8 * N**2
+    physical_grid_overlaps(square_torus(2))
+    tracemalloc.start()
+    try:
+        physical_grid_overlaps(square_torus(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - stated) <= 16 * np.getbufsize() + 2**16
+    assert 10 * peak <= 16 * (2 * N**3 + 4 * N**2)
 
 
 def test_weyl_peak_is_within_its_estimate():

@@ -183,6 +183,27 @@ class TestCanonicalForm:
                 make()
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("value", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                                       complex(math.nan, 0.0), complex(1.0, math.inf),
+                                       complex(1.0, -math.inf), complex(1.0, math.nan)])
+    @pytest.mark.parametrize("where", ["amplitude", "prefactor"])
+    def test_every_producer_rejects_a_non_finite_coefficient(self, value, where):
+        # The merge's complex products would turn an infinite part into a nan
+        # one (inf * (1 + 0j) is inf + nanj), so each producer that takes
+        # coefficients checks them, as it checks phase keys.
+        amplitude, prefactor = (value, {(0, 0): 1.0}) if where == "amplitude" else (
+            1.0, {(0, 0): 1.0, (1, 0): value})
+        term = {"amp": [complex(amplitude).real, complex(amplitude).imag],
+                "c0": 0.0, "cq": 0.0, "cp": 0.0, "cqp": 0.0,
+                "prefactor": [[dq, dp, complex(c).real, complex(c).imag]
+                              for (dq, dp), c in prefactor.items()]}
+        text = json.dumps({"hbar": 1.0, "terms": [term]})
+        for make in (lambda: BilinearPhaseTerm(amplitude, 0.0, 0.0, 0.0, 0.0, prefactor),
+                     lambda: WaveFunction.single(amplitude, 0.0, 0.0, 0.0, 0.0, prefactor),
+                     lambda: WaveFunction.from_json(text)):
+            with pytest.raises(ValueError, match="is not finite"):
+                make()
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, -1e300])
     def test_phase_coefficient_without_finite_cell_rejected(self, value):
         for position in range(4):
@@ -499,8 +520,10 @@ class TestTermByTerm:
 
     def test_zero_factor_drops_even_a_non_finite_coefficient(self):
         # As in the merge, a zero factor contributes nothing: 0 * inf is not
-        # summed into a nan coefficient.
-        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): math.inf, (1, 0): 1.0})
+        # summed into a nan coefficient.  The constructors refuse an infinite
+        # coefficient; an unchecked transform can overflow to one.
+        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1e308, (1, 0): 1.0}).scale(10)
+        assert wf.terms[0].prefactor[(0, 0)] == math.inf
         assert wf.scale(0).terms == () and merged_scale(wf, 0).terms == ()
 
     @staticmethod

@@ -19,7 +19,7 @@ from torusq.torus import (
     N_DETECT_REL_TOL,
     GridShift,
     _basis_key,
-    _sample_stack,
+    _sample_each,
     chart_consistency_check,
     grid_coordinates,
     grid_shift_coefficient,
@@ -342,14 +342,16 @@ class TestSampleStack:
         M = refine * geometry.N
         states = self.states(geometry, seed=M)
         q, p = grid_coordinates(geometry, M)
-        stack = _sample_stack(states, geometry, M)
-        assert stack.shape == (len(states), M, M)
-        for wf, values in zip(states, stack):
+        steps = 0
+        for wf, values in zip(states, _sample_each(states, geometry, M)):
+            assert values.shape == (M, M)
             want = wf.evaluate(q[None, :], p[:, None])
             assert np.abs(values - want).max() <= sampling_error_bound(wf, q, p)
-            # A state samples alike alone and in any stack.
+            # A state samples alike alone and in any sequence.
             assert np.array_equal(values, sample(wf, geometry, M))
-        assert not stack[-1].any()
+            steps += 1
+        assert steps == len(states)
+        assert not values.any()
 
 
 class TestInnerProduct:
