@@ -1,8 +1,9 @@
 """The N-dimensional physical Hilbert space.
 
 Exponentiated operators shift the torus basis labels; labels shifted by N,
-or differing only in the shadow index m, describe physically equivalent
-states.  Fixing canonical representatives (m = 0, n mod N) leaves an
+or differing only in the shadow label (m in the Q basis, s in the P basis),
+describe physically equivalent states.  Fixing canonical representatives,
+(n mod N, 0) in the Q basis and (0, r mod N) in the P basis, leaves an
 N-dimensional space where
 
   exp(2 pi i Q_LEFT / b)  -> the clock matrix diag(e^{2 pi i n / N}),
@@ -30,7 +31,7 @@ from torusq import (
     make_geometry,
     make_torus_Q_basis,
     physical_grid_overlaps,
-    sample_bras,
+    sample,
     table1_matrices,
     table1_verify,
     weyl_commutation_check,
@@ -63,8 +64,8 @@ for res in table1_verify(geometry):
 # reproduce the table's clock and shift entries: row n of bras is the
 # conjugated sampled Q-basis state (n, 0), and the operator moves all N kets
 # at once.
-bras = sample_bras([make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)],
-                   geometry, N)
+bras = np.array([sample(make_torus_Q_basis(geometry, n, 0, primed=True), geometry, N)
+                 .conj().ravel() for n in range(N)])
 print()
 for which, U, name in ((GridShift.EXP_PLEFT, S, "shift"), (GridShift.EXP_QLEFT, C, "clock")):
     moved = grid_shift_operator(which, bras.conj().reshape(N, N, N), geometry)
@@ -78,9 +79,9 @@ for which in GridShift:
     mp, mq = table1_matrices(which, N)
     print(f"  intertwining residual for {which.name}:", np.abs(K @ mp - mq @ K).max())
 
-# The inner-product oracle: overlaps of sampled basis states on the N x N
-# grid equal K / sqrt(N) entrywise, for every shadow index s; the oracle
-# returns the largest miss, one bra at a time.
+# The inner-product oracle: overlaps of basis states on the N x N grid,
+# both read from their phase keys, equal K / sqrt(N) entrywise, for every
+# shadow index s; the oracle returns the largest miss, one bra at a time.
 print("grid-overlap oracle residual:", physical_grid_overlaps(geometry))
 
 # Why the unexponentiated pair cannot survive: any finite commutator is

@@ -29,7 +29,6 @@ from .torus import (
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
-    sample_bras,
     transition_function,
 )
 from .finite import (
@@ -70,7 +69,6 @@ __all__ = [
     "make_torus_Q_basis",
     "physical_grid_overlaps",
     "sample",
-    "sample_bras",
     "table1_matrices",
     "table1_verify",
     "transition_function",

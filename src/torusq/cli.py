@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--primed", action="store_true",
                    help="include the label-dependent constant phase e^(2 pi i n m / N)")
     d.add_argument("--reduce", action="store_true",
-                   help="reduce labels to canonical representatives before validation")
+                   help="reduce labels to canonical representatives before validation: "
+                        "(n mod N, 0) for qbasis, (0, m mod N) for pbasis")
     d.add_argument("--out", help="CSV destination (default: stdout)")
     return parser
 
@@ -177,8 +178,8 @@ def _write_csv(values, geometry, out) -> None:
 def cmd_dump(args) -> int:
     geometry = _resolve_geometry(args)
     n, m = args.n, args.m
-    if args.reduce:
-        n, m = n % args.N, 0
+    if args.reduce:  # the physical label mod N, the shadow label 0 (finite.PHYSICAL_LABEL)
+        n, m = (n % args.N, 0) if args.kind == "qbasis" else (0, m % args.N)
     if not (0 <= n < args.N and 0 <= m < args.N):
         raise ValueError(
             f"labels out of range: need 0 <= n,m < {args.N}, got n={n} m={m} "

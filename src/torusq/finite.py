@@ -1,15 +1,17 @@
 """The N-dimensional physical Hilbert space of the quantized torus.
 
-States with labels shifted by N, or differing only in the shadow index m, are
-physically equivalent; fixing the canonical representatives (m = 0, n reduced
-mod N) leaves an N-dimensional space on which the exponentiated physical
-operators act as the clock and shift of the finite Heisenberg-Weyl group over
-Z_N, monomials M e_n = w^{e[n]} e_{n+k} (w = e^{2 pi i/N}) held as integers
-(k, e mod N).  _physical_action reads them from the action table LABEL_ACTION,
-which table1_verify checks against the basis states' phase keys, so every
-finite operator, and the basis change K checked against them, carries the
-table's signs.  The Heisenberg pair itself cannot survive the reduction:
-tr[A, B] = 0 for every finite pair while [Q, P] = i hbar needs trace i hbar N.
+States with labels shifted by N, or differing only in the shadow label (m in
+the Q basis, s in the P basis; see PHYSICAL_LABEL), are physically
+equivalent.  Fixing the canonical representatives, (n mod N, 0) in the Q
+basis and (0, r mod N) in the P basis, leaves an N-dimensional space on which
+the exponentiated physical operators act as the clock and shift of the finite
+Heisenberg-Weyl group over Z_N, monomials M e_n = w^{e[n]} e_{n+k}
+(w = e^{2 pi i/N}) held as integers (k, e mod N).  _physical_action reads
+them from the action table LABEL_ACTION, which table1_verify checks against
+the basis states' phase keys, so every finite operator, and the basis change
+K checked against them, carries the table's signs.  The Heisenberg pair
+itself cannot survive the reduction: tr[A, B] = 0 for every finite pair
+while [Q, P] = i hbar needs trace i hbar N.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .torus import (
     _basis_key,
     _require_memory,
     _require_quantized,
-    _sample_each,
     grid_coordinates,
     grid_shift_coefficient,
-    make_torus_Q_basis,
 )
 
 def _require_dimension(N: int) -> None:
@@ -226,8 +226,8 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
 
 
 def physical_grid_overlaps(geometry: TorusGeometry) -> float:
-    """max |O[n, s, r] - K[n][r] / sqrt(N)| over the inner products
-    O[n, s, r] = <sampled Q-basis n, m=0 | sampled P-basis s, r> on the
+    """max |O[n, s, r] - K[n][r] / sqrt(N)| over the grid inner products
+    O[n, s, r] = <Q-basis n, m=0 | P-basis s, r> of the states' values on the
     physical grid M = N, both bases in the primed convention.
 
     This is the independent oracle for dft_basis_change: the overlaps equal
@@ -237,11 +237,13 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> float:
     transition factors sample to one only there.  On M = 2N the overlaps miss
     K / sqrt(N) by 0.55 at N = 2, 0.35 at N = 3 and 0.21 at N = 5.
 
-    The N Q-basis bras are sampled one at a time (torus._sample_each, which
-    computes their shared chirp once per call).  The P-basis kets are not:
-    each state (s, r) is d_sr u_s(p) (x) v_r(q), read from its phase key
-    (torus._basis_key), with u_s = e^{i cp[s] p/hbar}, v_r = e^{i cq[r] q/hbar}
-    and d_sr = e^{i c0[s, r]/hbar}.  Then the slice O[n] = d * sum_ij
+    No state is built or sampled: both bases are read from their phase keys
+    (torus._basis_key).  Each P-basis ket (s, r) is d_sr u_s(p) (x) v_r(q),
+    with u_s = e^{i cp[s] p/hbar}, v_r = e^{i cq[r] q/hbar} and
+    d_sr = e^{i c0[s, r]/hbar}.  Each Q-basis bra n, whose c0 and cq vanish
+    at m = 0, is conj(e^{i cp_Q[n] p/hbar}) times the conjugated chirp
+    conj(e^{i cqp q p/hbar}), formed once for all n: bit for bit the values
+    torus.sample gives that state, conjugated.  Then the slice O[n] = d * sum_ij
     bra_n[i, j] u_s(p_i) v_r(q_j) / N^2 takes two matrix products, 2 N^3
     multiply-adds, and row n of K / sqrt(N) is subtracted from each of its
     rows before the slice's largest modulus is kept: 2 N^4 in all, on purpose,
@@ -251,24 +253,28 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> float:
     U, V, d, K / sqrt(N), the chirp, the bra (which then takes the slice) and
     the first product, and the moduli of one slice as floats: 16 * 7 N^2 +
     8 N^2 bytes, plus O(N) vectors and numpy's ufunc buffers.  When that exceeds the
-    available memory the call raises MemoryError before it builds any state.
+    available memory the call raises MemoryError before it evaluates any key.
     """
     N = _require_quantized(geometry)
     _require_memory("dft", N, 16 * 7 * N**2 + 8 * N**2)
     hbar = geometry.hbar
+    labels = np.arange(N)
     c0 = _basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
-    _, cq, cp, _ = _basis_key(geometry, "P", np.arange(N), np.arange(N))
+    _, cq, cp, _ = _basis_key(geometry, "P", labels, labels)
+    _, _, cp_Q, cqp = _basis_key(geometry, "Q", labels, 0, primed=True)
     q, p = grid_coordinates(geometry, N)
     U = np.exp(1j / hbar * np.multiply.outer(cp, p))
     V = np.exp(1j / hbar * np.multiply.outer(cq, q))
     d = np.exp(1j / hbar * c0) / (N * N)
     del c0
     expected = dft_basis_change(N) / math.sqrt(N)
+    chirp = np.multiply.outer(p, 1j * cqp / hbar * q)
+    np.conjugate(np.exp(chirp, out=chirp), out=chirp)
+    bra = np.empty((N, N), dtype=complex)
     first = np.empty((N, N), dtype=complex)
     residual = 0.0
-    bras = _sample_each((make_torus_Q_basis(geometry, n, 0, True) for n in range(N)), geometry, N)
-    for n, bra in enumerate(bras):
-        np.conjugate(bra, out=bra)
+    for n in range(N):
+        np.multiply(np.conjugate(np.exp(1j * cp_Q[n] * p / hbar))[:, None], chirp, out=bra)
         np.matmul(U, bra, out=first)  # first[s, j] = sum_i u_s(p_i) bra[i, j]
         overlaps = np.matmul(first, V.T, out=bra)  # the slice overwrites its bra
         overlaps *= d

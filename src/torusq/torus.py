@@ -199,7 +199,8 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
 # as an outer product of a column and a row factor, times the chirp
 # e^{i cqp q p / hbar}: the only factor that needs an exp on every grid point.
 # Every basis state of one basis shares its cqp (1 for the Q basis, 0 for
-# the P basis), so sampling a sequence of them costs one chirp, or none.
+# the P basis), so the dft oracle, which reads its states from their phase
+# keys rather than sampling them, forms one chirp for all N Q-basis bras.
 
 def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The sample coordinates (q_j = j b/M, p_i = i a/M) of the M x M grid.
@@ -210,76 +211,34 @@ def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.nd
     return np.arange(M) * (geometry.b / M), np.arange(M) * (geometry.a / M)
 
 
-def _sample_each(states, geometry: TorusGeometry, M: int):
-    """Sample each wave function of the iterable `states` on the M x M grid,
-    lazily: an iterator over values[i, j] = states[k](q_j, p_i), one state per
-    step, all in one (M, M) array that the next step overwrites.
-
-    Each term (amplitude 1, as in every canonical term) is the outer product
-    of c * p^dp * e^{i cp p/hbar} (along p) and q^dq * e^{i (c0 + cq q)/hbar}
-    (along q), summed over the prefactor monomials c q^dq p^dp, times the
-    chirp e^{i cqp q p/hbar}.  Beyond that array the iteration holds one chirp
-    per distinct (cqp, hbar), none for cqp = 0, and for a state of more than
-    one term one (M, M) term.  A state's values depend only on the state and
-    the grid, so it samples bit for bit alike in any sequence.  The grid is
-    validated when the iterator is made, before the array is allocated.
-    """
-    q, p = grid_coordinates(geometry, M)
-    values = np.empty((M, M), dtype=complex)
-    chirps = {}
-
-    def each():
-        for wf in states:
-            if not wf.terms:
-                values.fill(0)
-            for index, t in enumerate(wf.terms):
-                along_q = np.exp(1j * (t.c0 + t.cq * q) / t.hbar)
-                along_p = np.exp(1j * t.cp * p / t.hbar)
-                factors = [(c * p**dp * along_p, q**dq * along_q)
-                           for (dq, dp), c in t.prefactor.items()]
-                term = np.multiply.outer(*factors[0], out=None if index else values)
-                for column, row in factors[1:]:
-                    term += np.multiply.outer(column, row)
-                if t.cqp:
-                    key = (t.cqp, t.hbar)
-                    if key not in chirps:
-                        chirps[key] = np.multiply.outer(p, 1j * t.cqp / t.hbar * q)
-                        np.exp(chirps[key], out=chirps[key])
-                    term *= chirps[key]
-                if index:
-                    np.add(values, term, out=values)
-            yield values
-
-    return each()
-
-
 def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> np.ndarray:
     """Sample a wave function on the uniform M x M grid over one fundamental
     domain, as the (M, M) array values[i, j] = f(q_j, p_i).
 
-    Each term is sampled in separable factors times its chirp (see the grid
-    notes above); the values agree with wf.evaluate on the same coordinates
-    to roundoff in the phase, a few eps times the largest phase argument
-    |c0 + cq q + cp p + cqp q p| / hbar.
+    Each term (amplitude 1, as in every canonical term) is the outer product
+    of c * p^dp * e^{i cp p/hbar} (along p) and q^dq * e^{i (c0 + cq q)/hbar}
+    (along q), summed over the prefactor monomials c q^dq p^dp, times its
+    chirp e^{i cqp q p/hbar} unless cqp = 0.  The values agree with
+    wf.evaluate on the same coordinates to roundoff in the phase, a few eps
+    times the largest phase argument |c0 + cq q + cp p + cqp q p| / hbar.
+    The grid is validated before the array is allocated.
     """
-    return next(_sample_each([wf], geometry, M))
-
-
-def sample_bras(states, geometry: TorusGeometry, M: int) -> np.ndarray:
-    """Sample each wave function of the sequence `states` on the M x M grid
-    (see sample), conjugated and flattened, as the rows of a
-    (len(states), M^2) array.
-
-    Each state is sampled in turn (_sample_each) and its conjugate written
-    into its row, so each row is bit for bit the conjugate of that state's
-    sample.  bras @ g.ravel() / M^2 holds the inner product of every state
-    with the sampled state g at once.
-    """
-    sampled = _sample_each(states, geometry, M)  # checks M before the array is allocated
-    bras = np.empty((len(states), M * M), dtype=complex)
-    for row, values in zip(bras, sampled):
-        np.conjugate(values.ravel(), out=row)
-    return bras
+    q, p = grid_coordinates(geometry, M)
+    values = np.zeros((M, M), dtype=complex)
+    for index, t in enumerate(wf.terms):
+        along_q = np.exp(1j * (t.c0 + t.cq * q) / t.hbar)
+        along_p = np.exp(1j * t.cp * p / t.hbar)
+        factors = [(c * p**dp * along_p, q**dq * along_q)
+                   for (dq, dp), c in t.prefactor.items()]
+        term = np.multiply.outer(*factors[0], out=None if index else values)
+        for column, row in factors[1:]:
+            term += np.multiply.outer(column, row)
+        if t.cqp:
+            chirp = np.multiply.outer(p, 1j * t.cqp / t.hbar * q)
+            term *= np.exp(chirp, out=chirp)
+        if index:
+            values += term
+    return values
 
 
 class GridShift(Enum):

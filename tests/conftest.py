@@ -42,6 +42,13 @@ def patch_key(monkeypatch, module, basis, change):
     monkeypatch.setattr(module, "_basis_key", key)
 
 
+def grid_bras(states, geometry, M):
+    """The conjugated, flattened samples of `states` on the M x M grid, as the
+    rows of a (len(states), M^2) array: bras @ g.ravel() / M^2 holds the
+    inner product of every state with the sampled state g."""
+    return np.array([torus.sample(wf, geometry, M).conj().ravel() for wf in states])
+
+
 def random_points(rng, count, scale=2.0):
     return rng.uniform(-scale, scale, size=(count, 2))
 

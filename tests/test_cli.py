@@ -190,20 +190,16 @@ class TestVerify:
         assert "GiB is available" in res.stderr
 
     def test_orthonormality_refused_before_sampling(self, monkeypatch):
-        # Count every state handed to the stack sampler, every wave function
+        # Count every state handed to the grid sampler, every wave function
         # built (by the merge or term by term) and every phase-key
         # evaluation: a refusal comes before all.
         calls = []
-        real_sampler, real_merge = torus._sample_each, WaveFunction._merge
+        real_sampler, real_merge = torus.sample, WaveFunction._merge
         real_map = WaveFunction._map_terms
 
-        def counted_sampler(states, *args, **kwargs):
-            def noted():
-                for wf in states:
-                    calls.append("sampled")
-                    yield wf
-
-            return real_sampler(noted(), *args, **kwargs)
+        def counted_sampler(*args, **kwargs):
+            calls.append("sampled")
+            return real_sampler(*args, **kwargs)
 
         def counted_merge(self, *args, **kwargs):
             calls.append("built")
@@ -213,8 +209,7 @@ class TestVerify:
             calls.append("built")
             return real_map(*args, **kwargs)
 
-        for module in (torus, finite):
-            monkeypatch.setattr(module, "_sample_each", counted_sampler)
+        monkeypatch.setattr(torus, "sample", counted_sampler)
         monkeypatch.setattr(WaveFunction, "_merge", counted_merge)
         monkeypatch.setattr(WaveFunction, "_map_terms", counted_map)
         monkeypatch.setattr(suites, "_basis_key", lambda *args, **kwargs: (
@@ -278,8 +273,7 @@ class TestVerify:
         def counted(name, real):
             return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        for module in (torus, finite):
-            monkeypatch.setattr(module, "_sample_each", counted("sampled", torus._sample_each))
+        monkeypatch.setattr(torus, "sample", counted("sampled", torus.sample))
         monkeypatch.setattr(WaveFunction, "_merge", counted("built", WaveFunction._merge))
         monkeypatch.setattr(WaveFunction, "_map_terms", counted("built", WaveFunction._map_terms))
         for module in (finite, suites):
@@ -360,33 +354,43 @@ class TestDump:
         code = cli.main(["dump", *args])
         return code, capsys.readouterr().out
 
+    @staticmethod
+    def labels(kind, physical, shadow):
+        """--n and --m with the physical label (n of qbasis, m of pbasis) and
+        the shadow label set to the given values."""
+        n, m = (physical, shadow) if kind == "qbasis" else (shadow, physical)
+        return "--n", str(n), "--m", str(m)
+
     @pytest.mark.parametrize("kind", ["qbasis", "pbasis"])
     def test_reduce_negative_label(self, capsys, kind):
-        for n in range(-9, 0):
-            code, reduced = self.dump(capsys, kind, "--N", "4", "--n", str(n), "--m", "0",
+        for label in range(-9, 0):
+            code, reduced = self.dump(capsys, kind, "--N", "4", *self.labels(kind, label, 0),
                                       "--M", "4", "--primed", "--reduce")
             assert code == 0
-            direct = self.dump(capsys, kind, "--N", "4", "--n", str(n % 4), "--m", "0",
+            direct = self.dump(capsys, kind, "--N", "4", *self.labels(kind, label % 4, 0),
                                "--M", "4", "--primed")
             assert (code, reduced) == direct
 
     @pytest.mark.parametrize("kind", ["qbasis", "pbasis"])
     def test_reduce_label_at_or_above_N(self, capsys, kind):
-        for N, n, m, folded in [("4", 4, 0, 0), ("4", 7, 3, 3), ("3", 9, 1, 0), ("1", 5, 0, 0)]:
-            code, reduced = self.dump(capsys, kind, "--N", N, "--n", str(n), "--m", str(m),
+        for N, label, shadow, folded in [("4", 4, 0, 0), ("4", 7, 3, 3), ("3", 9, 1, 0),
+                                         ("1", 5, 0, 0)]:
+            code, reduced = self.dump(capsys, kind, "--N", N, *self.labels(kind, label, shadow),
                                       "--M", N, "--primed", "--reduce")
             assert code == 0
-            assert (code, reduced) == self.dump(capsys, kind, "--N", N, "--n", str(folded),
-                                                "--m", "0", "--M", N, "--primed")
+            assert (code, reduced) == self.dump(capsys, kind, "--N", N,
+                                                *self.labels(kind, folded, 0), "--M", N,
+                                                "--primed")
 
-    def test_reduce_ignores_shadow_label(self, capsys):
-        # The shadow label does not survive the reduction: (n, m) folds to
-        # (n mod N, 0) for any m, also one out of range.
-        for n in range(-9, 10):
-            direct = self.dump(capsys, "qbasis", "--N", "3", "--n", str(n % 3), "--m", "0",
+    @pytest.mark.parametrize("kind", ["qbasis", "pbasis"])
+    def test_reduce_ignores_shadow_label(self, capsys, kind):
+        # The shadow label, m of qbasis and n of pbasis, does not survive the
+        # reduction: it folds to 0 for any value, also one out of range.
+        for label in range(-9, 10):
+            direct = self.dump(capsys, kind, "--N", "3", *self.labels(kind, label % 3, 0),
                                "--M", "3", "--primed")
-            for m in ("0", "2", "5", "-4"):
-                assert self.dump(capsys, "qbasis", "--N", "3", "--n", str(n), "--m", m,
+            for shadow in (0, 2, 5, -4):
+                assert self.dump(capsys, kind, "--N", "3", *self.labels(kind, label, shadow),
                                  "--M", "3", "--primed", "--reduce") == direct
 
     def test_reduce_rejects_bad_modulus(self, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import patch_key, random_wavefunction, square_torus
+from conftest import grid_bras, patch_key, random_wavefunction, square_torus
 from torusq.plane import make_plane_Q_basis
 from torusq import suites
 from torusq.suites import suite_orthonormality
@@ -19,7 +19,6 @@ from torusq.torus import (
     N_DETECT_REL_TOL,
     GridShift,
     _basis_key,
-    _sample_each,
     chart_consistency_check,
     grid_coordinates,
     grid_shift_coefficient,
@@ -29,7 +28,6 @@ from torusq.torus import (
     make_torus_P_basis,
     make_torus_Q_basis,
     sample,
-    sample_bras,
     transition_function,
 )
 
@@ -277,16 +275,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(wf, g, 0)
 
-    def test_bras_validation_precedes_allocation(self):
-        # A (4, M^2) array at M = 10^6 + 1 cannot be allocated: an M that is
+    def test_validation_precedes_allocation(self):
+        # An (M, M) array at M = 10^6 + 1 cannot be allocated: an M that is
         # not a multiple of N must be refused before the array is requested.
         g = square_torus(2)
-        states = [make_torus_P_basis(g, 0, m) for m in range(4)]
+        wf = make_torus_P_basis(g, 0, 1)
         for M in (3, 10**6 + 1, 0):
             with pytest.raises(ValueError):
-                sample_bras(states, g, M)
+                sample(wf, g, M)
         with pytest.raises(ValueError):
-            sample_bras(states, make_geometry(1.0, 0.5, 1.0), 4)  # not quantized
+            sample(wf, make_geometry(1.0, 0.5, 1.0), 4)  # not quantized
 
     def test_grid_layout(self):
         g = make_geometry(2.0, 4.0, 1.0)
@@ -342,16 +340,12 @@ class TestSampleStack:
         M = refine * geometry.N
         states = self.states(geometry, seed=M)
         q, p = grid_coordinates(geometry, M)
-        steps = 0
-        for wf, values in zip(states, _sample_each(states, geometry, M)):
+        for wf in states:
+            values = sample(wf, geometry, M)
             assert values.shape == (M, M)
             want = wf.evaluate(q[None, :], p[:, None])
             assert np.abs(values - want).max() <= sampling_error_bound(wf, q, p)
-            # A state samples alike alone and in any sequence.
-            assert np.array_equal(values, sample(wf, geometry, M))
-            steps += 1
-        assert steps == len(states)
-        assert not values.any()
+        assert not values.any()  # the zero state
 
 
 class TestInnerProduct:
@@ -375,19 +369,6 @@ class TestInnerProduct:
             gram = np.array([[np.vdot(x, y) / M**2 for y in qs] for x in qs])
             assert np.abs(gram - np.eye(N * N)).max() <= 1e-12
 
-    @pytest.mark.parametrize("factor", [1, 2])
-    def test_bras_give_inner_products(self, factor):
-        g = make_geometry(1.0, 2.0, 0.4)  # N = 5 on a non-square torus
-        M = factor * g.N
-        states = ([make_torus_Q_basis(g, n, m, primed=True) for n in range(5) for m in (0, 3)]
-                  + [make_torus_P_basis(g, n, m) for n in (1, 4) for m in range(5)])
-        bras = sample_bras(states, g, M)
-        assert bras.shape == (len(states), M * M)
-        for ket in (make_torus_Q_basis(g, 2, 3, primed=True), make_torus_P_basis(g, 4, 1)):
-            k = sample(ket, g, M)
-            want = np.array([np.vdot(sample(wf, g, M), k) / M**2 for wf in states])
-            assert np.abs(bras @ k.ravel() / (M * M) - want).max() <= 1e-15
-
     @pytest.mark.parametrize("geometry", [
         square_torus(1),
         square_torus(3),
@@ -404,7 +385,7 @@ class TestInnerProduct:
         for check, states in zip(checks, (
                 [make_torus_Q_basis(geometry, n, m, primed=True) for n, m in labels],
                 [make_torus_P_basis(geometry, n, m) for n, m in labels])):
-            bras = sample_bras(states, geometry, M)
+            bras = grid_bras(states, geometry, M)
             one_shot = float(np.abs(bras @ bras.conj().T / M**2 - np.eye(N * N)).max())
             assert abs(check.max_residual - one_shot) <= 2e-15, check.name
 
@@ -422,9 +403,9 @@ class TestInnerProduct:
 
         patch_key(monkeypatch, suites, "P", squeezed)
         residual = suite_orthonormality(geometry)[1].max_residual
-        bras = sample_bras([WaveFunction.single(1.0, *suites._basis_key(geometry, "P", n, m),
-                                                hbar=geometry.hbar)
-                            for n in range(N) for m in range(N)], geometry, M)
+        bras = grid_bras([WaveFunction.single(1.0, *suites._basis_key(geometry, "P", n, m),
+                                              hbar=geometry.hbar)
+                          for n in range(N) for m in range(N)], geometry, M)
         one_shot = float(np.abs(bras @ bras.conj().T / M**2 - np.eye(N * N)).max())
         assert one_shot > 0.5
         assert abs(residual - one_shot) <= 1e-12
