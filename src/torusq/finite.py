@@ -242,8 +242,8 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> float:
     with u_s = e^{i cp[s] p/hbar}, v_r = e^{i cq[r] q/hbar} and
     d_sr = e^{i c0[s, r]/hbar}.  Each Q-basis bra n, whose c0 and cq vanish
     at m = 0, is conj(e^{i cp_Q[n] p/hbar}) times the conjugated chirp
-    conj(e^{i cqp q p/hbar}), formed once for all n: bit for bit the values
-    torus.sample gives that state, conjugated.  Then the slice O[n] = d * sum_ij
+    conj(e^{i cqp q p/hbar}), formed once for all n: the state's values,
+    conjugated, to roundoff in the phase.  Then the slice O[n] = d * sum_ij
     bra_n[i, j] u_s(p_i) v_r(q_j) / N^2 takes two matrix products, 2 N^3
     multiply-adds, and row n of K / sqrt(N) is subtracted from each of its
     rows before the slice's largest modulus is kept: 2 N^4 in all, on purpose,

@@ -12,13 +12,23 @@ from __future__ import annotations
 from .symbolic import WaveFunction
 
 
+def _basis_key(basis: str, l, k, c0=0.0) -> tuple:
+    """The phase key (c0, cq, cp, cqp) of the plane state of basis "P" or "Q"
+    with eigenvalue l of Q_RIGHT (Q_LEFT in the Q basis) and k of P_LEFT
+    (P_RIGHT); l and k are scalars or numpy arrays.  Negations are written
+    0.0 - x so that a zero eigenvalue gives the key entry 0.0, not -0.0."""
+    if basis == "P":
+        return c0, k, 0.0 - l, 0.0
+    return c0, 0.0 - k, 0.0 - l, 1.0
+
+
 def make_plane_P_basis(l: float, k: float, hbar: float = 1.0) -> WaveFunction:
     """Plane wave e^{i(kq - lp)/hbar}.
 
     Simultaneous eigenstate of P_LEFT (eigenvalue k) and Q_RIGHT
     (eigenvalue l).
     """
-    return WaveFunction.single(1.0, 0.0, k, -l, 0.0, hbar=hbar)
+    return WaveFunction.single(1.0, *_basis_key("P", l, k), hbar=hbar)
 
 
 def make_plane_Q_basis(l: float, k: float, hbar: float = 1.0, primed: bool = False) -> WaveFunction:
@@ -30,5 +40,4 @@ def make_plane_Q_basis(l: float, k: float, hbar: float = 1.0, primed: bool = Fal
     The primed convention makes label shifts by the exponentiated operators
     phase-free.
     """
-    c0 = k * l if primed else 0.0
-    return WaveFunction.single(1.0, c0, -k, -l, 1.0, hbar=hbar)
+    return WaveFunction.single(1.0, *_basis_key("Q", l, k, k * l if primed else 0.0), hbar=hbar)

@@ -18,10 +18,11 @@ equivalences n -> n + N and m -> m + N become exact grid identities, and the
 grid carries a faithful copy of the N-dimensional physical space.  The
 operator actions themselves are checked on phase keys, not on grids: every
 basis state is one term of amplitude 1 whose phase coefficients are integers
-in lattice units, and _basis_key states that key once, in closed form: the
-factories wrap it, and the suites evaluate it on arrays of labels.  The grids
-serve the inner products: the dft oracle on M = N, and quadrature on larger
-multiples of N.
+in lattice units.  Its key is the plane closed form (plane._basis_key) at the
+lattice eigenvalues, read by _basis_key: the factories and the chart section
+wrap it, and the suites evaluate it on arrays of labels.  The grids serve the
+inner products: the dft oracle on M = N, and quadrature on larger multiples
+of N.  sample evaluates a state on a grid, for dump and the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .plane import make_plane_Q_basis
+from . import plane
 from .report import DEFAULT_TOL, CheckResult
 from .symbolic import OperatorKind, WaveFunction, exp_affine_map
 
@@ -151,15 +152,15 @@ def _require_memory(name: str, N: int, need: int) -> None:
 
 def _basis_key(geometry: TorusGeometry, basis: str, n, m, primed: bool = False) -> tuple:
     """The phase key (c0, cq, cp, cqp) of basis state (n, m) of basis "P" or
-    "Q", the one term of amplitude 1 its factory builds.  The labels are ints
-    or numpy integer arrays (then each key entry is an array, or the constant
-    cqp); in lattice units (h/N, h/b, h/a, 1) every entry is an integer."""
-    N = _require_quantized(geometry)
+    "Q": the plane key (plane._basis_key) at the lattice eigenvalues
+    l = n h/a, k = m h/b, with c0 = h n m / N when primed.  The labels are
+    ints or numpy integer arrays (then each key entry is an array, or the
+    constant cqp); in lattice units (h/N, h/b, h/a, 1) every entry is an
+    integer.  Only the primed key needs N, so an unprimed key is defined on
+    any geometry."""
     h = geometry.h
-    c0 = h * n * m / N if primed else 0.0
-    if basis == "P":
-        return c0, m * h / geometry.b, -n * h / geometry.a, 0.0
-    return c0, -m * h / geometry.b, -n * h / geometry.a, 1.0
+    c0 = h * n * m / _require_quantized(geometry) if primed else 0.0
+    return plane._basis_key(basis, n * h / geometry.a, m * h / geometry.b, c0)
 
 
 def make_torus_P_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = False) -> WaveFunction:
@@ -170,6 +171,7 @@ def make_torus_P_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
     e^{2 pi i n m / N}, the label convention under which the exponentiated
     operators shift (n, m) without extra phases.
     """
+    _require_quantized(geometry)
     return WaveFunction.single(1.0, *_basis_key(geometry, "P", n, m, primed), hbar=geometry.hbar)
 
 
@@ -183,6 +185,7 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
     Eigenstate of Q_LEFT with eigenvalue n h / a = n b / N and of P_RIGHT
     with eigenvalue m h / b = m a / N.
     """
+    _require_quantized(geometry)
     return WaveFunction.single(1.0, *_basis_key(geometry, "Q", n, m, primed), hbar=geometry.hbar)
 
 
@@ -194,13 +197,6 @@ def make_torus_Q_basis(geometry: TorusGeometry, n: int, m: int, primed: bool = F
 # inner product is the equal-weight sum np.vdot(f, g) / M^2, the Riemann sum
 # of conj(f) g with measure dq dp / (a b) = dq dp / (N h); it integrates pure
 # phases exactly below the grid Nyquist limit.
-#
-# The grid is a tensor product, so each term of a wave function is sampled
-# as an outer product of a column and a row factor, times the chirp
-# e^{i cqp q p / hbar}: the only factor that needs an exp on every grid point.
-# Every basis state of one basis shares its cqp (1 for the Q basis, 0 for
-# the P basis), so the dft oracle, which reads its states from their phase
-# keys rather than sampling them, forms one chirp for all N Q-basis bras.
 
 def grid_coordinates(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The sample coordinates (q_j = j b/M, p_i = i a/M) of the M x M grid.
@@ -215,30 +211,11 @@ def sample(wf: WaveFunction, geometry: TorusGeometry, M: int) -> np.ndarray:
     """Sample a wave function on the uniform M x M grid over one fundamental
     domain, as the (M, M) array values[i, j] = f(q_j, p_i).
 
-    Each term (amplitude 1, as in every canonical term) is the outer product
-    of c * p^dp * e^{i cp p/hbar} (along p) and q^dq * e^{i (c0 + cq q)/hbar}
-    (along q), summed over the prefactor monomials c q^dq p^dp, times its
-    chirp e^{i cqp q p/hbar} unless cqp = 0.  The values agree with
-    wf.evaluate on the same coordinates to roundoff in the phase, a few eps
-    times the largest phase argument |c0 + cq q + cp p + cqp q p| / hbar.
-    The grid is validated before the array is allocated.
+    It is wf.evaluate on the grid coordinates (grid_coordinates), which are
+    validated before the array is allocated.
     """
     q, p = grid_coordinates(geometry, M)
-    values = np.zeros((M, M), dtype=complex)
-    for index, t in enumerate(wf.terms):
-        along_q = np.exp(1j * (t.c0 + t.cq * q) / t.hbar)
-        along_p = np.exp(1j * t.cp * p / t.hbar)
-        factors = [(c * p**dp * along_p, q**dq * along_q)
-                   for (dq, dp), c in t.prefactor.items()]
-        term = np.multiply.outer(*factors[0], out=None if index else values)
-        for column, row in factors[1:]:
-            term += np.multiply.outer(column, row)
-        if t.cqp:
-            chirp = np.multiply.outer(p, 1j * t.cqp / t.hbar * q)
-            term *= np.exp(chirp, out=chirp)
-        if index:
-            values += term
-    return values
+    return wf.evaluate(q[None, :], p[:, None])
 
 
 class GridShift(Enum):
@@ -322,10 +299,9 @@ def chart_consistency_check(
     if apply_transition:
         _require_quantized(geometry)
     delta = geometry.b / 8.0
-    # The raw section, the plane Q-basis state at the torus labels, is defined
+    # The raw section, the unprimed Q-basis state read from its key, is defined
     # on any geometry, so the omission diagnostic runs on non-quantized tori.
-    wf = make_plane_Q_basis(n * geometry.h / geometry.a, m * geometry.h / geometry.b,
-                            geometry.hbar)
+    wf = WaveFunction.single(1.0, *_basis_key(geometry, "Q", n, m), hbar=geometry.hbar)
 
     ps = np.arange(64) * (geometry.a / 64)
     qg, pg = np.meshgrid(np.linspace(-delta, delta, 16), ps, indexing="ij")

@@ -49,6 +49,22 @@ def grid_bras(states, geometry, M):
     return np.array([torus.sample(wf, geometry, M).conj().ravel() for wf in states])
 
 
+def sampling_error_bound(wf, q, p):
+    """A bound on the gap, over the grid (q, p), between wf.evaluate and
+    values of wf formed as products of separate phase factors: 8 eps times
+    the sum over terms of the term's largest modulus times one plus its
+    largest phase argument |c0 + cq q + cp p + cqp q p| / hbar."""
+    qmax, pmax = np.abs(q).max(), np.abs(p).max()
+    total = 0.0
+    for t in wf.terms:
+        modulus = abs(t.amplitude) * sum(abs(c) * qmax**dq * pmax**dp
+                                         for (dq, dp), c in t.prefactor.items())
+        argument = (abs(t.c0) + abs(t.cq) * qmax + abs(t.cp) * pmax
+                    + abs(t.cqp) * qmax * pmax) / t.hbar
+        total += modulus * (1.0 + argument)
+    return 8 * np.finfo(float).eps * total
+
+
 def random_points(rng, count, scale=2.0):
     return rng.uniform(-scale, scale, size=(count, 2))
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grid_bras, patch_key, square_torus
+from conftest import grid_bras, patch_key, sampling_error_bound, square_torus
 from torusq import cli, finite, suites, torus
 from torusq.finite import (
     LABEL_ACTION,
@@ -99,6 +99,18 @@ def counting_keys(monkeypatch):
 
     monkeypatch.setattr(finite, "_basis_key", key)
     return calls
+
+
+def oracle_bras(geometry):
+    """The dft oracle's N Q-basis bras as one (N, N, N) array, formed from
+    the keys (torus._basis_key) with the oracle's own expressions: bra n is
+    conj(e^{i cp_Q[n] p/hbar}) times the conjugated chirp."""
+    N, hbar = geometry.N, geometry.hbar
+    _, _, cp_Q, cqp = torus._basis_key(geometry, "Q", np.arange(N), 0, primed=True)
+    q, p = grid_coordinates(geometry, N)
+    chirp = np.conjugate(np.exp(np.multiply.outer(p, 1j * cqp / hbar * q)))
+    return np.stack([np.conjugate(np.exp(1j * cp_Q[n] * p / hbar))[:, None] * chirp
+                     for n in range(N)])
 
 
 def clock(N):
@@ -314,7 +326,7 @@ class TestDftBasisChange:
     @pytest.mark.parametrize("geometry", [square_torus(N) for N in (*range(1, 9), 16, 32)]
                              + [non_square_torus(N) for N in (1, 3, 4, 5, 7)])
     def test_streamed_residual_equals_the_batched_form(self, geometry):
-        # The oracle's earlier form: every bra sampled into one array, the
+        # The oracle's earlier form: every bra formed into one array, the
         # (N, N, N) overlaps in two stacked products, and K / sqrt(N)
         # subtracted from every shadow slice.  Streaming changes no bit.
         N, hbar = geometry.N, geometry.hbar
@@ -324,11 +336,20 @@ class TestDftBasisChange:
         U = np.exp(1j / hbar * np.multiply.outer(cp, p))
         V = np.exp(1j / hbar * np.multiply.outer(cq, q))
         d = np.exp(1j / hbar * c0) / (N * N)
-        bras = grid_bras([make_torus_Q_basis(geometry, n, 0, True) for n in range(N)],
-                         geometry, N).reshape(N, N, N)
-        overlaps = (U @ bras) @ V.T * d
+        overlaps = (U @ oracle_bras(geometry)) @ V.T * d
         overlaps -= (dft_basis_change(N) / np.sqrt(N))[:, None, :]
         assert physical_grid_overlaps(geometry) == float(np.abs(overlaps).max())
+
+    @pytest.mark.parametrize("geometry", [square_torus(1), non_square_torus(5), square_torus(64)])
+    def test_key_formed_bras_match_the_sampled_states(self, geometry):
+        # Each bra is a product of separate phase factors, the sampled state
+        # one exp of the summed phase: they agree to roundoff in the phase.
+        N = geometry.N
+        q, p = grid_coordinates(geometry, N)
+        states = [make_torus_Q_basis(geometry, n, 0, primed=True) for n in range(N)]
+        sampled = grid_bras(states, geometry, N)
+        for n, (bra, wf) in enumerate(zip(oracle_bras(geometry), states)):
+            assert np.abs(bra.ravel() - sampled[n]).max() <= sampling_error_bound(wf, q, p), n
 
     @pytest.mark.parametrize("N", [1, 3, 4])
     def test_grid_overlaps_equal_direct_inner_products(self, N):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import grid_bras, patch_key, random_wavefunction, square_torus
 from torusq.plane import make_plane_Q_basis
-from torusq import suites
+from torusq import plane, suites, torus
 from torusq.suites import suite_orthonormality
 from torusq.symbolic import (
     BilinearPhaseTerm,
@@ -154,9 +154,9 @@ class TestCharts:
 
     @pytest.mark.parametrize("geometry", KEY_GEOMETRIES, ids=KEY_IDS)
     def test_section_is_the_torus_q_state(self, geometry):
-        # chart_consistency_check builds its section with the plane factory
-        # at the torus labels; it must be the very state that table1 and dft
-        # read through the torus factory's key.
+        # The plane factory at the torus labels is the torus factory's
+        # state: both read plane._basis_key, as the chart section does
+        # through torus._basis_key (TestBasisKey).
         for n, m in itertools.product(range(geometry.N + 1), repeat=2):
             section = make_plane_Q_basis(n * geometry.h / geometry.a, m * geometry.h / geometry.b,
                                          geometry.hbar)
@@ -242,6 +242,55 @@ class TestBases:
             make_torus_Q_basis(broken, 0, 0)
 
 
+class TestBasisKey:
+    """Both bases are stated once, by plane._basis_key; torus._basis_key
+    reads it at the lattice eigenvalues, and every suite reads that."""
+
+    BROKEN = make_geometry(1.0, 2.5, 1.0)  # a*b/h = 2.5, not quantized
+
+    def test_primed_key_refuses_a_non_quantized_geometry(self):
+        for basis in "PQ":
+            with pytest.raises(ValueError, match="not quantized"):
+                _basis_key(self.BROKEN, basis, 1, 1, primed=True)
+
+    def test_unprimed_key_is_the_plane_key_on_any_geometry(self):
+        g = self.BROKEN
+        arrays = tuple(np.indices((4, 4)) - 1)  # labels -1 to 2
+        for basis in "PQ":
+            for n, m in ((0, 0), (-1, 2), (3, 1), arrays):
+                got = np.broadcast_arrays(*_basis_key(g, basis, n, m))
+                want = np.broadcast_arrays(*plane._basis_key(basis, n * g.h / g.a, m * g.h / g.b))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (basis, n, m)
+
+    def test_both_chart_checks_read_the_torus_key(self, monkeypatch):
+        calls = []
+        patch_key(monkeypatch, torus, "Q", lambda n, m, key: calls.append((n, m)) or key)
+        checks = suites.suite_charts(square_torus(4))
+        assert [c.name for c in checks] == ["chart_consistency"] * 2 + [
+            "chart_mismatch_without_transition"]
+        assert all(c.passed for c in checks)
+        assert calls == [(0, 0), (1, 1), (0, 0)]
+
+    @pytest.mark.parametrize("basis", ["P", "Q"])
+    @pytest.mark.parametrize("N", [4, 5, 6])
+    def test_flipped_plane_signs_fail_verify(self, monkeypatch, basis, N):
+        # cq and cp of one basis negated at their one statement: the keys
+        # stay on the lattice and the flipped basis is still orthonormal, so
+        # exactly that basis's four action cells and the dft oracle fail.
+        real = plane._basis_key
+
+        def flipped(b, l, k, c0=0.0):
+            key = real(b, l, k, c0)
+            return (key[0], -key[1], -key[2], key[3]) if b == basis else key
+
+        monkeypatch.setattr(plane, "_basis_key", flipped)
+        checks = suites.run_suites("all", make_geometry(1.0, float(N), 1.0))
+        assert len(checks) == 28
+        assert sorted(c.name for c in checks if not c.passed) == sorted(
+            [f"table1/{which.name.lower()}/{basis}-basis" for which in GridShift]
+            + ["dft/grid_overlap_oracle"])
+
+
 class TestSampling:
     def test_constant_gives_all_ones(self):
         g = square_torus(2)
@@ -298,24 +347,8 @@ class TestSampling:
         assert p[1] == g.a / 8
 
 
-def sampling_error_bound(wf, q, p):
-    """A bound on |separable sample - wf.evaluate| over the grid (q, p):
-    8 eps times the sum over terms of the term's largest modulus times one
-    plus its largest phase argument |c0 + cq q + cp p + cqp q p| / hbar."""
-    qmax, pmax = np.abs(q).max(), np.abs(p).max()
-    total = 0.0
-    for t in wf.terms:
-        modulus = abs(t.amplitude) * sum(abs(c) * qmax**dq * pmax**dp
-                                         for (dq, dp), c in t.prefactor.items())
-        argument = (abs(t.c0) + abs(t.cq) * qmax + abs(t.cp) * pmax
-                    + abs(t.cqp) * qmax * pmax) / t.hbar
-        total += modulus * (1.0 + argument)
-    return 8 * np.finfo(float).eps * total
-
-
 class TestSampleStack:
-    """The separable sampler against WaveFunction.evaluate, which sums the
-    whole phase before one exp and so does not depend on the factorization."""
+    """sample is WaveFunction.evaluate on the grid coordinates, bit for bit."""
 
     @staticmethod
     def states(geometry, seed):
@@ -343,8 +376,7 @@ class TestSampleStack:
         for wf in states:
             values = sample(wf, geometry, M)
             assert values.shape == (M, M)
-            want = wf.evaluate(q[None, :], p[:, None])
-            assert np.abs(values - want).max() <= sampling_error_bound(wf, q, p)
+            assert np.array_equal(values, wf.evaluate(q[None, :], p[:, None]))
         assert not values.any()  # the zero state
 
 
