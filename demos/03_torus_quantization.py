@@ -7,7 +7,8 @@ when a*b/h is an integer N.  Three diagnostics make the condition visible:
      which must be 1 for the singular flux sheet to be invisible;
   2. the two-chart transition factor e^{ibp/hbar}, which must be periodic
      in p to be a well-defined gauge transformation on the overlap;
-  3. the chart-overlap consistency of the Q-basis sections themselves.
+  3. the chart-overlap consistency of the Q-basis sections themselves: their
+     boundary factors, read from the phase key, against the transition data.
 """
 
 from torusq import (
@@ -34,19 +35,19 @@ for p in (0.0, 0.4, 1.1):
 print("transition periodicity, half-integer area:")
 print("  T(a)/T(0):", transition_function(bad, bad.a) / transition_function(bad, 0.0))
 
-# Chart consistency: on the seam overlap the chart-II values equal the
-# transition factor times the chart-I values, to roundoff.
+# Chart consistency: across each period the Q-basis state changes by exactly
+# the transition factor, so the phase mismatch, in turns, is zero.
 g = make_geometry(2.0, 2.0, 1.0)  # N = 4
 res = chart_consistency_check(g, n=1, m=1)
 print("\nchart consistency residual (N = 4, labels (1,1)):", res.max_residual)
 
-# Deliberately omitting the transition factor is loudly visible: at
-# p = a/(2N) the missing factor is e^{i pi} = -1.
+# Deliberately omitting the transition factor is loudly visible: the missing
+# factor e^{ibp/hbar} winds a*b/h = N = 4 turns across the domain.
 res = chart_consistency_check(g, n=0, m=0, apply_transition=False)
 print("seam mismatch with the factor omitted:", res.max_residual)
 
 # The same detector works on a non-quantized geometry (area/h = N + 1/2),
-# where no consistent choice exists at all.
+# where no consistent choice exists at all: 2.5 turns.
 broken = make_geometry(1.0, 2.5, 1.0)
 res = chart_consistency_check(broken, n=0, m=0, apply_transition=False)
 print("seam mismatch at area/h = 2.5 without the factor:", res.max_residual)

@@ -176,12 +176,13 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
 
 
 def suite_charts(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Two-chart gauge consistency, plus detection of an omitted transition."""
+    """Two-chart gauge consistency of the Q-basis keys (0, 0) and (1, 1), plus
+    detection of an omitted transition; no state is built or evaluated."""
     N = _require_quantized(geometry)
     labels = [(0, 0)] if N == 1 else [(0, 0), (1, 1)]
     checks = [chart_consistency_check(geometry, n, m, tol=tol) for n, m in labels]
     # Negative control on a half-integer area: with the gauge factor omitted
-    # the seam mismatch must be plainly visible.
+    # the seam mismatch, N + 1/2 turns, must be plainly visible.
     broken = make_geometry(geometry.a, geometry.b * (N + 0.5) / N, geometry.h)
     checks.append(chart_consistency_check(broken, 0, 0, apply_transition=False))
     return checks

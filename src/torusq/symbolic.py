@@ -92,17 +92,6 @@ def _checked_key(key, hbar: float) -> tuple:
     return tuple(floats)
 
 
-def _check_coefficients(amplitude: complex, pairs) -> None:
-    """ValueError unless the complex amplitude and the coefficient of every
-    (monomial, complex) pair are finite in both parts: the merge's complex
-    products would turn an infinite part into a nan one."""
-    if not cmath.isfinite(amplitude):
-        raise ValueError(f"amplitude={amplitude} is not finite")
-    for mon, c in pairs:
-        if not cmath.isfinite(c):
-            raise ValueError(f"prefactor[{mon}]={c} is not finite")
-
-
 @dataclass(frozen=True)
 class BilinearPhaseTerm:
     """A single term amplitude * prefactor(q, p) * exp(i*phase(q, p)/hbar).
@@ -129,7 +118,12 @@ class BilinearPhaseTerm:
             object.__setattr__(self, name, k)
         amplitude = complex(self.amplitude)
         prefactor = {(int(dq), int(dp)): complex(c) for (dq, dp), c in self.prefactor.items()}
-        _check_coefficients(amplitude, prefactor.items())
+        # Finite in both parts: the merge's complex products would turn an
+        # infinite part into a nan one.
+        named = [("amplitude", amplitude)] + [(f"prefactor[{m}]", c) for m, c in prefactor.items()]
+        for name, c in named:
+            if not cmath.isfinite(c):
+                raise ValueError(f"{name}={c} is not finite")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "prefactor", prefactor)
 
@@ -155,17 +149,30 @@ class BilinearPhaseTerm:
 
     def evaluate(self, q, p):
         """Evaluate at (q, p); accepts scalars or broadcastable numpy arrays."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        poly = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-        for (dq, dp), c in self.prefactor.items():
+        return _evaluate((self,), q, p)
+
+
+def _evaluate(terms, q, p):
+    """The sum of the terms' values at (q, p), scalars or broadcastable numpy
+    arrays.  Each term's phase (c0 + cq q + cp p) + cqp q p is built in the
+    imaginary part of one complex array, divided by hbar and exponentiated
+    in place, and added into the output; a constant prefactor stays a scalar."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
+    values = np.empty_like(out)
+    for t in terms:
+        prefactor = 0j
+        for (dq, dp), c in t.prefactor.items():
             # The constant monomial needs no q**0 * p**0 arrays.
-            poly = poly + (c if dq == dp == 0 else c * q**dq * p**dp)
-        phase = self.c0 + self.cq * q + self.cp * p + self.cqp * q * p
-        out = self.amplitude * poly * np.exp(1j * phase / self.hbar)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+            prefactor = prefactor + (c if dq == dp == 0 else c * q**dq * p**dp)
+        np.multiply(t.cqp * q, p, out=values.imag)
+        np.add(t.c0 + t.cq * q, t.cp * p, out=values.real)
+        values.imag += values.real
+        values.real = 0.0
+        values /= t.hbar
+        np.exp(values, out=values)
+        out += np.multiply(t.amplitude * prefactor, values, out=values)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _nonzero_sorted(sums: dict) -> dict:
@@ -210,8 +217,8 @@ class WaveFunction:
         """Make this the canonical sum of entries (phase key, amplitude, pairs) for a
         valid hbar and return it; an entry is amplitude * sum(c q^dq p^dp) e^{i phase/hbar}.
         Where keys are made or two operands meet, wave functions get their terms here:
-        the constructor, single, from_json, +, - and exp_operator_apply.  Sorted entries
-        open cells at their least key.
+        the constructor (so single and from_json), +, - and exp_operator_apply.
+        Sorted entries open cells at their least key.
 
         The merge checks nothing: every key must already be checked at hbar (the key
         of a term at hbar, or _checked_key's output), every amplitude complex and
@@ -241,13 +248,9 @@ class WaveFunction:
 
     @classmethod
     def single(cls, amplitude, c0, cq, cp, cqp, prefactor=None, hbar=1.0) -> "WaveFunction":
-        _check_hbar(hbar)
-        key = _checked_key((c0, cq, cp, cqp), hbar)
-        amplitude = complex(amplitude)
-        pairs = (((0, 0), 1.0 + 0.0j),) if prefactor is None else [
-            ((int(dq), int(dp)), complex(c)) for (dq, dp), c in prefactor.items()]
-        _check_coefficients(amplitude, pairs)
-        return cls.__new__(cls)._merge([(key, amplitude, pairs)], hbar)
+        """The canonical form of one BilinearPhaseTerm, which checks its input."""
+        prefactor = {(0, 0): 1.0 + 0.0j} if prefactor is None else prefactor
+        return cls([BilinearPhaseTerm(amplitude, c0, cq, cp, cqp, prefactor, hbar)], hbar)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -258,14 +261,7 @@ class WaveFunction:
 
     def evaluate(self, q, p):
         """Pointwise value; accepts scalars or broadcastable numpy arrays."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-        for t in self.terms:
-            out = out + t.evaluate(q, p)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return _evaluate(self.terms, q, p)
 
     def _map_terms(self, poly) -> "WaveFunction":
         """Each term t of self under its own key with the prefactor poly(t),

@@ -19,8 +19,9 @@ grid carries a faithful copy of the N-dimensional physical space.  The
 operator actions themselves are checked on phase keys, not on grids: every
 basis state is one term of amplitude 1 whose phase coefficients are integers
 in lattice units.  Its key is the plane closed form (plane._basis_key) at the
-lattice eigenvalues, read by _basis_key: the factories and the chart section
-wrap it, and the suites evaluate it on arrays of labels.  The grids serve the
+lattice eigenvalues, read by _basis_key: the factories wrap it, the chart
+check compares its boundary factors with the transition data, and the
+suites evaluate it on arrays of labels.  The grids serve the
 inner products: the dft oracle on M = N, and quadrature on larger multiples
 of N.  sample evaluates a state on a grid, for dump and the tests.
 """
@@ -103,6 +104,12 @@ def holonomy(geometry: TorusGeometry) -> complex:
     return complex(math.cos(s), math.sin(s))
 
 
+# The transition data as a chirp coefficient: the charts differ by
+# e^{i TRANSITION_CQP b p/hbar} across the q-period and by
+# e^{i TRANSITION_CQP a q/hbar} across the p-period.
+TRANSITION_CQP = 1.0
+
+
 def transition_function(geometry: TorusGeometry, p: float) -> complex:
     """Chart-overlap gauge factor e^{i b p / hbar} at momentum p.
 
@@ -111,7 +118,7 @@ def transition_function(geometry: TorusGeometry, p: float) -> complex:
     present the period mismatch is |holonomy - 1| <= 2 pi N_DETECT_REL_TOL
     a b / h, up to roundoff (see holonomy).
     """
-    s = 2.0 * math.pi * geometry.b * p / geometry.h
+    s = TRANSITION_CQP * 2.0 * math.pi * geometry.b * p / geometry.h
     return complex(math.cos(s), math.sin(s))
 
 
@@ -277,49 +284,41 @@ def chart_consistency_check(
     apply_transition: bool = True,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
-    """Sample the Q-basis state in both charts on the seam overlap strip, at
-    16 values of q across the strip and 64 of p over one period.
+    """Compare the boundary factors of the unprimed Q-basis state (n, m) with
+    the transition data, on its phase key (c0, cq, cp, cqp) (_basis_key).
 
-    Chart I covers (-delta, b/2 + delta) and chart II covers
-    (b/2 - delta, b + delta) in q, for all p, with delta = b/8.  On the
-    interior overlap around q = b/2 both charts use the same coordinates, so
-    there is nothing to compare there.  On the seam overlap, q in
-    (-delta, delta) in chart-I coordinates, chart II sees the same points at
-    q + b and the wave functions differ by the transition factor e^{ibp/hbar}.
+    The state is one term e^{i (c0 + cq q + cp p + cqp q p)/hbar}, so crossing
+    the q-period multiplies it by e^{i (cq b + cqp b p)/hbar}, which must be
+    the transition factor e^{i t b p/hbar} (transition_function), and
+    crossing the p-period by e^{i (cp a + cqp a q)/hbar}, which must be
+    e^{i t a q/hbar} = e^{2 pi i N q/b}.  Here t = TRANSITION_CQP when the
+    transition is applied and 0 when it is omitted.  The residual is the
+    largest phase mismatch on the fundamental domain, in turns, the unit of
+    table1/lattice: the distances of cq b/h and cp a/h from a whole number,
+    and |cqp - t| a b/h.  No state is built or evaluated.
 
-    With apply_transition=True (requires a quantized geometry) the seam
-    comparison multiplies the chart-I values by the transition factor and the
-    reported residual is the maximum modulus mismatch; it vanishes to
-    roundoff and must be at most tol.  With apply_transition=False the factor
-    is deliberately omitted, any geometry is accepted, and the check passes
-    when the mismatch is detected (residual above the fixed threshold 0.1 at
-    some sampled p), which is the expected signature of the missing gauge
-    factor.
+    With apply_transition=True (requires a quantized geometry) the residual
+    vanishes to roundoff and must be at most tol.  With
+    apply_transition=False the factor is deliberately omitted, any geometry
+    is accepted (the unprimed key needs no N), and the check passes when the
+    mismatch is detected, residual above the fixed threshold 0.1: it reads
+    a b/h turns, the expected signature of the missing gauge factor.
     """
     if apply_transition:
         _require_quantized(geometry)
-    delta = geometry.b / 8.0
-    # The raw section, the unprimed Q-basis state read from its key, is defined
-    # on any geometry, so the omission diagnostic runs on non-quantized tori.
-    wf = WaveFunction.single(1.0, *_basis_key(geometry, "Q", n, m), hbar=geometry.hbar)
-
-    ps = np.arange(64) * (geometry.a / 64)
-    qg, pg = np.meshgrid(np.linspace(-delta, delta, 16), ps, indexing="ij")
-    chart_one = wf.evaluate(qg, pg)
-    chart_two = wf.evaluate(qg + geometry.b, pg)
-    if apply_transition:
-        trans = np.array([transition_function(geometry, p) for p in ps])
-        chart_one = trans[None, :] * chart_one
-    residual = float(np.abs(chart_two - chart_one).max())
+    a, b, h = geometry.a, geometry.b, geometry.h
+    _, cq, cp, cqp = _basis_key(geometry, "Q", n, m)
+    t = TRANSITION_CQP if apply_transition else 0.0
+    turns = (cq * b / h, cp * a / h)
+    residual = max(*(abs(x - round(x)) for x in turns), abs(cqp - t) * (a * b / h))
 
     params = {
-        "a": geometry.a, "b": geometry.b, "h": geometry.h,
-        "n": n, "m": m, "delta": delta,
+        "a": a, "b": b, "h": h, "n": n, "m": m,
         "transition_applied": apply_transition,
     }
     if apply_transition:
         return CheckResult("chart_consistency", params, residual, tol)
     # Detection check: omitting the gauge factor must produce a visible
-    # mismatch somewhere on the seam.
+    # mismatch across the seam.
     return CheckResult("chart_mismatch_without_transition",
                        {**params, "detection_threshold": 0.1}, residual, 0.1, mode="gt")

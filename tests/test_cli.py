@@ -145,11 +145,14 @@ class TestVerify:
         assert len(checks) == 8
         for check in checks.values():
             assert (check["tolerance"], check["max_residual"], check["pass"]) == (0.0, 0.0, True)
-        res = run_cli("verify", "--N", "4", "--suite", "charts", "--tolerance", "1e-30", "--json")
+        # At N = 15 the boundary factor cq b/h of the key (1, 1) is an ulp
+        # off a whole turn on the square torus, so the chart check fails at
+        # the tolerance given; the detection threshold keeps its own bound.
+        res = run_cli("verify", "--N", "15", "--suite", "charts", "--tolerance", "1e-30", "--json")
         assert res.returncode == 1
         report = json.loads(res.stdout)
         failed = [c["check"] for c in report["checks"] if not c["pass"]]
-        assert failed
+        assert failed == ["chart_consistency"]
         for check in report["checks"]:
             if check["check"] != "chart_mismatch_without_transition":
                 assert check["tolerance"] == 1e-30, check["check"]
@@ -172,12 +175,12 @@ class TestVerify:
         assert res.returncode == 0, res.stderr
         assert "overall: PASS (28 checks)" in res.stdout
 
-    def test_tiny_hbar_exits_2_naming_hbar(self):
-        # cqp / hbar ~ 6e300 has no finite cell at h = 1e-300.
+    def test_tiny_hbar_passes(self):
+        # No suite builds a state at the geometry's hbar: the keys of the
+        # h = 1e-300 geometry are read as floats and arrays, never merged.
         res = run_cli("verify", "--N", "3", "--h", "1e-300", "--suite", "all")
-        assert res.returncode == 2
-        assert "no finite merge cell at hbar=" in res.stderr
-        assert "Traceback" not in res.stderr
+        assert res.returncode == 0, res.stderr
+        assert "overall: PASS (28 checks)" in res.stdout
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
     def test_orthonormality_too_large_is_refused(self):
@@ -398,6 +401,15 @@ class TestDump:
                          "--reduce"])
         assert code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_tiny_hbar_exits_2_naming_hbar(self):
+        # dump builds the state: cqp / hbar ~ 6e300 has no finite cell at
+        # h = 1e-300.
+        res = run_cli("dump", "qbasis", "--N", "3", "--h", "1e-300", "--n", "0", "--m", "0",
+                      "--M", "3")
+        assert res.returncode == 2
+        assert "no finite merge cell at hbar=" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_m_not_multiple_exits_2(self):
         res = run_cli("dump", "qbasis", "--N", "2", "--n", "0", "--m", "0", "--M", "7")

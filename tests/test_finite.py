@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_bras, patch_key, sampling_error_bound, square_torus
-from torusq import cli, finite, suites, torus
+from torusq import cli, finite, suites, symbolic, torus
 from torusq.finite import (
     LABEL_ACTION,
     RAISE,
@@ -547,16 +547,26 @@ def test_weyl_peak_is_within_its_estimate():
     assert peak <= 128 * N + 2**16
 
 
-@pytest.mark.parametrize("suite", ["orthonormality", "table1", "weyl", "dft"])
+@pytest.mark.parametrize("suite", ["orthonormality", "table1", "weyl", "dft", "charts", "all"])
 @pytest.mark.parametrize("geometry", [square_torus(1), square_torus(4), non_square_torus(5)],
                          ids=["N1", "N4", "N5-nonsquare"])
 def test_key_suites_build_and_sample_no_state(monkeypatch, suite, geometry):
-    # These suites read every basis state from its phase key: none builds a
-    # wave function, and none samples one on a grid.
+    # These suites read every basis state from its phase key: none builds or
+    # evaluates a wave function, and none samples one on a grid.  All suites
+    # together build only the commutators suite's random family members.
     built = counting_builds(monkeypatch)
     sampled = counting_samples(monkeypatch)
+    evaluated = []
+    monkeypatch.setattr(symbolic, "_evaluate", lambda *args: evaluated.append(args))
     assert all(c.passed for c in run_suites(suite, geometry))
-    assert built == [] and sampled == []
+    assert sampled == [] and evaluated == []
+    if suite == "all":
+        count = len(built)
+        built.clear()
+        run_suites("commutators", geometry)
+        assert len(built) == count
+    else:
+        assert built == []
 
 
 class TestMemoryRefusal:

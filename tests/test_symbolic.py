@@ -299,6 +299,8 @@ class TestTransformOutputsAreCanonical:
     def test_one_term_built_per_output_term(self, monkeypatch):
         # Each output term comes from the one canonical constructor, which
         # skips __post_init__: the merge reuses keys that are already checked.
+        # single checks its one input term, the last thunk, as the term
+        # constructor does.
         calls = {"canonical": 0, "post_init": 0}
 
         def counted(name, real):
@@ -315,10 +317,11 @@ class TestTransformOutputsAreCanonical:
         for i in range(20):
             hbar = (1.0, 0.5)[i % 2]
             a, b = random_wavefunction(rng, hbar=hbar), random_wavefunction(rng, hbar=hbar)
-            for op in _transforms(rng, a, b):
+            ops = _transforms(rng, a, b)
+            for op in ops:
                 calls.update(canonical=0, post_init=0)
                 out = op()
-                assert calls == {"canonical": len(out.terms), "post_init": 0}
+                assert calls == {"canonical": len(out.terms), "post_init": int(op is ops[-1])}
 
     def test_output_terms_are_what_the_term_constructor_makes(self):
         # Skipping __post_init__ must not change a field's value or type.

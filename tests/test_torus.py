@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,16 +129,100 @@ class TestTransitionFunction:
         assert abs(ratio - holonomy(g)) <= 1e-12
 
 
+MUTANT_GEOMETRIES = [square_torus(N) for N in (3, 4, 5)] + [make_geometry(1.5, 2.0, 0.5)]
+MUTANT_IDS = ["N3", "N4", "N5", "a1.5-b2-h0.5"]
+CHART_MUTANTS = ["negated_cqp", "halved_cq", "halved_cp", "conjugated_transition"]
+
+
+def q_key_mutant(monkeypatch, mutant):
+    """Seed one defect of the chart data: the Q key's cqp negated, or its cq
+    or cp halved, at its one statement (plane._basis_key), or the transition
+    conjugated (t = -1)."""
+    if mutant == "conjugated_transition":
+        monkeypatch.setattr(torus, "TRANSITION_CQP", -torus.TRANSITION_CQP)
+        return
+    real = plane._basis_key
+
+    def key(basis, l, k, c0=0.0):
+        c0, cq, cp, cqp = real(basis, l, k, c0)
+        if basis == "Q":
+            cq, cp, cqp = {"negated_cqp": (cq, cp, -cqp), "halved_cq": (cq / 2, cp, cqp),
+                           "halved_cp": (cq, cp / 2, cqp)}[mutant]
+        return c0, cq, cp, cqp
+
+    monkeypatch.setattr(plane, "_basis_key", key)
+
+
+def seam_oracle(geometry, labels):
+    """Largest pointwise mismatch of the Q-basis states across both periods,
+    from public functions: f(q + b, p) against transition_function(p) f(q, p)
+    and f(q, p + a) against e^{2 pi i N q/b} f(q, p), at random points of
+    the fundamental domain."""
+    rng = np.random.default_rng(11)
+    q = rng.uniform(0.0, geometry.b, 64)
+    p = rng.uniform(0.0, geometry.a, 64)
+    across_q_factor = np.array([transition_function(geometry, x) for x in p])
+    across_p_factor = np.exp(2j * np.pi * geometry.N * q / geometry.b)
+    worst = 0.0
+    for n, m in labels:
+        wf = make_torus_Q_basis(geometry, n, m)
+        here = wf.evaluate(q, p)
+        across_q = wf.evaluate(q + geometry.b, p) - across_q_factor * here
+        across_p = wf.evaluate(q, p + geometry.a) - across_p_factor * here
+        worst = max(worst, float(np.abs(across_q).max()), float(np.abs(across_p).max()))
+    return worst
+
+
 class TestCharts:
     def test_consistency_on_quantized_geometry(self):
         g = square_torus(2)
         for n, m in ((0, 0), (1, 1)):
             res = chart_consistency_check(g, n, m)
             assert res.passed and res.max_residual <= 1e-12
-            assert res.params["delta"] == g.b / 8
+
+    @pytest.mark.parametrize("N", [1024, 4096, 65536])
+    def test_suite_passes_at_large_N(self, N):
+        # The boundary factors are read from the key in turns, so nothing
+        # grows with N: the sampled strip failed here from N = 1024.
+        checks = suites.suite_charts(make_geometry(1.0, float(N), 1.0))
+        assert all(c.passed for c in checks)
+        assert [c.max_residual for c in checks] == [0.0, 0.0, N + 0.5]
+
+    def test_underflowing_lattice_unit(self):
+        # h/b underflows to 0 on this quantized geometry; the turns cq b/h
+        # and cp a/h never divide by a lattice unit.
+        g = make_geometry(1e-300, 1e200, 1e-125)
+        assert g.N is not None and g.h / g.b == 0.0
+        assert all(c.passed for c in suites.suite_charts(g))
+
+    @pytest.mark.parametrize("geometry", KEY_GEOMETRIES, ids=KEY_IDS)
+    def test_keys_off_the_suite_labels_sit_on_whole_turns(self, geometry):
+        for n, m in itertools.product(range(-1, geometry.N + 2), repeat=2):
+            assert chart_consistency_check(geometry, n, m).max_residual <= 1e-14, (n, m)
+
+    @pytest.mark.parametrize("geometry", MUTANT_GEOMETRIES, ids=MUTANT_IDS)
+    @pytest.mark.parametrize("mutant", CHART_MUTANTS)
+    def test_seeded_defects_fail_chart_consistency(self, monkeypatch, mutant, geometry):
+        q_key_mutant(monkeypatch, mutant)
+        checks = suites.suite_charts(geometry)
+        assert any(c.name == "chart_consistency" and not c.passed for c in checks)
+        assert checks[-1].name == "chart_mismatch_without_transition" and checks[-1].passed
+
+    @pytest.mark.parametrize("geometry", MUTANT_GEOMETRIES, ids=MUTANT_IDS)
+    def test_pointwise_oracle_agrees_with_the_key_check(self, monkeypatch, geometry):
+        # The values across both periods obey the transition data to
+        # roundoff on the true key, and every mutant the key check fails
+        # is visible pointwise too.
+        labels = [(0, 0), (1, 1)]
+        assert seam_oracle(geometry, labels) <= 1e-12
+        for mutant in CHART_MUTANTS:
+            with monkeypatch.context() as patch:
+                q_key_mutant(patch, mutant)
+                assert seam_oracle(geometry, labels) > 0.1, mutant
 
     def test_omitting_transition_is_detected(self):
-        # At p = a/(2N) the missing factor is e^{i pi} = -1, mismatch 2
+        # The missing factor e^{ibp/hbar} is a chirp of a b/h = N = 2 turns
+        # across the domain: residual 2 (turns)
         g = square_torus(2)
         res = chart_consistency_check(g, 0, 0, apply_transition=False)
         assert res.name == "chart_mismatch_without_transition"
@@ -155,7 +240,7 @@ class TestCharts:
     @pytest.mark.parametrize("geometry", KEY_GEOMETRIES, ids=KEY_IDS)
     def test_section_is_the_torus_q_state(self, geometry):
         # The plane factory at the torus labels is the torus factory's
-        # state: both read plane._basis_key, as the chart section does
+        # state: both read plane._basis_key, as the chart check does
         # through torus._basis_key (TestBasisKey).
         for n, m in itertools.product(range(geometry.N + 1), repeat=2):
             section = make_plane_Q_basis(n * geometry.h / geometry.a, m * geometry.h / geometry.b,
@@ -315,6 +400,23 @@ class TestSampling:
         combo = sample(f.scale(alpha) + h.scale(beta), g, 8)
         direct = alpha * sample(f, g, 8) + beta * sample(h, g, 8)
         assert np.abs(combo - direct).max() <= 1e-14
+
+    def test_sample_holds_one_grid_beside_its_output(self):
+        # Each term's phase is built and exponentiated in place in one
+        # complex array, which is then added into the output: one sample of
+        # a basis state peaks at two (M, M) complex arrays, where separate
+        # temporaries for the prefactor, the phase and its exp took 5.5.
+        g = square_torus(64)
+        wf = make_torus_Q_basis(g, 3, 5, primed=True)
+        M = 512
+        sample(wf, g, 64)  # numpy's lazily built state is not the sample's
+        tracemalloc.start()
+        try:
+            sample(wf, g, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * M**2 + 16 * np.getbufsize() + 2**16
 
     def test_m_validation(self):
         g = square_torus(2)
