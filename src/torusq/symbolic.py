@@ -120,10 +120,11 @@ class BilinearPhaseTerm:
         prefactor = {(int(dq), int(dp)): complex(c) for (dq, dp), c in self.prefactor.items()}
         # Finite in both parts: the merge's complex products would turn an
         # infinite part into a nan one.
-        named = [("amplitude", amplitude)] + [(f"prefactor[{m}]", c) for m, c in prefactor.items()]
-        for name, c in named:
+        if not cmath.isfinite(amplitude):
+            raise ValueError(f"amplitude={amplitude} is not finite")
+        for mon, c in prefactor.items():
             if not cmath.isfinite(c):
-                raise ValueError(f"{name}={c} is not finite")
+                raise ValueError(f"prefactor[{mon}]={c} is not finite")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "prefactor", prefactor)
 
@@ -148,31 +149,24 @@ class BilinearPhaseTerm:
         return term
 
     def evaluate(self, q, p):
-        """Evaluate at (q, p); accepts scalars or broadcastable numpy arrays."""
-        return _evaluate((self,), q, p)
-
-
-def _evaluate(terms, q, p):
-    """The sum of the terms' values at (q, p), scalars or broadcastable numpy
-    arrays.  Each term's phase (c0 + cq q + cp p) + cqp q p is built in the
-    imaginary part of one complex array, divided by hbar and exponentiated
-    in place, and added into the output; a constant prefactor stays a scalar."""
-    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-    values = np.empty_like(out)
-    for t in terms:
+        """Evaluate at (q, p); accepts scalars or broadcastable numpy arrays.
+        The phase (c0 + cq q + cp p) + cqp q p is built in the imaginary part
+        of the one complex array returned, divided by hbar and exponentiated
+        in place; a constant prefactor stays a scalar."""
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        values = np.empty(np.broadcast(q, p).shape, dtype=complex)
         prefactor = 0j
-        for (dq, dp), c in t.prefactor.items():
+        for (dq, dp), c in self.prefactor.items():
             # The constant monomial needs no q**0 * p**0 arrays.
             prefactor = prefactor + (c if dq == dp == 0 else c * q**dq * p**dp)
-        np.multiply(t.cqp * q, p, out=values.imag)
-        np.add(t.c0 + t.cq * q, t.cp * p, out=values.real)
+        np.multiply(self.cqp * q, p, out=values.imag)
+        np.add(self.c0 + self.cq * q, self.cp * p, out=values.real)
         values.imag += values.real
         values.real = 0.0
-        values /= t.hbar
+        values /= self.hbar
         np.exp(values, out=values)
-        out += np.multiply(t.amplitude * prefactor, values, out=values)
-    return complex(out) if out.ndim == 0 else out
+        np.multiply(self.amplitude * prefactor, values, out=values)
+        return complex(values) if values.ndim == 0 else values
 
 
 def _nonzero_sorted(sums: dict) -> dict:
@@ -260,8 +254,13 @@ class WaveFunction:
         return max((abs(c) for t in self.terms for c in t.prefactor.values()), default=0.0)
 
     def evaluate(self, q, p):
-        """Pointwise value; accepts scalars or broadcastable numpy arrays."""
-        return _evaluate(self.terms, q, p)
+        """Pointwise value; accepts scalars or broadcastable numpy arrays.
+        Each term's values are added into the output as they are made."""
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
+        for t in self.terms:
+            out += t.evaluate(q, p)
+        return complex(out) if out.ndim == 0 else out
 
     def _map_terms(self, poly) -> "WaveFunction":
         """Each term t of self under its own key with the prefactor poly(t),

@@ -132,7 +132,7 @@ class TestVerify:
             for check in geometric:
                 assert (check["params"]["a"], check["params"]["b"]) == (1.0, 2.0), check["check"]
 
-    def test_tolerance_reaches_table1_and_charts(self):
+    def test_tolerance_reaches_table1_and_charts(self, monkeypatch, capsys):
         # The table1 cells count mismatched labels against tolerance 0 and
         # pass at any --tolerance; table1/lattice, which carries the
         # floating point, takes the tolerance given.  N = 5 puts the keys a
@@ -145,14 +145,17 @@ class TestVerify:
         assert len(checks) == 8
         for check in checks.values():
             assert (check["tolerance"], check["max_residual"], check["pass"]) == (0.0, 0.0, True)
-        # At N = 15 the boundary factor cq b/h of the key (1, 1) is an ulp
-        # off a whole turn on the square torus, so the chart check fails at
-        # the tolerance given; the detection threshold keeps its own bound.
-        res = run_cli("verify", "--N", "15", "--suite", "charts", "--tolerance", "1e-30", "--json")
-        assert res.returncode == 1
-        report = json.loads(res.stdout)
+        # Every Q key read with cq b/h 1e-13 turns off the lattice (a = b = 2,
+        # h = 1): the chart checks pass at the default tolerance and fail at
+        # the one given; the detection threshold keeps its own bound.
+        patch_key(monkeypatch, torus, "Q", lambda n, m, k: (k[0], k[1] + 5e-14, *k[2:]))
+        args = ["verify", "--N", "4", "--suite", "charts", "--json"]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        assert cli.main([*args, "--tolerance", "1e-30"]) == 1
+        report = json.loads(capsys.readouterr().out)
         failed = [c["check"] for c in report["checks"] if not c["pass"]]
-        assert failed == ["chart_consistency"]
+        assert failed == ["chart_consistency", "chart_consistency"]
         for check in report["checks"]:
             if check["check"] != "chart_mismatch_without_transition":
                 assert check["tolerance"] == 1e-30, check["check"]

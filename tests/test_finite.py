@@ -557,7 +557,7 @@ def test_key_suites_build_and_sample_no_state(monkeypatch, suite, geometry):
     built = counting_builds(monkeypatch)
     sampled = counting_samples(monkeypatch)
     evaluated = []
-    monkeypatch.setattr(symbolic, "_evaluate", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(symbolic.BilinearPhaseTerm, "evaluate", lambda *args: evaluated.append(args))
     assert all(c.passed for c in run_suites(suite, geometry))
     assert sampled == [] and evaluated == []
     if suite == "all":

@@ -96,6 +96,24 @@ class TestConstruction:
         )
         assert abs(t.evaluate(q, p) - expected) < 1e-15
 
+    def test_wave_function_evaluates_through_its_terms(self, monkeypatch):
+        # The sum is formed from BilinearPhaseTerm.evaluate, term by term, so
+        # a wrapper of that one method (a tracer, a call counter) sees every
+        # evaluation.
+        wf = random_wavefunction(np.random.default_rng(3))
+        assert len(wf.terms) == 3
+        q, p = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(0.0, 2.0, 4)
+        expected = sum(t.evaluate(q, p) for t in wf.terms)
+        real, seen = BilinearPhaseTerm.evaluate, []
+
+        def counted(term, *args):
+            seen.append(term)
+            return real(term, *args)
+
+        monkeypatch.setattr(BilinearPhaseTerm, "evaluate", counted)
+        assert np.array_equal(wf.evaluate(q, p), expected)
+        assert seen == list(wf.terms)
+
 
 class TestCanonicalForm:
     def test_json_independent_of_term_order(self):
