@@ -81,7 +81,8 @@ for which in GridShift:
 
 # The inner-product oracle: overlaps of basis states on the N x N grid,
 # both read from their phase keys, equal K / sqrt(N) entrywise, for every
-# shadow index s; the oracle returns the largest miss, one bra at a time.
+# shadow index s; the oracle checks every s at once, summed with seeded unit
+# phases, and returns the largest miss of that sum.
 print("grid-overlap oracle residual:", physical_grid_overlaps(geometry))
 
 # Why the unexponentiated pair cannot survive: any finite commutator is

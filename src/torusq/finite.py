@@ -17,6 +17,7 @@ while [Q, P] = i hbar needs trace i hbar N.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -225,10 +226,36 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
         CheckResult("table1/lattice", params, distance, tol)]
 
 
+# The dft oracle sketches the shadow index with one projection, a vector of
+# unit phases x_s = e^{2 pi i theta_s} with theta_s drawn uniformly from
+# [-1/6, 1/6] by a generator seeded with ORACLE_SEED.  Then Re x_s >= 1/2, so
+# |sum_s x_s| >= N/2: a defect shared by every s cannot cancel in the sum.
+# suite_dft records both constants in the check's params.
+ORACLE_SEED = 1979
+ORACLE_PROJECTIONS = 1
+
+
+def _sketch_phases(N: int) -> np.ndarray:
+    """The oracle's seeded unit phases x_s, s < N (see ORACLE_SEED).  They
+    come from the standard library's generator: importing numpy.random
+    alone adds about 6 MB to the resident set."""
+    rng = random.Random(ORACLE_SEED)
+    theta = np.array([rng.uniform(-1 / 6, 1 / 6) for _ in range(N)])
+    return np.exp(2j * np.pi * theta)
+
+
+def _phases(a, b) -> np.ndarray:
+    """The (len(a), len(b)) grid of e^{i a_k b_l}, formed in place."""
+    out = np.multiply.outer(a, 1j * b)
+    return np.exp(out, out=out)
+
+
 def physical_grid_overlaps(geometry: TorusGeometry) -> float:
-    """max |O[n, s, r] - K[n][r] / sqrt(N)| over the grid inner products
+    """max |Z[n, r] - (sum_s x_s) K[n][r] / sqrt(N)| for the sketch
+    Z[n, r] = sum_s x_s O[n, s, r] of the grid inner products
     O[n, s, r] = <Q-basis n, m=0 | P-basis s, r> of the states' values on the
-    physical grid M = N, both bases in the primed convention.
+    physical grid M = N, both bases in the primed convention, with seeded
+    unit phases x_s over the shadow index (_sketch_phases).
 
     This is the independent oracle for dft_basis_change: the overlaps equal
     e^{2 pi i n r / N} / N for every shadow index s, i.e. K[n][r] / sqrt(N).
@@ -240,44 +267,52 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> float:
     No state is built or sampled: both bases are read from their phase keys
     (torus._basis_key).  Each P-basis ket (s, r) is d_sr u_s(p) (x) v_r(q),
     with u_s = e^{i cp[s] p/hbar}, v_r = e^{i cq[r] q/hbar} and
-    d_sr = e^{i c0[s, r]/hbar}.  Each Q-basis bra n, whose c0 and cq vanish
-    at m = 0, is conj(e^{i cp_Q[n] p/hbar}) times the conjugated chirp
-    conj(e^{i cqp q p/hbar}), formed once for all n: the state's values,
-    conjugated, to roundoff in the phase.  Then the slice O[n] = d * sum_ij
-    bra_n[i, j] u_s(p_i) v_r(q_j) / N^2 takes two matrix products, 2 N^3
-    multiply-adds, and row n of K / sqrt(N) is subtracted from each of its
-    rows before the slice's largest modulus is kept: 2 N^4 in all, on purpose,
-    since the oracle assumes none of the DFT structure it confirms.
+    d_sr = e^{i c0[s, r]/hbar} / N^2, the grid's weight included.  Each
+    Q-basis bra n, whose c0 and cq vanish at m = 0, is conj(B_Q[n]) times the
+    conjugated chirp conj(e^{i cqp q p/hbar}), with
+    B_Q[n, i] = e^{i cp_Q[n] p_i/hbar}: the state's values, conjugated, to
+    roundoff in the phase.  So O[n, s, r] = sum_i conj(B_Q)[n, i] U[s, i]
+    d[s, r] Y[i, r], with U[s, i] = u_s(p_i) and
+    Y[i, r] = sum_j conj(chirp)[i, j] v_r(q_j).
 
-    No (N, N, N) array is formed.  The loop holds seven N x N complex arrays,
-    U, V, d, K / sqrt(N), the chirp, the bra (which then takes the slice) and
-    the first product, and the moduli of one slice as floats: 16 * 7 N^2 +
-    8 N^2 bytes, plus O(N) vectors and numpy's ufunc buffers.  When that exceeds the
-    available memory the call raises MemoryError before it evaluates any key.
+    The claim is linear in s, so one seeded projection checks every s at
+    once (Freivalds' technique): Z = conj(B_Q) (X * Y), elementwise in X * Y,
+    with X[i, r] = sum_s U[s, i] x_s d[s, r].  That is three N x N products,
+    3 N^3 multiply-adds in place of the 2 N^4 of all N^3 overlaps, and it
+    still assumes none of the DFT structure it confirms.  Since |x_s| = 1, a
+    defect at one shadow index reads at its full size; since Re x_s >= 1/2,
+    a defect shared by every s, such as one in K, reads at N/2 times its size
+    or more.  Roundoff shared by every s adds up the same way: Z has modulus
+    |sum_s x_s| / N, about 0.8, N times an overlap's, and keeps the
+    exhaustive form's relative roundoff, so the residual grows about as
+    N eps: 4.6e-14 at N = 64 (where the max over all overlaps read 6.6e-16),
+    2.0e-13 at N = 256 and 8.0e-13 at N = 1024.
+
+    Arrays are freed as they go, so at most four N x N complex arrays live at
+    once: X beside the chirp, V and their product Y, 16 * 4 N^2 bytes, plus
+    O(N) vectors and numpy's ufunc buffers.  When that exceeds the available
+    memory the call raises MemoryError before it evaluates any key.
     """
     N = _require_quantized(geometry)
-    _require_memory("dft", N, 16 * 7 * N**2 + 8 * N**2)
+    _require_memory("dft", N, 16 * 4 * N**2)
     hbar = geometry.hbar
     labels = np.arange(N)
-    c0 = _basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
+    x = _sketch_phases(N)
+    d = _basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0] * (1j / hbar)
+    np.exp(d, out=d)
+    d *= x[:, None] / (N * N)
     _, cq, cp, _ = _basis_key(geometry, "P", labels, labels)
     _, _, cp_Q, cqp = _basis_key(geometry, "Q", labels, 0, primed=True)
     q, p = grid_coordinates(geometry, N)
-    U = np.exp(1j / hbar * np.multiply.outer(cp, p))
-    V = np.exp(1j / hbar * np.multiply.outer(cq, q))
-    d = np.exp(1j / hbar * c0) / (N * N)
-    del c0
-    expected = dft_basis_change(N) / math.sqrt(N)
-    chirp = np.multiply.outer(p, 1j * cqp / hbar * q)
-    np.conjugate(np.exp(chirp, out=chirp), out=chirp)
-    bra = np.empty((N, N), dtype=complex)
-    first = np.empty((N, N), dtype=complex)
-    residual = 0.0
-    for n in range(N):
-        np.multiply(np.conjugate(np.exp(1j * cp_Q[n] * p / hbar))[:, None], chirp, out=bra)
-        np.matmul(U, bra, out=first)  # first[s, j] = sum_i u_s(p_i) bra[i, j]
-        overlaps = np.matmul(first, V.T, out=bra)  # the slice overwrites its bra
-        overlaps *= d
-        overlaps -= expected[n]
-        residual = max(residual, float(np.abs(overlaps).max()))
-    return residual
+    U = _phases(cp, p / hbar)
+    X = U.T @ d  # X[i, r] = sum_s U[s, i] x_s d[s, r]
+    del U, d
+    chirp = _phases(p, -cqp / hbar * q)
+    Y = chirp @ _phases(cq, q / hbar).T  # Y[i, r] = sum_j conj(chirp)[i, j] v_r(q_j)
+    del chirp
+    X *= Y
+    del Y
+    Z = _phases(cp_Q, -p / hbar) @ X
+    del X
+    Z -= x.sum() / math.sqrt(N) * dft_basis_change(N)
+    return float(np.abs(Z).max())

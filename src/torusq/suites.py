@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .finite import (
+    ORACLE_PROJECTIONS,
+    ORACLE_SEED,
     _dft_exponents,
     _physical_action,
     _weyl_counts,
@@ -36,8 +38,9 @@ from .torus import (
 
 _SUITE_SEED = 714025
 
-# Each grid-overlap oracle entry is a sum of N^2 sampled phases whose roundoff
-# grows with N, so the oracle keeps this fixed tolerance instead of --tolerance.
+# Each entry of the grid-overlap oracle's sketch sums N^3 unit phases over N^2,
+# so its roundoff grows about as N eps (8.0e-13 at N = 1024); the oracle keeps
+# this fixed tolerance instead of --tolerance.
 ORACLE_TOL = 1e-10
 
 
@@ -154,7 +157,9 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
 
     The oracle (physical_grid_overlaps) runs first: it refuses a run too
     large for memory before anything is built, its peak is the suite's, and
-    it returns its residual, max |O - K / sqrt(N)| over the sampled overlaps.
+    it returns its residual, max |Z - (sum_s x_s) K / sqrt(N)| for the sketch
+    Z[n, r] = sum_s x_s O[n, s, r] of the grid overlaps over the shadow index,
+    with the phases x_s seeded by ORACLE_SEED (both recorded in params).
     Each intertwining check counts the labels s where the exponents of K mp,
     E[n, s+kp] + ep[s], and of mq K, E[n-kq, s] + eq[n-kq], differ mod N
     (E = finite._dft_exponents, m e_s = w^{e[s]} e_{s+k}), against tolerance 0.
@@ -170,8 +175,9 @@ def suite_dft(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckRe
         diff = (np.roll(E, -kp, axis=1) + ep - np.roll(E + eq[:, None], kq, axis=0)) % N
         checks.append(CheckResult(f"dft/intertwines_{which.name.lower()}", {"N": N},
                                   float(np.count_nonzero(diff.any(axis=0))), 0.0))
-    checks.append(CheckResult("dft/grid_overlap_oracle", {**geometry.to_dict(), "M": N},
-                              r_oracle, ORACLE_TOL))
+    params = {**geometry.to_dict(), "M": N, "sketch_seed": ORACLE_SEED,
+              "projections": ORACLE_PROJECTIONS}
+    checks.append(CheckResult("dft/grid_overlap_oracle", params, r_oracle, ORACLE_TOL))
     return checks
 
 
@@ -182,8 +188,9 @@ def suite_charts(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Chec
     labels = [(0, 0)] if N == 1 else [(0, 0), (1, 1)]
     checks = [chart_consistency_check(geometry, n, m, tol=tol) for n, m in labels]
     # Negative control on a half-integer area: with the gauge factor omitted
-    # the seam mismatch, N + 1/2 turns, must be plainly visible.
-    broken = make_geometry(geometry.a, geometry.b * (N + 0.5) / N, geometry.h)
+    # the seam mismatch, N + 1/2 turns, must be plainly visible.  The ratio
+    # is taken first, since b (N + 1/2) can overflow where b N/h is finite.
+    broken = make_geometry(geometry.a, geometry.b * ((N + 0.5) / N), geometry.h)
     checks.append(chart_consistency_check(broken, 0, 0, apply_transition=False))
     return checks
 

@@ -185,6 +185,17 @@ class TestVerify:
         assert res.returncode == 0, res.stderr
         assert "overall: PASS (28 checks)" in res.stdout
 
+    def test_charts_control_does_not_overflow_at_large_b_N(self, capsys):
+        # The negative control stretches b by (N + 1/2)/N; b (N + 1/2) alone
+        # overflows to inf on this quantized geometry.
+        args = ["verify", "--N", "999999999999999879147136483328", "--a", "1e-300",
+                "--b", "1e300", "--h", "1e-30", "--suite", "charts", "--json"]
+        assert cli.main(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(c["check"], c["pass"]) for c in report["checks"]] == [
+            ("chart_consistency", True), ("chart_consistency", True),
+            ("chart_mismatch_without_transition", True)]
+
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
     def test_orthonormality_too_large_is_refused(self):
         # The address-space cap and the timeout keep a run that builds the
@@ -263,7 +274,7 @@ class TestVerify:
     # Each suite's estimate, checked at N = 4 and N = 20.
     ESTIMATES = {
         "table1": lambda N: 16 * 12 * (N + 1)**2,
-        "dft": lambda N: 16 * 7 * N**2 + 8 * N**2,
+        "dft": lambda N: 16 * 4 * N**2,
     }
 
     @pytest.mark.parametrize("suite", sorted(ESTIMATES))

@@ -1,5 +1,5 @@
 import itertools
-import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -51,8 +51,7 @@ def counting_samples(monkeypatch):
 
 
 def counting_grid_exps(monkeypatch):
-    """Record the shape of every grid-sized (2-D) exp that finite takes; the
-    dft oracle's per-bra factors are vectors."""
+    """Record the shape of every grid-sized (2-D) exp that finite takes."""
     shapes = []
 
     class Numpy:
@@ -103,14 +102,54 @@ def counting_keys(monkeypatch):
 
 def oracle_bras(geometry):
     """The dft oracle's N Q-basis bras as one (N, N, N) array, formed from
-    the keys (torus._basis_key) with the oracle's own expressions: bra n is
+    the keys (finite._basis_key, so a patched key reaches them): bra n is
     conj(e^{i cp_Q[n] p/hbar}) times the conjugated chirp."""
     N, hbar = geometry.N, geometry.hbar
-    _, _, cp_Q, cqp = torus._basis_key(geometry, "Q", np.arange(N), 0, primed=True)
+    _, _, cp_Q, cqp = finite._basis_key(geometry, "Q", np.arange(N), 0, primed=True)
     q, p = grid_coordinates(geometry, N)
     chirp = np.conjugate(np.exp(np.multiply.outer(p, 1j * cqp / hbar * q)))
     return np.stack([np.conjugate(np.exp(1j * cp_Q[n] * p / hbar))[:, None] * chirp
                      for n in range(N)])
+
+
+def exhaustive_overlaps(geometry):
+    """All N^3 grid overlaps O[n, s, r] = <Q n, 0 | P s, r> that the dft
+    oracle sketches, in the batched form the oracle took before: every bra
+    in one array and two stacked products, 2 N^4 multiply-adds.  The keys
+    are read through finite._basis_key, as the oracle reads them."""
+    N, hbar = geometry.N, geometry.hbar
+    c0 = finite._basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
+    _, cq, cp, _ = finite._basis_key(geometry, "P", np.arange(N), np.arange(N))
+    q, p = grid_coordinates(geometry, N)
+    U = np.exp(1j / hbar * np.multiply.outer(cp, p))
+    V = np.exp(1j / hbar * np.multiply.outer(cq, q))
+    d = np.exp(1j / hbar * c0) / (N * N)
+    return (U @ oracle_bras(geometry)) @ V.T * d
+
+
+def exhaustive_residual(overlaps):
+    """The exhaustive oracle: max |O[n, s, r] - K[n][r] / sqrt(N)| over every
+    shadow index s, with K from finite.dft_basis_change."""
+    N = len(overlaps)
+    return float(np.abs(overlaps - (finite.dft_basis_change(N) / np.sqrt(N))[:, None, :]).max())
+
+
+def projected_residual(overlaps):
+    """The sketch applied to given overlaps: max |sum_s x_s O[n, s, r] -
+    (sum_s x_s) K[n][r] / sqrt(N)| with the oracle's phases x_s."""
+    N = len(overlaps)
+    x = finite._sketch_phases(N)
+    Z = np.einsum("s,nsr->nr", x, overlaps)
+    return float(np.abs(Z - x.sum() * finite.dft_basis_change(N) / np.sqrt(N)).max())
+
+
+def sketch_roundoff(N):
+    """A bound on the gap between the oracle and projected_residual of the
+    exhaustive overlaps: both sum the same N^3 terms of modulus 1/N^2, whose
+    phase arguments reach about 2 pi N, in different orders, so each entry of
+    |Z| <= 1 differs by a few N eps (at most 2.8 N eps measured up to N = 64);
+    16 N eps leaves room for other BLAS kernels."""
+    return 16 * N * np.finfo(float).eps
 
 
 def clock(N):
@@ -323,22 +362,16 @@ class TestDftBasisChange:
         for N in (1, 2, 3, 4, 8):
             assert physical_grid_overlaps(square_torus(N)) <= 1e-10
 
-    @pytest.mark.parametrize("geometry", [square_torus(N) for N in (*range(1, 9), 16, 32)]
+    @pytest.mark.parametrize("geometry", [square_torus(N) for N in (*range(1, 9), 16, 32, 64)]
                              + [non_square_torus(N) for N in (1, 3, 4, 5, 7)])
-    def test_streamed_residual_equals_the_batched_form(self, geometry):
-        # The oracle's earlier form: every bra formed into one array, the
-        # (N, N, N) overlaps in two stacked products, and K / sqrt(N)
-        # subtracted from every shadow slice.  Streaming changes no bit.
-        N, hbar = geometry.N, geometry.hbar
-        c0 = torus._basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0]
-        _, cq, cp, _ = torus._basis_key(geometry, "P", np.arange(N), np.arange(N))
-        q, p = grid_coordinates(geometry, N)
-        U = np.exp(1j / hbar * np.multiply.outer(cp, p))
-        V = np.exp(1j / hbar * np.multiply.outer(cq, q))
-        d = np.exp(1j / hbar * c0) / (N * N)
-        overlaps = (U @ oracle_bras(geometry)) @ V.T * d
-        overlaps -= (dft_basis_change(N) / np.sqrt(N))[:, None, :]
-        assert physical_grid_overlaps(geometry) == float(np.abs(overlaps).max())
+    def test_sketch_equals_the_projected_exhaustive_overlaps(self, geometry):
+        # The oracle of the oracle: all N^3 overlaps in the batched form,
+        # projected over s with the oracle's phases, read the oracle's
+        # residual to roundoff; and the exhaustive max over s passes with it.
+        overlaps = exhaustive_overlaps(geometry)
+        residual = physical_grid_overlaps(geometry)
+        assert abs(residual - projected_residual(overlaps)) <= sketch_roundoff(geometry.N)
+        assert residual <= suites.ORACLE_TOL and exhaustive_residual(overlaps) <= suites.ORACLE_TOL
 
     @pytest.mark.parametrize("geometry", [square_torus(1), non_square_torus(5), square_torus(64)])
     def test_key_formed_bras_match_the_sampled_states(self, geometry):
@@ -361,13 +394,13 @@ class TestDftBasisChange:
             ket = sample(make_torus_P_basis(geometry, s, r, primed=True), geometry, N)
             for n in range(N):
                 direct[n, s, r] = np.vdot(qs[n], ket) / N**2
-        want = np.abs(direct - (dft_basis_change(N) / math.sqrt(N))[:, None, :]).max()
-        assert abs(physical_grid_overlaps(geometry) - want) <= 1e-14
+        want = projected_residual(direct)
+        assert abs(physical_grid_overlaps(geometry) - want) <= sketch_roundoff(N)
 
     def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
         # No state is built or sampled: both bases are read from phase keys,
-        # one evaluation each.  The grid-sized exps are the kets' U, V and d,
-        # K, and one chirp shared by all N bras.
+        # one evaluation each.  The grid-sized exps are the kets' d, U and V,
+        # the chirp and the bras' B_Q, shared by all N bras, and K.
         N = 4
         geometry = square_torus(N)
         sampled = counting_samples(monkeypatch)
@@ -377,7 +410,54 @@ class TestDftBasisChange:
         physical_grid_overlaps(geometry)
         assert built == [] and sampled == []
         assert keys == [("P", (N, N)), ("P", (N,)), ("Q", (N,))]
-        assert exps == [(N, N)] * 5
+        assert exps == [(N, N)] * 6
+
+    def test_sketch_runs_in_cubic_time_at_N_1024(self):
+        # Three N x N products: about 1 s on 2 vCPUs, where the exhaustive
+        # loop's 2 N^4 multiply-adds took about 3 minutes.
+        start = time.perf_counter()
+        checks = suites.suite_dft(square_torus(1024))
+        assert time.perf_counter() - start <= 5.0
+        assert all(c.passed for c in checks)
+
+
+def key_mutant(basis, change):
+    """A mutant that reads every key of one basis as change(geometry, n, m, key)."""
+    def apply(monkeypatch, geometry):
+        patch_key(monkeypatch, finite, basis, lambda n, m, key: change(geometry, n, m, key))
+    return apply
+
+
+def c0_defect(where):
+    """A P-basis mutant whose c0 is one lattice unit h/N off where where(N, s, r)."""
+    return key_mutant("P", lambda g, n, m, key: (
+        key[0] + np.where(where(g.N, n, m), g.h / g.N, 0.0), *key[1:]))
+
+
+SKETCH_MUTANTS = {
+    "P c0 negated": key_mutant("P", lambda g, n, m, key: (-key[0], *key[1:])),
+    # The unprimed key differs only in c0 = 0.
+    "P unprimed": key_mutant("P", lambda g, n, m, key: (np.zeros_like(key[0]), *key[1:])),
+    "Q cp flipped": key_mutant("Q", lambda g, n, m, key: (*key[:2], -key[2], key[3])),
+    "P cq flipped": key_mutant("P", lambda g, n, m, key: (key[0], -key[1], *key[2:])),
+    "chirp conjugated": key_mutant("Q", lambda g, n, m, key: (*key[:3], -key[3])),
+    "K conjugated": lambda monkeypatch, geometry: negated_dft_table(monkeypatch),
+    "c0 off on row s = 1": c0_defect(lambda N, s, r: s == 1),
+    "c0 off on cell (N-1, 2)": c0_defect(lambda N, s, r: (s == N - 1) & (r == 2)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SKETCH_MUTANTS))
+@pytest.mark.parametrize("geometry", [square_torus(N) for N in (3, 4, 5)]
+                         + [make_geometry(1.5, 2, 0.5)], ids=["N3", "N4", "N5", "N6-nonsquare"])
+def test_seeded_defects_fail_the_sketch_and_the_exhaustive_oracle(monkeypatch, geometry, mutant):
+    # Each defect is applied by monkeypatching the keys the oracle reads (the
+    # chirp is the Q key's cqp) or K's exponent table; the sketch and the
+    # exhaustive max over every shadow index must both fail it.
+    SKETCH_MUTANTS[mutant](monkeypatch, geometry)
+    oracle = {c.name: c for c in suites.suite_dft(geometry)}["dft/grid_overlap_oracle"]
+    assert not oracle.passed
+    assert exhaustive_residual(exhaustive_overlaps(geometry)) > suites.ORACLE_TOL
 
 
 def reference_table1_residuals(geometry, M):
@@ -499,11 +579,11 @@ class TestTable1:
 def test_peak_memory_is_the_stated_formula(func):
     # The traced peak at N = 128 against the bytes the docstrings state,
     # plus one ufunc buffer of np.getbufsize() complex values: a slack of
-    # 4% of table1's stated bytes and 7% of the dft oracle's.
+    # 4% of table1's stated bytes and 12.5% of the dft oracle's.
     N = 128
     stated = {
         table1_verify: 16 * 12 * (N + 1)**2,
-        physical_grid_overlaps: 16 * 7 * N**2 + 8 * N**2,
+        physical_grid_overlaps: 16 * 4 * N**2,
     }[func]
     func(square_torus(2))  # numpy's lazily built state is not the function's
     tracemalloc.start()
@@ -516,12 +596,12 @@ def test_peak_memory_is_the_stated_formula(func):
 
 
 def test_dft_oracle_streams_in_quadratic_memory():
-    # At N = 128 the oracle holds seven N x N complex arrays and one of
-    # floats, never an (N, N, N) one: its traced peak is the stated formula
-    # within the slack above, and over 10x below the batched form's
+    # At N = 128 the oracle holds at most four N x N complex arrays at once,
+    # never an (N, N, N) one: its traced peak is the stated formula within
+    # the slack above, and over 10x below the batched form's
     # 16 (2 N^3 + 4 N^2) bytes.
     N = 128
-    stated = 16 * 7 * N**2 + 8 * N**2
+    stated = 16 * 4 * N**2
     physical_grid_overlaps(square_torus(2))
     tracemalloc.start()
     try:
@@ -579,7 +659,9 @@ class TestMemoryRefusal:
         sampled = counting_samples(monkeypatch)
         built = counting_builds(monkeypatch)
         keys = counting_keys(monkeypatch)
-        monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
+        # 512 bytes is below both stated peaks at N = 4 (table1's 4800, the
+        # dft oracle's 1024).
+        monkeypatch.setattr(torus, "_available_memory", lambda: 512)
         with pytest.raises(MemoryError, match=f"^{name} at N=4 needs ~"):
             func(square_torus(4))
         assert sampled == [] and built == [] and keys == []
