@@ -160,15 +160,18 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
     the basis states' phase keys, plus the lattice check that licenses them.
 
     The phase keys of the primed basis states (n, m), 0 <= n, m <= N, are
-    evaluated as arrays (torus._basis_key, the key each factory stores).  For
-    each cell the key map of the operator (symbolic.exp_key_map, the map
-    exp_operator_apply applies) takes the keys of the labels [0, N)^2 to their
-    images.  Source, image and target keys are divided by the lattice units
-    (h/N, h/b, h/a, 1) and rounded to integers.  A phase cell's target is the
-    source with sign * label added to c0, a raising cell's the state at the
-    raised, unreduced label; c0 is compared mod N, since e^{i c0/hbar} is 1 at
-    c0 = N units.  Each cell reports the number of labels whose image differs
-    from its target, against tolerance 0.
+    evaluated on broadcast labels (torus._basis_key, the key each factory
+    stores, on np.ogrid), so each entry keeps the shape of the labels it
+    depends on: c0 is (N+1, N+1), cq (1, N+1), cp (N+1, 1) and cqp a
+    constant.  For each cell the key map of the operator (symbolic.exp_key_map,
+    the map exp_operator_apply applies) takes the keys of the labels [0, N)^2
+    to their images, entry by entry as they broadcast.  Source, image and
+    target keys are divided by the lattice units (h/N, h/b, h/a, 1) and
+    rounded to integers, c0 to int64.  A phase cell's target is the source
+    with sign * label added to c0, a raising cell's the state at the raised,
+    unreduced label; c0 is compared mod N, since e^{i c0/hbar} is 1 at
+    c0 = N units.  Each cell reports the number of labels at which any
+    coordinate of the image differs from its target, against tolerance 0.
 
     table1/lattice carries all of the floating point: the largest distance of
     any source, image or target key from the lattice, as the phase error it
@@ -178,48 +181,73 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
     lattice units c0, up to N^2 + 2N units, would carry about N^2 eps:
     1.8e-12 at N = 100 on a = 1, b = 2.
 
-    Time is O(N^2) array arithmetic; no state is built.  The call holds the
-    labels and one basis's keys and lattice coordinates, beside one cell's
-    image and the temporaries of its rounding, at most 16 * 12 (N+1)^2 bytes;
-    when that exceeds the available memory it raises MemoryError before it
+    Time is O(N^2) array arithmetic, all of it on c0, the one entry that
+    depends on both labels; no state is built.  The call holds one basis's
+    c0 and its lattice coordinates, (N+1)^2 numbers each, beside one cell's
+    image c0 and the two temporaries of its rounding, N^2 numbers each; with
+    the labels and the cq and cp of the source, the image and their lattice
+    coordinates, 10 vectors of N+1 numbers, and 2^14 bytes of Python
+    objects, at most 40 (N+1)^2 + 80 (N+1) + 2^14 bytes.
+    When that exceeds the available memory it raises MemoryError before it
     evaluates any key.  Failures are reported, not raised.
     """
     N = _require_quantized(geometry)
-    _require_memory("table1", N, 16 * 12 * (N + 1) ** 2)
+    _require_memory("table1", N, 40 * (N + 1) ** 2 + 80 * (N + 1) + 2**14)
     params = geometry.to_dict()
-    unit = np.array([geometry.h / N, geometry.h / geometry.b, geometry.h / geometry.a, 1.0])
-    turns = np.array([1.0 / N, 1.0, 1.0, N])  # phase error per lattice unit on the domain
-    labels = np.indices((N + 1, N + 1))
+    unit = (geometry.h / N, geometry.h / geometry.b, geometry.h / geometry.a, 1.0)
+    turns = (1.0 / N, 1.0, 1.0, N)  # phase error per lattice unit on the domain
+    labels = np.ogrid[:N + 1, :N + 1]
     mismatched, distance = {}, 0.0
 
-    def on_lattice(keys):
-        # Integer lattice coordinates, and the distance of the keys from them.
+    def on_lattice(key):
+        # Integer lattice coordinates of each key entry, and the distance of
+        # the key from them.  c0, the one coordinate reduced mod N, becomes
+        # int64 when it is finite and within 2^51, where the float arithmetic
+        # it replaces (the difference of two coordinates and a label, mod N)
+        # is exact as well; otherwise it stays float, as nan or inf must.
         nonlocal distance
-        units = keys / unit
-        rounded = np.rint(units)
-        units -= rounded
-        np.abs(units, out=units)
-        units *= turns
-        distance = max(distance, float(units.max()))
-        return rounded
+        coordinates, far = [], []
+        for entry, u, t in zip(key, unit, turns):
+            units = entry / u
+            coordinates.append(np.rint(units))
+            units -= coordinates[-1]
+            far.append(max(units.max(), -units.min()) * t)
+            del units
+        distance = max(distance, float(np.max(far)))
+        c0 = coordinates[0]
+        if -2.0**51 <= c0.min() and c0.max() <= 2.0**51:
+            coordinates[0] = c0.astype(np.int64)
+        return coordinates
+
+    def raised(coordinate, label):
+        # The coordinate at the labels [0, N)^2 with one label raised by one;
+        # an axis the coordinate does not vary on (length 1) is kept whole.
+        if coordinate.shape[label] == 1:
+            return coordinate[:N, :N]
+        return coordinate[1:, :N] if label == 0 else coordinate[:N, 1:]
 
     for basis in "PQ":
-        # cqp comes back as a constant, broadcast to the labels' shape
-        keys = np.stack(np.broadcast_arrays(
-            *_basis_key(geometry, basis, *labels, primed=True)), axis=-1)
+        # Each entry keeps its own shape: c0 (N+1, N+1), cq (1, N+1),
+        # cp (N+1, 1) and the constant cqp (1, 1).  Slicing to [:N, :N]
+        # keeps an axis of length 1.
+        keys = [np.atleast_2d(k) for k in _basis_key(geometry, basis, *labels, primed=True)]
         lattice = on_lattice(keys)
         for which, cells in LABEL_ACTION.items():
             label, sign = cells[basis]
             key_map = exp_key_map(*grid_shift_coefficient(which, geometry))
-            image = on_lattice(np.stack(key_map(*np.moveaxis(keys[:N, :N], -1, 0)), axis=-1))
-            if sign == RAISE:
-                image -= (lattice[1:, :N], lattice[:N, 1:])[label]
-            else:
-                image -= lattice[:N, :N]
-                image[..., 0] -= sign * labels[label, :N, :N]
-            image[..., 0] %= N
-            mismatched[which, basis] = float(np.count_nonzero(image.any(axis=-1)))
-            del image  # before the next cell's image is built
+            image = on_lattice(key_map(*(k[:N, :N] for k in keys)))
+            differs = np.zeros((N, N), dtype=bool)
+            for c, want in enumerate(lattice):
+                got = image[c] - (raised(want, label) if sign == RAISE else want[:N, :N])
+                if c == 0:
+                    # c0 spans both labels, as every key that tells the
+                    # labels apart does, so it holds the label in place.
+                    if sign != RAISE:
+                        got -= sign * labels[label][:N, :N]
+                    got %= N
+                differs |= got != 0
+            mismatched[which, basis] = float(np.count_nonzero(differs))
+            del image, got, differs  # before the next cell's image is built
     return [CheckResult(f"table1/{which.name.lower()}/{basis}-basis", params,
                         mismatched[which, basis], 0.0)
             for which, cells in LABEL_ACTION.items() for basis in cells] + [
@@ -298,7 +326,7 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> float:
     hbar = geometry.hbar
     labels = np.arange(N)
     x = _sketch_phases(N)
-    d = _basis_key(geometry, "P", *np.indices((N, N)), primed=True)[0] * (1j / hbar)
+    d = _basis_key(geometry, "P", *np.ogrid[:N, :N], primed=True)[0] * (1j / hbar)
     np.exp(d, out=d)
     d *= x[:, None] / (N * N)
     _, cq, cp, _ = _basis_key(geometry, "P", labels, labels)

@@ -188,8 +188,12 @@ def suite_charts(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Chec
     labels = [(0, 0)] if N == 1 else [(0, 0), (1, 1)]
     checks = [chart_consistency_check(geometry, n, m, tol=tol) for n, m in labels]
     # Negative control on a half-integer area: with the gauge factor omitted
-    # the seam mismatch, N + 1/2 turns, must be plainly visible.  The ratio
-    # is taken first, since b (N + 1/2) can overflow where b N/h is finite.
+    # the seam mismatch, a b/h = N + 1/2 turns, must be plainly visible.  The
+    # ratio is taken first, since b (N + 1/2) can overflow where b N/h is
+    # finite.  Above N = 1/(2 N_DETECT_REL_TOL) = 5e8 make_geometry counts
+    # the stretched area as an integer, and from N = 2^52 on the stretch
+    # rounds away and the control reads N turns.  An omitted transition
+    # reads a b/h turns on any torus, so the control passes there too.
     broken = make_geometry(geometry.a, geometry.b * ((N + 0.5) / N), geometry.h)
     checks.append(chart_consistency_check(broken, 0, 0, apply_transition=False))
     return checks

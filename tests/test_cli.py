@@ -273,7 +273,7 @@ class TestVerify:
 
     # Each suite's estimate, checked at N = 4 and N = 20.
     ESTIMATES = {
-        "table1": lambda N: 16 * 12 * (N + 1)**2,
+        "table1": lambda N: 40 * (N + 1)**2 + 80 * (N + 1) + 2**14,
         "dft": lambda N: 16 * 4 * N**2,
     }
 

@@ -88,12 +88,12 @@ def counting_builds(monkeypatch):
 
 
 def counting_keys(monkeypatch):
-    """Record the basis and the label shape of every phase-key evaluation
-    finite makes through torus._basis_key."""
+    """Record the basis and the shapes of both labels of every phase-key
+    evaluation finite makes through torus._basis_key."""
     calls = []
 
     def key(geometry, basis, n, m, primed=False):
-        calls.append((basis, np.shape(n)))
+        calls.append((basis, np.shape(n), np.shape(m)))
         return torus._basis_key(geometry, basis, n, m, primed)
 
     monkeypatch.setattr(finite, "_basis_key", key)
@@ -399,7 +399,9 @@ class TestDftBasisChange:
 
     def test_grid_overlaps_sample_each_state_once(self, monkeypatch):
         # No state is built or sampled: both bases are read from phase keys,
-        # one evaluation each.  The grid-sized exps are the kets' d, U and V,
+        # one evaluation each, the kets' c0 on broadcast labels (np.ogrid)
+        # and their cq, cp and the bras on label vectors.  The grid-sized
+        # exps are the kets' d, U and V,
         # the chirp and the bras' B_Q, shared by all N bras, and K.
         N = 4
         geometry = square_torus(N)
@@ -409,7 +411,7 @@ class TestDftBasisChange:
         keys = counting_keys(monkeypatch)
         physical_grid_overlaps(geometry)
         assert built == [] and sampled == []
-        assert keys == [("P", (N, N)), ("P", (N,)), ("Q", (N,))]
+        assert keys == [("P", (N, 1), (1, N)), ("P", (N,), (N,)), ("Q", (N,), ())]
         assert exps == [(N, N)] * 6
 
     def test_sketch_runs_in_cubic_time_at_N_1024(self):
@@ -484,6 +486,66 @@ def reference_table1_residuals(geometry, M):
     return out
 
 
+def materialized_table1(geometry):
+    """Every (name, max_residual) pair of table1_verify, computed on
+    materialized keys: all four entries broadcast to the (N+1, N+1) label
+    arrays and stacked into (N+1, N+1, 4), each cell's image likewise, in
+    float lattice units.  The keys are read through finite._basis_key, so a
+    patched key reaches it."""
+    N = geometry.N
+    unit = np.array([geometry.h / N, geometry.h / geometry.b, geometry.h / geometry.a, 1.0])
+    turns = np.array([1.0 / N, 1.0, 1.0, N])
+    labels = np.indices((N + 1, N + 1))
+    mismatched, distance = {}, 0.0
+
+    def on_lattice(keys):
+        nonlocal distance
+        units = keys / unit
+        rounded = np.rint(units)
+        units -= rounded
+        np.abs(units, out=units)
+        units *= turns
+        distance = max(distance, float(units.max()))
+        return rounded
+
+    for basis in "PQ":
+        keys = np.stack(np.broadcast_arrays(
+            *finite._basis_key(geometry, basis, *labels, primed=True)), axis=-1)
+        lattice = on_lattice(keys)
+        for which, cells in finite.LABEL_ACTION.items():
+            label, sign = cells[basis]
+            key_map = symbolic.exp_key_map(*torus.grid_shift_coefficient(which, geometry))
+            image = on_lattice(np.stack(key_map(*np.moveaxis(keys[:N, :N], -1, 0)), axis=-1))
+            if sign == RAISE:
+                image -= (lattice[1:, :N], lattice[:N, 1:])[label]
+            else:
+                image -= lattice[:N, :N]
+                image[..., 0] -= sign * labels[label, :N, :N]
+            image[..., 0] %= N
+            mismatched[which, basis] = float(np.count_nonzero(image.any(axis=-1)))
+    return [(f"table1/{which.name.lower()}/{basis}-basis", mismatched[which, basis])
+            for which, cells in finite.LABEL_ACTION.items() for basis in cells] + [
+        ("table1/lattice", distance)]
+
+
+# Key mutants that break the separable shape of the keys: each makes an
+# entry depend on a label it does not depend on, or makes c0 not bilinear,
+# or moves c0 at one label only.
+SEPARABILITY_MUTANTS = {
+    "cq depends on n": key_mutant(
+        "P", lambda g, n, m, key: (key[0], key[1] + n * g.h / g.b, *key[2:])),
+    "cqp depends on n": key_mutant(
+        "Q", lambda g, n, m, key: (*key[:3], key[3] + n)),
+    "cp depends on m": key_mutant(
+        "Q", lambda g, n, m, key: (*key[:2], key[2] + m * g.h / g.a, key[3])),
+    "c0 times n": key_mutant(
+        "P", lambda g, n, m, key: (key[0] * n, *key[1:])),
+    "quarter-step c0 at one label": key_mutant(
+        "Q", lambda g, n, m, key: (
+            key[0] + np.where((n == 1) & (m == 0), g.h / g.N / 4, 0.0), *key[1:])),
+}
+
+
 class TestTable1:
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_all_cells_pass(self, N):
@@ -522,16 +584,39 @@ class TestTable1:
                 else:
                     assert residual <= 1e-12, name
 
+    @pytest.mark.parametrize("geometry", [square_torus(N) for N in (*range(1, 9), 16, 64)]
+                             + [make_geometry(1.0, 2.0 * N, 2.0) for N in (1, 3, 7)]
+                             + [make_geometry(1.5, 2, 0.5), make_geometry(1, 2, 0.4)],
+                             ids=lambda g: f"a{g.a}-b{g.b}-h{g.h}")
+    def test_equals_the_materialized_form(self, geometry):
+        # The materialized form is the oracle of the broadcast one: every
+        # count and the lattice distance agree bit for bit.
+        got = [(r.name, r.max_residual) for r in table1_verify(geometry)]
+        assert got == materialized_table1(geometry)
+
+    @pytest.mark.parametrize("mutant", sorted(SEPARABILITY_MUTANTS))
+    @pytest.mark.parametrize("geometry", [square_torus(2), square_torus(5), non_square_torus(4),
+                                          make_geometry(1.5, 2, 0.5)],
+                             ids=["N2", "N5", "N4-nonsquare", "N6-nonsquare"])
+    def test_equals_the_materialized_form_on_inseparable_keys(self, monkeypatch, geometry, mutant):
+        # A slice that reused a length-1 axis, or a form that assumed each
+        # entry depends only on its own label, would pass the true keys and
+        # fail these; every mutant fails some check.
+        SEPARABILITY_MUTANTS[mutant](monkeypatch, geometry)
+        got = [(r.name, r.max_residual) for r in table1_verify(geometry)]
+        assert got == materialized_table1(geometry)
+        assert any(residual != 0.0 for _, residual in got)
+
     def test_samples_each_state_once(self, monkeypatch):
         # No state is built or sampled: the keys of each basis are evaluated
-        # once, on the (N+1) x (N+1) label arrays.
+        # once, on the broadcast labels n (N+1, 1) and m (1, N+1).
         N = 5
         sampled = counting_samples(monkeypatch)
         built = counting_builds(monkeypatch)
         keys = counting_keys(monkeypatch)
         assert all(r.passed for r in table1_verify(square_torus(N)))
         assert built == [] and sampled == []
-        assert keys == [(basis, (N + 1, N + 1)) for basis in "PQ"]
+        assert keys == [(basis, (N + 1, 1), (1, N + 1)) for basis in "PQ"]
 
     @staticmethod
     def verdicts(geometry):
@@ -577,12 +662,13 @@ class TestTable1:
 
 @pytest.mark.parametrize("func", [table1_verify, physical_grid_overlaps])
 def test_peak_memory_is_the_stated_formula(func):
-    # The traced peak at N = 128 against the bytes the docstrings state,
-    # plus one ufunc buffer of np.getbufsize() complex values: a slack of
-    # 4% of table1's stated bytes and 12.5% of the dft oracle's.
+    # The traced peak at N = 128 is the bytes the docstrings state within
+    # one ufunc buffer of np.getbufsize() complex values, 19% of table1's
+    # stated bytes and 12.5% of the dft oracle's; table1's stated bytes
+    # bound its peak.
     N = 128
     stated = {
-        table1_verify: 16 * 12 * (N + 1)**2,
+        table1_verify: 40 * (N + 1)**2 + 80 * (N + 1) + 2**14,
         physical_grid_overlaps: 16 * 4 * N**2,
     }[func]
     func(square_torus(2))  # numpy's lazily built state is not the function's
@@ -592,7 +678,9 @@ def test_peak_memory_is_the_stated_formula(func):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= stated + 16 * np.getbufsize()
+    assert abs(peak - stated) <= 16 * np.getbufsize()
+    if func is table1_verify:
+        assert peak <= stated
 
 
 def test_dft_oracle_streams_in_quadratic_memory():
@@ -659,7 +747,7 @@ class TestMemoryRefusal:
         sampled = counting_samples(monkeypatch)
         built = counting_builds(monkeypatch)
         keys = counting_keys(monkeypatch)
-        # 512 bytes is below both stated peaks at N = 4 (table1's 4800, the
+        # 512 bytes is below both stated peaks at N = 4 (table1's 17784, the
         # dft oracle's 1024).
         monkeypatch.setattr(torus, "_available_memory", lambda: 512)
         with pytest.raises(MemoryError, match=f"^{name} at N=4 needs ~"):
