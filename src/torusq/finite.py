@@ -155,6 +155,9 @@ def weyl_commutation_check(N: int) -> complex:
     return complex(_root(_commutator(N)[3], N))
 
 
+# A nan or inf key entry makes nan coordinates (inf - inf, 0 * inf), which
+# count as mismatches and as half a unit off the lattice, not as warnings.
+@np.errstate(invalid="ignore")
 def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Verify all eight operator/basis action cells as integer identities of
     the basis states' phase keys, plus the lattice check that licenses them.
@@ -176,7 +179,9 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
     table1/lattice carries all of the floating point: the largest distance of
     any source, image or target key from the lattice, as the phase error it
     makes on the fundamental domain, in turns: the distances of
-    (c0, cq, cp, cqp) in lattice units times (1/N, 1, 1, N).  Its error model
+    (c0, cq, cp, cqp) in lattice units times (1/N, 1, 1, N).  An entry that
+    is nan or inf reads as half a unit off, the farthest a finite entry can
+    be, so such a key fails the check with a finite residual.  Its error model
     is about N eps, the roundoff of phase arguments up to 2 pi N.  In plain
     lattice units c0, up to N^2 + 2N units, would carry about N^2 eps:
     1.8e-12 at N = 100 on a = 1, b = 2.
@@ -211,7 +216,8 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
             units = entry / u
             coordinates.append(np.rint(units))
             units -= coordinates[-1]
-            far.append(max(units.max(), -units.min()) * t)
+            off = max(units.max(), -units.min())  # nan if any entry is not finite
+            far.append((0.5 if math.isnan(off) else off) * t)
             del units
         distance = max(distance, float(np.max(far)))
         c0 = coordinates[0]
@@ -265,16 +271,20 @@ ORACLE_PROJECTIONS = 1
 
 def _sketch_phases(N: int) -> np.ndarray:
     """The oracle's seeded unit phases x_s, s < N (see ORACLE_SEED).  They
-    come from the standard library's generator: importing numpy.random
+    come from the standard library's generator, torusq's one seeded-draw
+    policy (suite_commutators draws from it too): importing numpy.random
     alone adds about 6 MB to the resident set."""
     rng = random.Random(ORACLE_SEED)
     theta = np.array([rng.uniform(-1 / 6, 1 / 6) for _ in range(N)])
     return np.exp(2j * np.pi * theta)
 
 
-def _phases(a, b) -> np.ndarray:
-    """The (len(a), len(b)) grid of e^{i a_k b_l}, formed in place."""
-    out = np.multiply.outer(a, 1j * b)
+def _phases(a, b, scale: float = 1.0) -> np.ndarray:
+    """The (len(a), len(b)) grid of e^{i scale a_k b_l}, formed in place from
+    the outer product taken as (n, 1) @ (1, M): a broadcast's ufunc buffers
+    would outweigh the arrays at small N."""
+    out = (a[:, None] @ b[None, :]).astype(complex)
+    out *= 1j * scale
     return np.exp(out, out=out)
 
 

@@ -1,14 +1,19 @@
 """Named verification suites over a torus geometry.
 
 Each suite returns a list of CheckResult fragments; the CLI assembles them
-into a VerificationReport.  Randomized suites draw from seeded generators
-with dyadic-rational coefficients so that reports are reproducible and the
-coefficient-exact contracts of the symbolic layer actually hold bit for bit.
+into a VerificationReport.  Randomized suites draw from the standard
+library's generator, random.Random seeded by a module constant, as the dft
+oracle's sketch does; symbolic.random_wavefunction takes any draw(lo, hi),
+e.g. random.Random.randrange or numpy's Generator.integers.  Coefficients
+are dyadic rationals, so reports are reproducible and the coefficient-exact
+contracts of the symbolic layer hold bit for bit.
 A run too large for memory raises MemoryError before it allocates, checked
 where the peak is: here, or in the torusq.finite call that table1 or dft makes.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -16,6 +21,7 @@ from .finite import (
     ORACLE_PROJECTIONS,
     ORACLE_SEED,
     _dft_exponents,
+    _phases,
     _physical_action,
     _weyl_counts,
     dft_basis_change,
@@ -50,7 +56,7 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     Both invariant pairs must return i*hbar times the input and all four
     mixed left/right pairs must annihilate it.  Runs at hbar = 1.
     """
-    rng = np.random.default_rng(_SUITE_SEED)
+    draw = random.Random(_SUITE_SEED).randrange
     canonical = ((OperatorKind.Q_LEFT, OperatorKind.P_LEFT),
                  (OperatorKind.Q_RIGHT, OperatorKind.P_RIGHT))
     mixed = ((OperatorKind.Q_LEFT, OperatorKind.P_RIGHT),
@@ -61,7 +67,7 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
     worst_mixed = 0.0
     count = 20
     for _ in range(count):
-        wf = random_wavefunction(rng)
+        wf = random_wavefunction(draw)
         target = wf.scale(1j * wf.hbar)
         for pair in canonical:
             resid = commutator_apply(*pair, wf).max_coeff_residual(target)
@@ -77,11 +83,8 @@ def suite_commutators(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list
 
 def _factor_gram(rates: np.ndarray, coords: np.ndarray, hbar: float) -> np.ndarray:
     """(1/M) sum_i conj(f_a(x_i)) f_b(x_i) for f_a(x) = e^{i rates[a] x/hbar} at
-    M coordinates x_i, with the outer product taken as (n, 1) @ (1, M): a
-    broadcast's ufunc buffers would outweigh the arrays at small N."""
-    factors = (rates[:, None] @ coords[None, :]).astype(complex)
-    factors *= 1j / hbar
-    np.exp(factors, out=factors)
+    M coordinates x_i."""
+    factors = _phases(rates, coords, 1 / hbar)
     return factors.conj() @ factors.T / len(coords)
 
 

@@ -542,32 +542,35 @@ def is_eigenstate(kind: OperatorKind, wf: WaveFunction):
 
 # -- seeded random family members -----------------------------------------
 
-def dyadic(rng) -> float:
-    """A random integer in [-8, 8] over 8."""
-    return float(rng.integers(-8, 9)) / 8.0
+def dyadic(draw) -> float:
+    """A random integer in [-8, 8] over 8 from draw(lo, hi), the one seeded
+    draw: an int in [lo, hi), e.g. random.Random.randrange or numpy's
+    Generator.integers."""
+    return float(draw(-8, 9)) / 8.0
 
 
-def random_wavefunction(rng, hbar: float = 1.0) -> WaveFunction:
+def random_wavefunction(draw, hbar: float = 1.0) -> WaveFunction:
     """A random nonzero canonical family member with dyadic coefficients.
 
-    rng is a numpy Generator.  The member has up to 3 terms of up to 3
-    monomials of degree at most 2 in each variable.  Every product and sum the
-    operators form from such inputs is exactly representable in binary
-    floating point, so coefficient identities hold with literally zero residual.
+    draw(lo, hi) is the one seeded draw, as in dyadic.  The member has up to
+    3 terms of up to 3 monomials of degree at most 2 in each variable.  Every
+    product and sum the operators form from such inputs is exactly
+    representable in binary floating point, so coefficient identities hold
+    with literally zero residual.
     """
     terms = []
-    for _ in range(int(rng.integers(1, 4))):
+    for _ in range(int(draw(1, 4))):
         pref = {}
-        for _ in range(int(rng.integers(1, 4))):
-            mon = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            pref[mon] = complex(dyadic(rng), dyadic(rng))
+        for _ in range(int(draw(1, 4))):
+            mon = (int(draw(0, 3)), int(draw(0, 3)))
+            pref[mon] = complex(dyadic(draw), dyadic(draw))
         amp_re = 0.0
         while amp_re == 0.0:
-            amp_re = dyadic(rng)
+            amp_re = dyadic(draw)
         terms.append(
             BilinearPhaseTerm(
-                complex(amp_re, dyadic(rng)),
-                dyadic(rng), dyadic(rng), dyadic(rng), dyadic(rng),
+                complex(amp_re, dyadic(draw)),
+                dyadic(draw), dyadic(draw), dyadic(draw), dyadic(draw),
                 prefactor=pref, hbar=hbar,
             )
         )

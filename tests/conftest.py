@@ -5,7 +5,9 @@ two) so that every product and sum in the symbolic layer is exactly
 representable in binary floating point.  Coefficient-exact assertions are
 then meaningful: residuals are compared against literal zero, not a
 tolerance.  The generators live in torusq.symbolic, where the commutators
-suite uses them too.
+suite uses them too.  They take one generator policy, draw(lo, hi), an int
+in [lo, hi): for example random.Random.randrange, which the suite passes,
+or numpy's Generator.integers, which the tests pass as rng.integers.
 """
 
 import cmath
@@ -102,7 +104,7 @@ def displacement_law_residual(rng, cases, cocycle=1):
     worst = 0.0
     for i in range(cases):
         hbar = (1.0, 0.5)[i % 2]
-        wf = random_wavefunction(rng, hbar=hbar)
+        wf = random_wavefunction(rng.integers, hbar=hbar)
         q, p, b, a = rng.uniform(-2, 2, 4)
         lhs = displace(b, a, displace(q, p, wf))
         rhs = displace(q + b, p + a, wf).scale(

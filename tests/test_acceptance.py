@@ -69,7 +69,7 @@ def test_criterion_01_symbolic_heisenberg_algebra():
     worst = 0.0
     mixed_pairs = ((Q_LEFT, P_RIGHT), (Q_RIGHT, P_LEFT), (Q_LEFT, Q_RIGHT), (P_RIGHT, P_LEFT))
     for _ in range(50):
-        wf = random_wavefunction(rng)
+        wf = random_wavefunction(rng.integers)
         target = wf.scale(1j * wf.hbar)
         worst = max(worst, commutator_apply(Q_LEFT, P_LEFT, wf).max_coeff_residual(target))
         worst = max(worst, commutator_apply(Q_RIGHT, P_RIGHT, wf).max_coeff_residual(target))
@@ -87,7 +87,7 @@ def test_criterion_02_plane_shift_actions_and_displacement():
     rng = np.random.default_rng(102)
     worst_shift = 0.0
     for _ in range(20):
-        l, k, a, b = (dyadic(rng) for _ in range(4))
+        l, k, a, b = (dyadic(rng.integers) for _ in range(4))
         base = make_plane_Q_basis(l, k, 1.0, primed=True)
         up_k = exp_operator_apply(Q_RIGHT, a, base)
         worst_shift = max(
@@ -115,7 +115,7 @@ def test_criterion_03_gauge_picture():
     worst_strength = 0.0
     for hbar in (1.0, 0.5):
         for _ in range(10):
-            wf = random_wavefunction(rng, hbar=hbar)
+            wf = random_wavefunction(rng.integers, hbar=hbar)
             dq_wf, dp_wf = differentiate(wf, "q"), differentiate(wf, "p")
             q_img, p_img = apply_operator(Q_LEFT, wf), apply_operator(P_LEFT, wf)
             for q, p in rng.uniform(-2, 2, size=(5, 2)):

@@ -94,6 +94,21 @@ class TestVerify:
         assert res.returncode == 0
         assert "overall: PASS" in res.stdout
 
+    def test_all_suites_never_import_numpy_random(self):
+        # Every seeded draw comes from random.Random (the commutators suite's
+        # members and the dft oracle's sketch), so a fresh interpreter that
+        # verifies every suite never pays for importing numpy.random.
+        code = ("import sys; from torusq.cli import main; "
+                "status = main(['verify', '--N', '4', '--suite', 'all']); "
+                "print(status, 'numpy.random' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert res.returncode == 0 and res.stderr == ""
+        assert "overall: PASS" in res.stdout
+        assert res.stdout.splitlines()[-1] == "0 False"
+
     def test_weyl_reports_primitive_root(self):
         res = run_cli("verify", "--N", "3", "--suite", "weyl", "--json")
         assert res.returncode == 0

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -642,6 +643,23 @@ class TestTable1:
         results = table1_verify(geometry)
         assert [r.name for r in results if not r.passed] == ["table1/lattice"]
         assert abs(results[-1].max_residual - 0.25 / N) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_fails_the_lattice(self, monkeypatch, bad):
+        # A key with a quarter-step c0 everywhere and one non-finite cqp
+        # reads half a unit off there, times cqp's weight N, with no
+        # RuntimeWarning, not even from inf - inf.
+        N = 4
+        geometry = non_square_torus(N)
+        step = geometry.h / N
+        patch_key(monkeypatch, finite, "Q", lambda n, m, key: (
+            key[0] + step / 4, key[1], key[2], np.where((n == 1) & (m == 1), bad, key[3])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = table1_verify(geometry)
+        lattice = results[-1]
+        assert lattice.name == "table1/lattice" and not lattice.passed
+        assert lattice.max_residual == 0.5 * N
 
     @pytest.mark.parametrize("which, basis, corrupted", [
         (GridShift.EXP_QLEFT, "Q", (0, -1)),      # phase sign flipped

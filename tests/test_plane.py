@@ -88,8 +88,8 @@ class TestQBasis:
         # Building the shifted state directly equals applying the exponential.
         rng = np.random.default_rng(23)
         for _ in range(20):
-            l, k = dyadic(rng), dyadic(rng)
-            a, b = dyadic(rng), dyadic(rng)
+            l, k = dyadic(rng.integers), dyadic(rng.integers)
+            a, b = dyadic(rng.integers), dyadic(rng.integers)
             base = make_plane_Q_basis(l, k, 1.0, primed=True)
             up_k = exp_operator_apply(Q_RIGHT, a, base)
             assert up_k.max_coeff_residual(make_plane_Q_basis(l, k + a, 1.0, primed=True)) == 0.0
@@ -114,14 +114,14 @@ class TestDisplacement:
     def test_identity_element(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            wf = random_wavefunction(rng)
+            wf = random_wavefunction(rng.integers)
             assert displace(0.0, 0.0, wf).max_coeff_residual(wf) == 0.0
 
     def test_cocycle_phase(self):
         # D(b=1, a=0) D(q=0, p=1) picks up e^{i(a q - b p)/(2 hbar)} = e^{-i/2}
         rng = np.random.default_rng(43)
         for _ in range(10):
-            wf = random_wavefunction(rng)
+            wf = random_wavefunction(rng.integers)
             composed = displace(1.0, 0.0, displace(0.0, 1.0, wf))
             target = displace(1.0, 1.0, wf)
             assert relative_gap(composed, target.scale(cmath.exp(-0.5j)), rng) <= 1e-12
@@ -130,7 +130,7 @@ class TestDisplacement:
     def test_inverse_pair_has_unit_phase(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
-            wf = random_wavefunction(rng, hbar=0.5)
+            wf = random_wavefunction(rng.integers, hbar=0.5)
             assert relative_gap(displace(-0.7, 1.1, displace(0.7, -1.1, wf)), wf, rng) <= 1e-12
 
     def test_composition_law(self):
@@ -151,7 +151,7 @@ class TestGaugeField:
         rng = np.random.default_rng(37)
         for hbar in (0.5, 1.0, 2.0):
             for _ in range(10):
-                wf = random_wavefunction(rng, hbar=hbar)
+                wf = random_wavefunction(rng.integers, hbar=hbar)
                 target = wf.scale(1j * hbar)
                 assert commutator_apply(Q_LEFT, P_LEFT, wf).max_coeff_residual(target) == 0.0
 
@@ -166,7 +166,7 @@ class TestGaugeField:
                 return differentiate(wf, "p") - a_p.scale(1j)
 
             for _ in range(10):
-                wf = random_wavefunction(rng, hbar=hbar)
+                wf = random_wavefunction(rng.integers, hbar=hbar)
                 curl = differentiate(d_p(wf), "q") - d_p(differentiate(wf, "q"))
                 assert curl.max_coeff_residual(wf.scale(-1j / hbar)) == 0.0
 
@@ -176,7 +176,7 @@ class TestGaugeField:
         rng = np.random.default_rng(31)
         for hbar in (1.0, 0.5):
             for _ in range(10):
-                wf = random_wavefunction(rng, hbar=hbar)
+                wf = random_wavefunction(rng.integers, hbar=hbar)
                 dq_wf = differentiate(wf, "q")
                 dp_wf = differentiate(wf, "p")
                 q_img = apply_operator(Q_LEFT, wf)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -100,7 +101,7 @@ class TestConstruction:
         # The sum is formed from BilinearPhaseTerm.evaluate, term by term, so
         # a wrapper of that one method (a tracer, a call counter) sees every
         # evaluation.
-        wf = random_wavefunction(np.random.default_rng(3))
+        wf = random_wavefunction(np.random.default_rng(3).integers)
         assert len(wf.terms) == 3
         q, p = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(0.0, 2.0, 4)
         expected = sum(t.evaluate(q, p) for t in wf.terms)
@@ -120,7 +121,7 @@ class TestCanonicalForm:
         rng = np.random.default_rng(23)
         lists = []
         for _ in range(10):
-            terms = [t for _ in range(3) for t in random_wavefunction(rng).terms]
+            terms = [t for _ in range(3) for t in random_wavefunction(rng.integers).terms]
             # Repeat some terms with keys moved by roundoff so that cells merge.
             for t in terms[:2]:
                 nudged = [float(np.nextafter(k, np.inf)) for k in t.phase_key]
@@ -232,8 +233,8 @@ class TestCanonicalForm:
 
     def test_large_build_is_fast(self):
         rng = np.random.default_rng(29)
-        keys = [tuple(dyadic(rng) * 64 for _ in range(4)) for _ in range(2600)]
-        terms = [BilinearPhaseTerm(complex(dyadic(rng), 1.0), *keys[int(rng.integers(len(keys)))],
+        keys = [tuple(dyadic(rng.integers) * 64 for _ in range(4)) for _ in range(2600)]
+        terms = [BilinearPhaseTerm(complex(dyadic(rng.integers), 1.0), *keys[int(rng.integers(len(keys)))],
                                    prefactor={(int(rng.integers(0, 3)), 0): 1.0})
                  for _ in range(4000)]
         start = time.perf_counter()
@@ -269,7 +270,7 @@ class TestApplyOperator:
     def test_closure_is_structural(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            wf = random_wavefunction(rng)
+            wf = random_wavefunction(rng.integers)
             for kind in ALL_KINDS:
                 out = apply_operator(kind, wf)
                 assert isinstance(out, WaveFunction)
@@ -334,7 +335,7 @@ class TestTransformOutputsAreCanonical:
         rng = np.random.default_rng(31)
         for i in range(20):
             hbar = (1.0, 0.5)[i % 2]
-            a, b = random_wavefunction(rng, hbar=hbar), random_wavefunction(rng, hbar=hbar)
+            a, b = random_wavefunction(rng.integers, hbar=hbar), random_wavefunction(rng.integers, hbar=hbar)
             ops = _transforms(rng, a, b)
             for op in ops:
                 calls.update(canonical=0, post_init=0)
@@ -346,7 +347,7 @@ class TestTransformOutputsAreCanonical:
         rng = np.random.default_rng(37)
         for i in range(30):
             hbar = (1.0, 0.5, 0.3)[i % 3]
-            a, b = random_wavefunction(rng, hbar=hbar), random_wavefunction(rng, hbar=hbar)
+            a, b = random_wavefunction(rng.integers, hbar=hbar), random_wavefunction(rng.integers, hbar=hbar)
             ops = _transforms(rng, a, b)
             ops += [lambda: WaveFunction.from_json(a.to_json()), lambda: WaveFunction(a.terms)]
             for op in ops:
@@ -372,9 +373,9 @@ def _transforms(rng, a, b):
     """Thunks for every transform, sum and single over the members a and b."""
     hbar = a.hbar
     ops = [lambda k=k: apply_operator(k, a) for k in ALL_KINDS]
-    ops += [lambda k=k: exp_operator_apply(k, dyadic(rng), a) for k in ALL_KINDS]
+    ops += [lambda k=k: exp_operator_apply(k, dyadic(rng.integers), a) for k in ALL_KINDS]
     ops += [lambda v=v: differentiate(a, v) for v in ("q", "p")]
-    ops += [lambda: a.scale(complex(dyadic(rng), dyadic(rng))), lambda: a + b, lambda: a - b,
+    ops += [lambda: a.scale(complex(dyadic(rng.integers), dyadic(rng.integers))), lambda: a + b, lambda: a - b,
             lambda: WaveFunction.single(1.0, *a.terms[0].phase_key, a.terms[0].prefactor, hbar)]
     return ops
 
@@ -435,13 +436,13 @@ def merged_commutator(kind_a, kind_b, wf):
 def dyadic_sum(rng, count, repeated=0.35, hbar=1.0):
     """count dyadic terms of two monomials each; a share `repeated` of them
     reuses an earlier phase key, so the build merges prefactors."""
-    keys = [tuple(dyadic(rng) for _ in range(4))
+    keys = [tuple(dyadic(rng.integers) for _ in range(4))
             for _ in range(count - int(round(repeated * count)))]
     keys += [keys[int(rng.integers(len(keys)))] for _ in range(count - len(keys))]
     terms = []
     for i in rng.permutation(count):
         mons = rng.choice(9, size=2, replace=False)
-        pref = {(int(m) // 3, int(m) % 3): complex(dyadic(rng), dyadic(rng)) for m in mons}
+        pref = {(int(m) // 3, int(m) % 3): complex(dyadic(rng.integers), dyadic(rng.integers)) for m in mons}
         amp = complex(int(rng.integers(1, 5)), int(rng.integers(-2, 3)))
         terms.append(BilinearPhaseTerm(amp, *keys[i], prefactor=pref, hbar=hbar))
     return WaveFunction(terms, hbar=hbar)
@@ -463,7 +464,7 @@ def with_signed_zeros():
 def equivalence_input(name):
     if name.startswith("seed"):
         seed = int(name[4:])
-        return random_wavefunction(np.random.default_rng(seed), hbar=(1.0, 0.5)[seed % 2])
+        return random_wavefunction(np.random.default_rng(seed).integers, hbar=(1.0, 0.5)[seed % 2])
     if name == "dyadic1000":
         return dyadic_sum(np.random.default_rng(41), 1000)
     if name == "signed_zero":
@@ -561,7 +562,7 @@ class TestTermByTerm:
 
     def test_key_preserving_transforms_never_merge(self, monkeypatch):
         rng = np.random.default_rng(43)
-        inputs = [random_wavefunction(rng) for _ in range(5)] + [dyadic_sum(rng, 200)]
+        inputs = [random_wavefunction(rng.integers) for _ in range(5)] + [dyadic_sum(rng, 200)]
         calls = self.counting_merges(monkeypatch)
         for wf in inputs:
             ops = [lambda k=k: apply_operator(k, wf) for k in ALL_KINDS]
@@ -575,7 +576,7 @@ class TestTermByTerm:
 
     def test_key_making_and_two_operand_producers_merge_once(self, monkeypatch):
         rng = np.random.default_rng(47)
-        a, b = random_wavefunction(rng), random_wavefunction(rng)
+        a, b = random_wavefunction(rng.integers), random_wavefunction(rng.integers)
         calls = self.counting_merges(monkeypatch)
         ops = [lambda k=k: exp_operator_apply(k, 0.25, a) for k in ALL_KINDS]
         ops += [lambda: a + b, lambda: a - b, lambda: WaveFunction(a.terms + b.terms)]
@@ -583,6 +584,15 @@ class TestTermByTerm:
             calls.clear()
             out = op()
             assert calls == [out]
+
+
+
+def is_dyadic(wf):
+    """Whether every amplitude, phase key and prefactor coefficient of wf is
+    an integer over a power of two."""
+    values = [x for t in wf.terms for c in (t.amplitude, *t.prefactor.values())
+              for x in (c.real, c.imag)] + [k for t in wf.terms for k in t.phase_key]
+    return all(d & (d - 1) == 0 for d in (x.as_integer_ratio()[1] for x in values))
 
 
 class TestCommutators:
@@ -597,21 +607,26 @@ class TestCommutators:
 
     def test_self_commutator_vanishes(self):
         rng = np.random.default_rng(3)
-        wf = random_wavefunction(rng)
+        wf = random_wavefunction(rng.integers)
         for kind in ALL_KINDS:
             assert commutator_apply(kind, kind, wf).is_zero()
 
     def test_algebra_on_random_members_is_exact(self):
+        # Any draw(lo, hi) gives nonzero dyadic members: numpy's
+        # Generator.integers, as the tests use, and the standard library's
+        # randrange, as suite_commutators does.
         rng = np.random.default_rng(5)
         mixed = ((Q_LEFT, P_RIGHT), (Q_RIGHT, P_LEFT), (Q_LEFT, Q_RIGHT), (P_RIGHT, P_LEFT))
-        for hbar in (1.0, 0.5):
-            for _ in range(10):
-                wf = random_wavefunction(rng, hbar=hbar)
-                target = wf.scale(1j * hbar)
-                assert commutator_apply(Q_LEFT, P_LEFT, wf).max_coeff_residual(target) == 0.0
-                assert commutator_apply(Q_RIGHT, P_RIGHT, wf).max_coeff_residual(target) == 0.0
-                for pair in mixed:
-                    assert commutator_apply(*pair, wf).max_abs_coeff() == 0.0
+        for draw in (rng.integers, random.Random(5).randrange):
+            for hbar in (1.0, 0.5):
+                for _ in range(10):
+                    wf = random_wavefunction(draw, hbar=hbar)
+                    assert not wf.is_zero() and is_dyadic(wf)
+                    target = wf.scale(1j * hbar)
+                    assert commutator_apply(Q_LEFT, P_LEFT, wf).max_coeff_residual(target) == 0.0
+                    assert commutator_apply(Q_RIGHT, P_RIGHT, wf).max_coeff_residual(target) == 0.0
+                    for pair in mixed:
+                        assert commutator_apply(*pair, wf).max_abs_coeff() == 0.0
 
 
 class TestExpOperator:
@@ -627,15 +642,15 @@ class TestExpOperator:
 
     def test_zero_coefficient_is_identity(self):
         rng = np.random.default_rng(7)
-        wf = random_wavefunction(rng)
+        wf = random_wavefunction(rng.integers)
         for kind in ALL_KINDS:
             assert exp_operator_apply(kind, 0.0, wf).max_coeff_residual(wf) == 0.0
 
     def test_semigroup_exact_on_coefficients(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            wf = random_wavefunction(rng)
-            s = dyadic(rng)
+            wf = random_wavefunction(rng.integers)
+            s = dyadic(rng.integers)
             for kind in ALL_KINDS:
                 twice = exp_operator_apply(kind, s, exp_operator_apply(kind, s, wf))
                 once = exp_operator_apply(kind, 2.0 * s, wf)
@@ -689,7 +704,7 @@ class TestPointwiseConsistency:
         rng = np.random.default_rng(13)
         step = 1e-5
         pts = random_points(rng, 100)
-        wfs = [random_wavefunction(rng) for _ in range(5)]
+        wfs = [random_wavefunction(rng.integers) for _ in range(5)]
         for wf in wfs:
             hbar = wf.hbar
             images = {kind: apply_operator(kind, wf) for kind in ALL_KINDS}
@@ -709,7 +724,7 @@ class TestPointwiseConsistency:
 
     def test_differentiate_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        wf = random_wavefunction(rng)
+        wf = random_wavefunction(rng.integers)
         step = 1e-5
         for q, p in random_points(rng, 20):
             fd_q = (wf.evaluate(q + step, p) - wf.evaluate(q - step, p)) / (2 * step)
@@ -722,7 +737,7 @@ class TestSerialization:
     def test_roundtrip_preserves_canonical_form(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            wf = random_wavefunction(rng, hbar=0.5)
+            wf = random_wavefunction(rng.integers, hbar=0.5)
             back = WaveFunction.from_json(wf.to_json())
             assert back.hbar == wf.hbar
             assert back.max_coeff_residual(wf) == 0.0

@@ -463,7 +463,7 @@ class TestSampleStack:
             BilinearPhaseTerm(1.0 - 0.5j, 0.25, -0.5 * k, 0.75, cqp, hbar=hbar,
                               prefactor={(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.25})
             for k, cqp in enumerate((0.0, 1.0, 0.375))])
-        return ([mixed] + [random_wavefunction(rng, hbar) for _ in range(4)]
+        return ([mixed] + [random_wavefunction(rng.integers, hbar) for _ in range(4)]
                 + [make_torus_Q_basis(geometry, N - 1, 1, primed=True),
                    make_torus_P_basis(geometry, 1, N - 1, primed=True),
                    WaveFunction.zero(hbar)])
