@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -74,6 +75,21 @@ class OperatorKind(Enum):
     P_RIGHT = OperatorRow(axis=0, sign=+1, multiplies=True)   # p + i hbar d/dq
 
 
+# The rows in OperatorKind order, each kind's place in that order, and the
+# rows' signs as a (4, 1) column.
+_ROWS = [kind.value for kind in OperatorKind]
+_KIND_INDEX = {kind: k for k, kind in enumerate(OperatorKind)}
+_SIGN = np.array([[row.sign] for row in _ROWS])
+# The up and self factors of each row (see _row_image), (multiplies - sign cqp,
+# -sign c_axis), as an affine map of the phase key (c0, cq, cp, cqp):
+# key @ _FACTOR_MAP + _FACTOR_SHIFT, flat in (kind, factor) order.  The map's
+# entries are 0 and -sign, so the product is exact, and adding the shift
+# rounds as multiplies - sign * cqp does.
+_FACTOR_MAP = np.array([[[-row.sign * (i == 3), -row.sign * (i == 1 + row.axis)] for row in _ROWS]
+                        for i in range(4)], dtype=float).reshape(4, 8)
+_FACTOR_SHIFT = np.array([[float(row.multiplies), 0.0] for row in _ROWS])
+
+
 def _check_hbar(hbar) -> None:
     """Raise ValueError unless hbar is positive and finite."""
     if not (math.isfinite(hbar) and hbar > 0):
@@ -101,7 +117,7 @@ class BilinearPhaseTerm:
     prefactor maps exponent pairs (dq, dp) to complex coefficients.  Phase
     coefficients k are stored as floats, -0.0 as 0.0; k / hbar /
     PHASE_MERGE_TOL must be finite, and so must the amplitude and every
-    prefactor coefficient.
+    prefactor coefficient; prefactor exponents are non-negative ints.
     """
 
     amplitude: complex
@@ -122,9 +138,11 @@ class BilinearPhaseTerm:
         # infinite part into a nan one.
         if not cmath.isfinite(amplitude):
             raise ValueError(f"amplitude={amplitude} is not finite")
-        for mon, c in prefactor.items():
+        for (dq, dp), c in prefactor.items():
             if not cmath.isfinite(c):
-                raise ValueError(f"prefactor[{mon}]={c} is not finite")
+                raise ValueError(f"prefactor[{(dq, dp)}]={c} is not finite")
+            if dq < 0 or dp < 0:
+                raise ValueError(f"prefactor[{(dq, dp)}] has a negative exponent")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "prefactor", prefactor)
 
@@ -174,6 +192,32 @@ def _nonzero_sorted(sums: dict) -> dict:
     return {mon: c for mon, c in sorted(sums.items()) if c != 0}
 
 
+def _not_finite(key: tuple, mon: tuple, c: complex) -> ValueError:
+    """The error for an output coefficient that overflowed to inf or nan."""
+    return ValueError(f"prefactor[{mon}]={c} of the term at phase key {key} is not finite")
+
+
+class _Pack(NamedTuple):
+    """A wave function's T terms as arrays (WaveFunction._packed).
+
+    coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where
+    the term has none, for exponents below D; _turned(coeffs, axis == 1) has
+    the differentiated axis of a row first.  factors[k, t] holds the up and
+    self factors of term t under the row of the k-th OperatorKind,
+    (multiplies - sign cqp, -sign c_axis), and down[k, d - 1] its down
+    factor for degree d, sign i hbar d, for d = 1 .. D (see _row_image).
+    images[k] is the image of coeffs under that row, axis first:
+    apply_operator reads it, and commutator_apply applies the second
+    operator to it."""
+
+    terms: tuple            # the terms packed, so a reassigned tuple is packed anew
+    keys: np.ndarray        # (T, 4) phase keys
+    coeffs: np.ndarray      # (T, D, D) complex
+    factors: np.ndarray     # (4, T, 2) float
+    down: np.ndarray        # (4, D) complex
+    images: np.ndarray      # (4, T, D, D + 1) complex
+
+
 class WaveFunction:
     """A finite sum of BilinearPhaseTerm sharing one hbar.
 
@@ -184,8 +228,10 @@ class WaveFunction:
     terms are sorted by (c0, cq, cp, cqp).  The zero wave function has an
     empty term list.  So the terms of an instance have strictly ascending
     keys, one per merge cell: a transform that keeps every key (_map_terms)
-    maps them one by one, and only the producers that make keys or meet two
-    operands merge (_merge).
+    maps the coefficient array of all terms at once and keeps each term's
+    key, and only the producers that make keys or meet two operands merge
+    (_merge).  The array is packed once per instance, on first use
+    (_packed).
 
     The form is not unique for equal functions: a constant phase can sit in
     c0 or in the coefficients, so single(1, 0.5, 0, 0, 0) and
@@ -193,7 +239,7 @@ class WaveFunction:
     max_coeff_residual 1.0.  Compare such functions pointwise.
     """
 
-    __slots__ = ("hbar", "terms")
+    __slots__ = ("hbar", "terms", "_pack")
 
     def __init__(self, terms: Iterable[BilinearPhaseTerm], hbar: float | None = None):
         terms = list(terms)
@@ -214,10 +260,11 @@ class WaveFunction:
         the constructor (so single and from_json), +, - and exp_operator_apply.
         Sorted entries open cells at their least key.
 
-        The merge checks nothing: every key must already be checked at hbar (the key
-        of a term at hbar, or _checked_key's output), every amplitude complex and
-        every pair an (int monomial, number) pair.  Then each output term is built
-        by BilinearPhaseTerm._canonical."""
+        The merge checks its output coefficients only: every key must already be
+        checked at hbar (the key of a term at hbar, or _checked_key's output), every
+        amplitude complex and every pair an (int monomial, number) pair; a sum or
+        product that overflows to inf or nan raises ValueError.  Then each output
+        term is built by BilinearPhaseTerm._canonical."""
         keyed = sorted(entries, key=itemgetter(0))
         cells: dict[tuple, tuple[tuple, dict]] = {}
         for key, amp, pairs in keyed:
@@ -232,6 +279,9 @@ class WaveFunction:
         for key, pref in cells.values():
             pref = _nonzero_sorted(pref)
             if pref:
+                if not all(map(cmath.isfinite, pref.values())):
+                    raise _not_finite(key, *next((mon, c) for mon, c in pref.items()
+                                                 if not cmath.isfinite(c)))
                 canon.append(make(key, pref, hbar))
         self.hbar, self.terms = hbar, tuple(canon)
         return self
@@ -262,29 +312,72 @@ class WaveFunction:
             out += t.evaluate(q, p)
         return complex(out) if out.ndim == 0 else out
 
-    def _map_terms(self, poly) -> "WaveFunction":
-        """Each term t of self under its own key with the prefactor poly(t),
-        {int monomial: coefficient}, zero coefficients and emptied terms dropped.
-        The keys of self are strictly ascending, one per merge cell, so keeping
-        them keeps the form canonical with no sort, cell or merge.  poly sums each
-        monomial from 0j in the merge's order, so for finite coefficients the
-        result is the merge's to the last bit.  Terms come from _canonical."""
+    def _packed(self) -> _Pack:
+        """The terms as arrays (_Pack), packed on first use and kept until the
+        terms tuple is replaced.  Called by _map_terms, under its errstate."""
+        pack = getattr(self, "_pack", None)
+        if pack is not None and pack.terms is self.terms:
+            return pack
+        terms, hbar = self.terms, self.hbar
+        size = 1 + max((max(mon) for t in terms for mon in t.prefactor), default=0)
+        coeffs = np.zeros((len(terms), size, size), dtype=complex)
+        flat = [(i * size + dq) * size + dp for i, t in enumerate(terms) for dq, dp in t.prefactor]
+        coeffs.put(flat, [c for t in terms for c in t.prefactor.values()])
+        keys = np.array([t.phase_key for t in terms], dtype=float).reshape(-1, 4)
+        factors = (keys @ _FACTOR_MAP).reshape(-1, 4, 2).swapaxes(0, 1) + _FACTOR_SHIFT[:, None]
+        down = (_SIGN * (1j * hbar)) * np.arange(1, size + 1)
+        axis_first = np.array([_turned(coeffs, row.axis == 1) for row in _ROWS])
+        images = _row_image(axis_first, factors, down[:, None])
+        self._pack = pack = _Pack(terms, keys, coeffs, factors, down, images)
+        return pack
+
+    def _map_terms(self, image) -> "WaveFunction":
+        """Each term of self under its own key with the prefactor read from
+        image(self._packed()), a (T, Dq, Dp) complex array like its coeffs:
+        its nonzero entries by term, sorted by monomial.  Terms left without
+        one are dropped.  The keys of self are strictly ascending, one per
+        merge cell, so keeping them keeps the form canonical with no sort,
+        cell or merge.  image sums each entry from 0 in the merge's order, so
+        for finite coefficients the result is the merge's to the last bit; a
+        coefficient that overflows to inf or nan raises ValueError.  Terms
+        come from _canonical."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = image(self._packed())
         canon = []
-        make = BilinearPhaseTerm._canonical
-        for t in self.terms:
-            pref = _nonzero_sorted(poly(t))
-            if pref:
-                canon.append(make(t.phase_key, pref, self.hbar))
+        rows, dq, dp = np.nonzero(coeffs)
+        if rows.size:  # else every term is dropped
+            coefficients = coeffs[rows, dq, dp].tolist()
+            mons = list(zip(dq.tolist(), dp.tolist()))
+            if not all(map(cmath.isfinite, coefficients)):  # inf and nan are nonzero
+                i = next(i for i, c in enumerate(coefficients) if not cmath.isfinite(c))
+                raise _not_finite(self.terms[rows[i]].phase_key, mons[i], coefficients[i])
+            ends = accumulate(np.bincount(rows, minlength=len(self.terms)).tolist())
+            start, make = 0, BilinearPhaseTerm._canonical
+            for t, end in zip(self.terms, ends):
+                if end > start:
+                    pref = dict(zip(mons[start:end], coefficients[start:end]))
+                    canon.append(make(t.phase_key, pref, self.hbar))
+                start = end
         out = WaveFunction.__new__(WaveFunction)
         out.hbar, out.terms = self.hbar, tuple(canon)
         return out
 
     def scale(self, factor: complex) -> "WaveFunction":
         f = complex(factor)
-        # 0j + turns a -0.0 part into 0.0, as the merge's sums do; as in the
-        # merge, a zero factor contributes nothing, whatever it multiplies.
-        return self._map_terms(lambda t: {
-            mon: 0j + f * c for mon, c in t.prefactor.items()} if f != 0 else {})
+
+        def image(pack):
+            coeffs = pack.coeffs
+            if f == 0:
+                # As in the merge, a zero factor contributes nothing, whatever
+                # it multiplies.
+                return np.zeros_like(coeffs)
+            # f c as f.real c + (i f.imag) c: a product with a real or an
+            # imaginary factor is exact, where numpy's complex product may fuse
+            # a multiply and an add.  + 0.0 turns a -0.0 part into 0.0, as the
+            # merge's sums do.
+            return coeffs * f.real + coeffs * (1j * f.imag) + 0.0
+
+        return self._map_terms(image)
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
         return self._combine((self, 1.0 + 0.0j), (other, 1.0 + 0.0j))
@@ -348,30 +441,36 @@ class WaveFunction:
 
 # -- the four operators ---------------------------------------------------
 
-def _row_image(kind: OperatorKind):
-    """The row's action on one prefactor P under the phase of a term t (the
-    formula of apply_operator): image(t, P) is the image prefactor
-    {int monomial: coefficient}, each monomial summed from 0j in the order
-    the contributions arise.  commutator_apply applies it twice."""
-    axis, sign, multiplies = kind.value
+def _row_image(coeffs: np.ndarray, factors: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """A first-order operator on the coefficient arrays of all terms at once,
+    axis first: coeffs is (..., T, Da, Do), entry [t, i, j] the coefficient
+    of x^i y^j in term t, with x the differentiated coordinate and y the
+    other one.  factors (..., T, 2) are each term's up and self factors, and
+    down (..., 1, >= Da - 1) the down factors by degree 1, 2, ... of x.
+    Entry [t, i, j] of the (..., T, Da, Do + 1) result is
 
-    def image(t, prefactor):
-        y_coeff = float(multiplies) - sign * t.cqp
-        x_coeff = sign * t.phase_key[1 + axis]
-        d_coeff = sign * 1j * t.hbar
-        pref: dict = {}
-        get = pref.get
-        for (a, b), c in prefactor.items():
-            up = (a + axis, b + 1 - axis)
-            pref[up] = get(up, 0j) + c * y_coeff
-            pref[a, b] = get((a, b), 0j) + -c * x_coeff
-            degree = (a, b)[axis]
-            if degree:
-                down = (a - 1 + axis, b - axis)
-                pref[down] = get(down, 0j) + c * (d_coeff * degree)
-        return pref
+        0 + coeffs[t, i, j-1] up + coeffs[t, i, j] self + coeffs[t, i+1, j] down[i]
 
-    return image
+    summed in that order, the order in which the dict form adds each monomial
+    over a sorted prefactor: y raises j, d/dx lowers i.  Under a row of
+    OperatorKind (apply_operator's formula) the up factor is multiplies -
+    sign cqp, the self factor -sign c_x and the down factor sign i hbar d
+    (_Pack); the pack holds every row's image of its coefficients, and
+    commutator_apply applies the formula once more, to two of them."""
+    size, other = coeffs.shape[-2:]
+    products = coeffs[..., None] * factors[..., None, None, :]
+    out = np.zeros(products.shape[:-2] + (other + 1,), dtype=complex)
+    up, here = out[..., 1:], out[..., :-1]
+    np.add(up, products[..., 0], out=up)
+    np.add(here, products[..., 1], out=here)
+    here = here[..., :-1, :]
+    np.add(here, coeffs[..., 1:, :] * down[..., :size - 1, None], out=here)
+    return out
+
+
+def _turned(coeffs: np.ndarray, turn: bool) -> np.ndarray:
+    """coeffs with its last two axes swapped when turn is true."""
+    return coeffs.swapaxes(-1, -2) if turn else coeffs
 
 
 def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
@@ -385,10 +484,11 @@ def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
     times the same phase.  Differentiation lowers prefactor exponents and
     multiplication by y raises them by one.  No division by hbar occurs,
     which keeps results exact for exactly representable inputs.  Every
-    phase key is kept, so the terms are mapped one by one (_map_terms).
+    phase key is kept, so the coefficient array of all terms is mapped at
+    once (_map_terms, _row_image).
     """
-    image = _row_image(kind)
-    return wf._map_terms(lambda t: image(t, t.prefactor))
+    axis, index = kind.value.axis, _KIND_INDEX[kind]
+    return wf._map_terms(lambda pack: _turned(pack.images[index], axis == 1))
 
 
 def commutator_apply(kind_a: OperatorKind, kind_b: OperatorKind, wf: WaveFunction) -> WaveFunction:
@@ -396,51 +496,45 @@ def commutator_apply(kind_a: OperatorKind, kind_b: OperatorKind, wf: WaveFunctio
 
     Equals i*hbar*wf for (Q_LEFT, P_LEFT) and (Q_RIGHT, P_RIGHT), and the zero
     wave function for every mixed left/right pair.  Expects a canonical,
-    nonzero wave function.  The operators keep phase keys, so each term t is
-    taken alone, with no intermediate wave function: A(B t) and B(A t) come
-    from apply_operator's row images, each applied to the canonical prefactor
-    of the one before, and are subtracted as `-` would.  The result has the
-    bytes of AB wf - BA wf formed with apply_operator and `-`.
+    nonzero wave function.  The operators keep phase keys, so A(B P) and
+    B(A P) are formed on the coefficient arrays of all terms at once: the
+    packed first images B P and A P, stacked, go through one call of
+    _row_image under A and B, and their difference is read back
+    (_map_terms).  The result has the bytes of AB wf - BA wf formed with
+    apply_operator and `-`.
     """
-    image_a, image_b = _row_image(kind_a), _row_image(kind_b)
+    axis_a, axis_b = kind_a.value.axis, kind_b.value.axis
+    turn = axis_a != axis_b  # each image is axis first for the other operator
+    index_a, index_b = _KIND_INDEX[kind_a], _KIND_INDEX[kind_b]
 
-    def poly(t):
-        ab = image_a(t, _nonzero_sorted(image_b(t, t.prefactor)))
-        ba = image_b(t, _nonzero_sorted(image_a(t, t.prefactor)))
-        for mon, c in ba.items():
-            ab[mon] = ab.get(mon, 0j) - c
-        return ab
+    def image(pack):
+        once = pack.images[[index_b, index_a]]
+        index = [index_a, index_b]
+        twice = _row_image(_turned(once, turn), pack.factors[index], pack.down[index, None])
+        return _turned(twice[0] - _turned(twice[1], turn), axis_a == 1)
 
-    return wf._map_terms(poly)
+    return wf._map_terms(image)
 
 
 def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
     """Exact partial derivative d/dq or d/dp of a family member.
 
     Provided separately from apply_operator so that covariant-derivative
-    identities can be assembled through an independent code path.
+    identities can be assembled through an independent code path: its own
+    factors, through the shared _row_image.
     """
     if var not in ("q", "p"):
         raise ValueError(f"var must be 'q' or 'p', got {var!r}")
     axis = "qp".index(var)
 
-    def poly(t):
+    def image(pack):
         # With y the other variable: dP/dx + (i/hbar)(c_x + cqp y) P
-        x_coeff = 1j * t.phase_key[1 + axis] / t.hbar
-        y_coeff = 1j * t.cqp / t.hbar
-        pref: dict = {}
-        get = pref.get
-        for (a, b), c in t.prefactor.items():
-            degree = (a, b)[axis]
-            if degree:
-                down = (a - 1 + axis, b - axis)
-                pref[down] = get(down, 0j) + degree * c
-            pref[a, b] = get((a, b), 0j) + c * x_coeff
-            up = (a + axis, b + 1 - axis)
-            pref[up] = get(up, 0j) + c * y_coeff
-        return pref
+        coeffs = _turned(pack.coeffs, axis == 1)
+        factors = 1j * (pack.keys[:, [3, 1 + axis]] / wf.hbar)
+        degrees = np.arange(1, coeffs.shape[-2])[None]
+        return _turned(_row_image(coeffs, factors, degrees), axis == 1)
 
-    return wf._map_terms(poly)
+    return wf._map_terms(image)
 
 
 def exp_affine_map(kind: OperatorKind,
@@ -492,12 +586,12 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
 
     (see exp_affine_map).  Each map agrees term by term with the operator
     Taylor series because the family is closed under translations and
-    linear-phase multiplication; no input can leave the family, so there is
-    no rejection path.  The phase and the translation act on different
-    coordinates, so they commute and are applied in one pass: the phase
-    coefficients are added first, then the shifted phase polynomial
-    (exp_key_map) and the binomial expansion of each monomial along the one
-    translated axis give f(q - sq, p - sp).
+    linear-phase multiplication; no input can leave the family, and only a
+    key or a coefficient that overflows raises ValueError.  The phase and
+    the translation act on different coordinates, so they commute and are
+    applied in one pass: the phase coefficients are added first, then the
+    shifted phase polynomial (exp_key_map) and the binomial expansion of each
+    monomial along the one translated axis give f(q - sq, p - sp).
     """
     s = float(coefficient)
     axis = kind.value.axis
@@ -511,9 +605,13 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
 
     # The only transform that makes new phase keys, so the only one that checks
     # them and the only one that merges: two keys may land in one cell.
-    return WaveFunction.__new__(WaveFunction)._merge(
-        ((_checked_key(key_map(*t.phase_key), t.hbar), 1.0 + 0.0j, pairs(t.prefactor))
-         for t in wf.terms), wf.hbar)
+    try:
+        return WaveFunction.__new__(WaveFunction)._merge(
+            ((_checked_key(key_map(*t.phase_key), t.hbar), 1.0 + 0.0j, pairs(t.prefactor))
+             for t in wf.terms), wf.hbar)
+    except OverflowError as exc:  # a binomial factor beyond the float range
+        raise ValueError(f"a prefactor coefficient of exp({kind.name}) with coefficient {s} "
+                         f"is not finite: {exc}") from None
 
 
 def is_eigenstate(kind: OperatorKind, wf: WaveFunction):

@@ -315,6 +315,39 @@ class TestTransformOutputsAreCanonical:
         with pytest.raises(ValueError, match="c0=-inf has no finite merge cell"):
             exp_operator_apply(P_RIGHT, 1e300, wf)
 
+    def test_overflowing_output_coefficient_raises_value_error(self):
+        # The term constructor refuses a non-finite coefficient, so no producer
+        # may store one: a product or sum that overflows raises ValueError.
+        big = WaveFunction.single(1.0, 0.0, 0.5, 0.25, 0.0, {(2, 0): 1e300, (0, 1): 1.0})
+        top = WaveFunction.single(1.0, 0.0, 0.5, 0.25, 0.0, {(2, 0): 1e308})
+        outputs = {
+            "merge": lambda: WaveFunction.single(1e300, 0, 0.5, 0.25, 0, {(2, 0): 1e10}),
+            "sum": lambda: top + top,
+            "scale": lambda: big.scale(1e10),
+            "scale by inf": lambda: big.scale(math.inf),
+            "apply": lambda: apply_operator(P_LEFT, WaveFunction.single(1.0, 0.0, 1e290, 0.0, 0.0,
+                                                                        {(0, 0): 1e20})),
+            "commutator": lambda: commutator_apply(Q_LEFT, P_LEFT, big.scale(1e8)),
+            "derivative": lambda: differentiate(big, "q").scale(1e300),
+            # (-s)^2 = 1e400 overflows the float power itself.
+            "exp": lambda: exp_operator_apply(P_LEFT, 1e200, big),
+        }
+        for name, make in outputs.items():
+            with pytest.raises(ValueError, match="is not finite"):
+                make()
+                pytest.fail(name)
+
+    def test_negative_exponent_rejected(self):
+        # The prefactor is a polynomial: the transforms index its coefficients
+        # by exponent, and exp_operator_apply's binomial expansion is finite.
+        with pytest.raises(ValueError, match=r"prefactor\[\(-1, 0\)\] has a negative exponent"):
+            BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 0.0, {(0, 0): 1.0, (-1, 0): 1.0})
+        text = json.dumps({"hbar": 1.0, "terms": [{"amp": [1.0, 0.0], "c0": 0.0, "cq": 0.0,
+                                                   "cp": 0.0, "cqp": 0.0,
+                                                   "prefactor": [[0, -2, 1.0, 0.0]]}]})
+        with pytest.raises(ValueError, match="negative exponent"):
+            WaveFunction.from_json(text)
+
     def test_one_term_built_per_output_term(self, monkeypatch):
         # Each output term comes from the one canonical constructor, which
         # skips __post_init__: the merge reuses keys that are already checked.
@@ -478,6 +511,22 @@ def equivalence_input(name):
             prefactor={(int(i), int(j)): complex(*rng.normal(size=2))
                        for i, j in rng.integers(0, 4, size=(5, 2))}, hbar=0.3)
             for _ in range(40)], hbar=0.3)
+    if name == "zero":
+        return WaveFunction.zero(hbar=0.37)
+    if name == "constant":
+        # Constant prefactors only: one coefficient per term, no exponent to
+        # raise or lower in the input.
+        return WaveFunction([BilinearPhaseTerm(0.3 - 0.7j, 0.1, -0.2, 0.3, 0.4, hbar=0.37),
+                             BilinearPhaseTerm(1.1, -0.5, 0.6, 0.0, -0.7, hbar=0.37)], hbar=0.37)
+    if name == "padding":
+        # Terms of degree 0 to 3 side by side, so the lower-degree terms sit
+        # in zero padding of the highest degree.
+        rng = np.random.default_rng(59)
+        prefactors = [{(0, 0): 1.0}, {(1, 0): 0.5, (0, 1): -1.5j}, {(2, 1): 0.3 + 0.1j},
+                      {(0, 3): -0.7, (3, 3): 0.2j, (3, 0): 1.3}]
+        return WaveFunction([BilinearPhaseTerm(complex(*rng.normal(size=2)), *rng.uniform(-2, 2, 4),
+                                               prefactor=pref, hbar=0.37)
+                             for pref in prefactors], hbar=0.37)
     # The constant term is annihilated by P_LEFT and Q_RIGHT, and by both
     # derivatives; the other term is not.
     assert name == "annihilated"
@@ -485,9 +534,12 @@ def equivalence_input(name):
             + WaveFunction.single(0.5 - 0.25j, 0.0, 0.5, -0.25, 1.0, {(1, 0): 1.0}))
 
 
-EQUIVALENCE_INPUTS = [f"seed{i}" for i in range(50)] + ["dyadic1000", "inexact",
-                                                         "signed_zero", "annihilated"]
-SCALE_FACTORS = (2, -1, 1j, 0)
+EQUIVALENCE_INPUTS = [f"seed{i}" for i in range(50)] + ["dyadic1000", "inexact", "signed_zero",
+                                                         "annihilated", "zero", "constant",
+                                                         "padding"]
+# A general complex factor rounds in each of its four products, so a fused
+# complex multiply shows in the bytes.
+SCALE_FACTORS = (2, -1, 1j, 0, 0.3 + 0.7j, 0.1)
 
 
 def key_preserving_outputs(wf):
@@ -539,14 +591,44 @@ class TestTermByTerm:
         assert -1.0 in parts
         wf = equivalence_input("annihilated")
         assert len(wf.terms) == 2 and len(apply_operator(Q_RIGHT, wf).terms) == 1
+        assert equivalence_input("zero").terms == ()
+        degrees = lambda name: {d for t in equivalence_input(name).terms for mon in t.prefactor
+                                for d in mon}
+        assert degrees("constant") == {0} and degrees("padding") == {0, 1, 2, 3}
 
     def test_zero_factor_drops_even_a_non_finite_coefficient(self):
         # As in the merge, a zero factor contributes nothing: 0 * inf is not
-        # summed into a nan coefficient.  The constructors refuse an infinite
-        # coefficient; an unchecked transform can overflow to one.
-        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1e308, (1, 0): 1.0}).scale(10)
-        assert wf.terms[0].prefactor[(0, 0)] == math.inf
+        # summed into a nan coefficient.  Every producer refuses an infinite
+        # coefficient, so the term is set in place, as in with_signed_zeros.
+        wf = WaveFunction.__new__(WaveFunction)
+        wf.hbar, wf.terms = 1.0, (BilinearPhaseTerm._canonical(
+            (0.0, 0.5, 0.0, 0.0), {(0, 0): complex(math.inf, 0.0), (1, 0): 1.0 + 0j}, 1.0),)
         assert wf.scale(0).terms == () and merged_scale(wf, 0).terms == ()
+
+    def test_transforms_pack_each_wave_function_once(self, monkeypatch):
+        # The coefficient array is packed on the first transform and read by
+        # the next ones; replacing the terms packs them anew.
+        wf, other = equivalence_input("seed3"), equivalence_input("seed4")
+        packs = []
+        real = WaveFunction._packed
+
+        def packed(self):
+            pack = real(self)
+            if self is wf and not any(pack is seen for seen in packs):
+                packs.append(pack)
+            return pack
+
+        monkeypatch.setattr(WaveFunction, "_packed", packed)
+        for kind in ALL_KINDS:
+            apply_operator(kind, wf)
+            for other_kind in ALL_KINDS:
+                commutator_apply(kind, other_kind, wf)
+        differentiate(wf, "q")
+        wf.scale(2)
+        assert len(packs) == 1 and packs[0].terms is wf.terms
+        wf.hbar, wf.terms = other.hbar, other.terms
+        assert wf.scale(2).to_json() == other.scale(2).to_json()
+        assert len(packs) == 2 and packs[1].terms is other.terms
 
     @staticmethod
     def counting_merges(monkeypatch):
