@@ -21,13 +21,13 @@ import random
 
 import numpy as np
 
+from .memory import _require_memory
 from .report import DEFAULT_TOL, CheckResult
 from .symbolic import exp_key_map
 from .torus import (
     GridShift,
     TorusGeometry,
     _basis_key,
-    _require_memory,
     _require_quantized,
     grid_coordinates,
     grid_shift_coefficient,
@@ -197,7 +197,7 @@ def table1_verify(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> list[Che
     evaluates any key.  Failures are reported, not raised.
     """
     N = _require_quantized(geometry)
-    _require_memory("table1", N, 40 * (N + 1) ** 2 + 80 * (N + 1) + 2**14)
+    _require_memory(f"table1 at N={N}", 40 * (N + 1) ** 2 + 80 * (N + 1) + 2**14)
     params = geometry.to_dict()
     unit = (geometry.h / N, geometry.h / geometry.b, geometry.h / geometry.a, 1.0)
     turns = (1.0 / N, 1.0, 1.0, N)  # phase error per lattice unit on the domain
@@ -332,7 +332,7 @@ def physical_grid_overlaps(geometry: TorusGeometry) -> float:
     memory the call raises MemoryError before it evaluates any key.
     """
     N = _require_quantized(geometry)
-    _require_memory("dft", N, 16 * 4 * N**2)
+    _require_memory(f"dft at N={N}", 16 * 4 * N**2)
     hbar = geometry.hbar
     labels = np.arange(N)
     x = _sketch_phases(N)

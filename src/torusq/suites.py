@@ -29,13 +29,13 @@ from .finite import (
     table1_verify,
     weyl_commutation_check,
 )
+from .memory import _require_memory
 from .report import DEFAULT_TOL, CheckResult
 from .symbolic import OperatorKind, commutator_apply, random_wavefunction
 from .torus import (
     GridShift,
     TorusGeometry,
     _basis_key,
-    _require_memory,
     _require_quantized,
     chart_consistency_check,
     grid_coordinates,
@@ -125,7 +125,7 @@ def suite_orthonormality(geometry: TorusGeometry, tol: float = DEFAULT_TOL) -> l
     """
     N = _require_quantized(geometry)
     M = 8 * N
-    _require_memory("orthonormality", N, 16 * (3 * N**2 + 2 * N * M + M))
+    _require_memory(f"orthonormality at N={N}", 16 * (3 * N**2 + 2 * N * M + M))
     rq = _gram_residual(geometry, "Q", M)
     rp = _gram_residual(geometry, "P", M)
     params = {**geometry.to_dict(), "M": M}

@@ -27,11 +27,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
-from operator import itemgetter
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from .memory import _require_memory
 
 # Width of the merge cells in units of the phase k / hbar: two phase tuples
 # are merged when every entry rounds to the same multiple of it.  Inputs are
@@ -44,6 +45,15 @@ PHASE_MERGE_TOL = 1e-12
 EIGEN_RATIO_TOL = 1e-10
 
 _PHASE_NAMES = ("c0", "cq", "cp", "cqp")  # BilinearPhaseTerm.phase_key order
+
+# A pack (WaveFunction._packed) of at most this many bytes is made without
+# asking the memory guard, whose read of /proc/meminfo costs more than it.
+_UNGUARDED_PACK_BYTES = 1 << 20
+
+# The exponent pairs (dq, dp) below 16, shared by the prefactors of every
+# produced term instead of a new tuple per entry: fewer objects to hold and
+# for the garbage collector to visit.
+_MONOMIALS = tuple((dq, dp) for dq in range(16) for dp in range(16))
 
 
 class OperatorRow(NamedTuple):
@@ -96,19 +106,20 @@ def _check_hbar(hbar) -> None:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
 
 
-def _checked_key(key, hbar: float) -> tuple:
-    """The phase key as floats, -0.0 as 0.0; ValueError if a merge cell is not finite."""
-    floats = []
-    for name, k in zip(_PHASE_NAMES, key):
-        k = float(k) or 0.0  # -0.0 becomes 0.0
-        if not math.isfinite(k / hbar / PHASE_MERGE_TOL):
-            raise ValueError(f"phase coefficient {name}={k} has no finite merge cell "
-                             f"at hbar={hbar}")
-        floats.append(k)
-    return tuple(floats)
+def _checked_key(keys, hbar: float) -> np.ndarray:
+    """Phase keys (..., 4) as a float array, -0.0 as 0.0; ValueError for the
+    first entry, in row-major order, whose merge cell is not finite."""
+    keys = np.asarray(keys, dtype=float) + 0.0  # -0.0 becomes 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(keys / hbar / PHASE_MERGE_TOL).ravel()
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"phase coefficient {_PHASE_NAMES[i % 4]}={keys.flat[i].item()} has "
+                         f"no finite merge cell at hbar={hbar}")
+    return keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BilinearPhaseTerm:
     """A single term amplitude * prefactor(q, p) * exp(i*phase(q, p)/hbar).
 
@@ -117,7 +128,7 @@ class BilinearPhaseTerm:
     prefactor maps exponent pairs (dq, dp) to complex coefficients.  Phase
     coefficients k are stored as floats, -0.0 as 0.0; k / hbar /
     PHASE_MERGE_TOL must be finite, and so must the amplitude and every
-    prefactor coefficient; prefactor exponents are non-negative ints.
+    prefactor coefficient; prefactor exponents are ints in [0, 2^63).
     """
 
     amplitude: complex
@@ -130,7 +141,10 @@ class BilinearPhaseTerm:
 
     def __post_init__(self):
         _check_hbar(self.hbar)
-        for name, k in zip(_PHASE_NAMES, _checked_key(self.phase_key, self.hbar)):
+        key = [float(k) or 0.0 for k in self.phase_key]  # -0.0 becomes 0.0
+        if not all(math.isfinite(k / self.hbar / PHASE_MERGE_TOL) for k in key):
+            _checked_key(key, self.hbar)  # raises its message
+        for name, k in zip(_PHASE_NAMES, key):
             object.__setattr__(self, name, k)
         amplitude = complex(self.amplitude)
         prefactor = {(int(dq), int(dp)): complex(c) for (dq, dp), c in self.prefactor.items()}
@@ -143,6 +157,8 @@ class BilinearPhaseTerm:
                 raise ValueError(f"prefactor[{(dq, dp)}]={c} is not finite")
             if dq < 0 or dp < 0:
                 raise ValueError(f"prefactor[{(dq, dp)}] has a negative exponent")
+            if max(dq, dp) >= 2**63:  # the merge and the pack index exponents as int64
+                raise ValueError(f"prefactor[{(dq, dp)}] has an exponent of 2^63 or more")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "prefactor", prefactor)
 
@@ -156,14 +172,13 @@ class BilinearPhaseTerm:
         and a prefactor of int monomials and complex coefficients, built without
         __post_init__: the one constructor of canonical output terms."""
         term = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(term, "amplitude", 1.0 + 0.0j)
-        set_field(term, "c0", key[0])
-        set_field(term, "cq", key[1])
-        set_field(term, "cp", key[2])
-        set_field(term, "cqp", key[3])
-        set_field(term, "prefactor", prefactor)
-        set_field(term, "hbar", hbar)
+        _set_amplitude(term, 1.0 + 0.0j)
+        _set_c0(term, key[0])
+        _set_cq(term, key[1])
+        _set_cp(term, key[2])
+        _set_cqp(term, key[3])
+        _set_prefactor(term, prefactor)
+        _set_hbar(term, hbar)
         return term
 
     def evaluate(self, q, p):
@@ -187,28 +202,44 @@ class BilinearPhaseTerm:
         return complex(values) if values.ndim == 0 else values
 
 
-def _nonzero_sorted(sums: dict) -> dict:
-    """A prefactor's monomial sums, sorted by monomial, zero coefficients dropped."""
-    return {mon: c for mon, c in sorted(sums.items()) if c != 0}
+# The slots' own setters, which the frozen class's __setattr__ would refuse.
+(_set_amplitude, _set_c0, _set_cq, _set_cp, _set_cqp, _set_prefactor,
+ _set_hbar) = (getattr(BilinearPhaseTerm, name).__set__ for name in BilinearPhaseTerm.__slots__)
 
 
-def _not_finite(key: tuple, mon: tuple, c: complex) -> ValueError:
-    """The error for an output coefficient that overflowed to inf or nan."""
-    return ValueError(f"prefactor[{mon}]={c} of the term at phase key {key} is not finite")
+def _flat(terms, amplitudes=None) -> tuple:
+    """The (E, 4) keys of terms and one row (entry, dq, dp, c) per monomial, in
+    term and prefactor order, as _merge takes them.  Given amplitudes, one per
+    term, each c is times its term's, and a term of amplitude 0 is left out:
+    it opens no merge cell."""
+    if amplitudes is not None:
+        live = [(t, a) for t, a in zip(terms, amplitudes) if a != 0]
+        terms = [t for t, _ in live]
+        coefficients = [a * c for t, a in live for c in t.prefactor.values()]
+    else:
+        coefficients = [c for t in terms for c in t.prefactor.values()]
+    keys = np.array([t.phase_key for t in terms], dtype=float).reshape(-1, 4)
+    rows = np.array([(e, *mon) for e, t in enumerate(terms) for mon in t.prefactor],
+                    dtype=np.int64).reshape(-1, 3).T
+    return keys, *rows, np.array(coefficients, dtype=complex)
+
+
+def _starts(cols: np.ndarray) -> np.ndarray:
+    """Whether each column of cols (k, n) opens a run: the first, or unequal
+    to the one before."""
+    new = np.empty(cols.shape[1], dtype=bool)
+    new[:1] = True
+    np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=new[1:])
+    return new
 
 
 class _Pack(NamedTuple):
-    """A wave function's T terms as arrays (WaveFunction._packed).
-
-    coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where
-    the term has none, for exponents below D; _turned(coeffs, axis == 1) has
-    the differentiated axis of a row first.  factors[k, t] holds the up and
-    self factors of term t under the row of the k-th OperatorKind,
-    (multiplies - sign cqp, -sign c_axis), and down[k, d - 1] its down
-    factor for degree d, sign i hbar d, for d = 1 .. D (see _row_image).
-    images[k] is the image of coeffs under that row, axis first:
-    apply_operator reads it, and commutator_apply applies the second
-    operator to it."""
+    """A wave function's T terms as dense arrays (WaveFunction._packed).
+    coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where it
+    has none.  Under the row of the k-th OperatorKind, factors[k, t] are term
+    t's up and self factors (multiplies - sign cqp, -sign c_axis), down[k, d-1]
+    the down factor sign i hbar d (_row_image), and images[k] the image of
+    coeffs, axis first, which apply_operator reads and commutator_apply maps."""
 
     terms: tuple            # the terms packed, so a reassigned tuple is packed anew
     keys: np.ndarray        # (T, 4) phase keys
@@ -225,13 +256,11 @@ class WaveFunction:
     round(k / hbar / PHASE_MERGE_TOL) in every entry k are merged by polynomial
     addition under the cell's smallest tuple, whatever the input order; zero
     coefficients are dropped, amplitudes are folded into the prefactor, and
-    terms are sorted by (c0, cq, cp, cqp).  The zero wave function has an
-    empty term list.  So the terms of an instance have strictly ascending
-    keys, one per merge cell: a transform that keeps every key (_map_terms)
-    maps the coefficient array of all terms at once and keeps each term's
-    key, and only the producers that make keys or meet two operands merge
-    (_merge).  The array is packed once per instance, on first use
-    (_packed).
+    terms are sorted by (c0, cq, cp, cqp).  The zero wave function has no
+    terms.  Producers that make keys or meet two operands merge flat rows
+    (_merge); those that keep every key map a dense pack (_map_terms).  A key
+    is checked once, where it is made: by the term constructor, by from_json
+    and by one _checked_key call on all keys of an exponential.
 
     The form is not unique for equal functions: a constant phase can sit in
     c0 or in the coefficients, so single(1, 0.5, 0, 0, 0) and
@@ -251,39 +280,62 @@ class WaveFunction:
         for t in terms:
             if t.hbar != hbar:  # so every key below was checked at this hbar
                 raise ValueError("all terms must share one hbar")
-        self._merge([(t.phase_key, t.amplitude, t.prefactor.items()) for t in terms], hbar)
+        self._merge(*_flat(terms, [t.amplitude for t in terms]), hbar)
 
-    def _merge(self, entries, hbar: float) -> "WaveFunction":
-        """Make this the canonical sum of entries (phase key, amplitude, pairs) for a
-        valid hbar and return it; an entry is amplitude * sum(c q^dq p^dp) e^{i phase/hbar}.
-        Where keys are made or two operands meet, wave functions get their terms here:
-        the constructor (so single and from_json), +, - and exp_operator_apply.
-        Sorted entries open cells at their least key.
+    def _merge(self, keys, entry, dq, dp, coefficients, hbar: float) -> "WaveFunction":
+        """Make this the canonical sum of entries at a valid hbar and return it.
+        Entry e has the key keys[e], checked at hbar (_checked_key), and the
+        prefactor of its rows (e, dq, dp, c) in the flat arrays entry, dq, dp,
+        coefficients: memory linear in entries and rows.  A stable lexsort puts
+        the entries in key order; their cells rint(key / hbar /
+        PHASE_MERGE_TOL), which rounds half to even as round does, are grouped
+        in order of first appearance (equal cells need not be adjacent), under
+        the first, least, key.  np.add.at adds the coefficients into a zero per
+        group and monomial, unbuffered, in key and then row order: 0j + ... as
+        a running sum.  Zero sums are dropped; _take makes the terms."""
+        self.hbar, self.terms = hbar, ()
+        if not entry.size:  # no monomial at all
+            return self
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        cells = np.rint(keys.T / hbar / PHASE_MERGE_TOL)
+        by_cell = np.lexsort(cells[::-1])
+        new = _starts(cells[:, by_cell])
+        # Per entry, its place in key order and that of the first key of its cell.
+        rank, first = np.empty_like(order), np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first[order[by_cell]] = by_cell[new][new.cumsum() - 1]
+        cols = np.array([first[entry], dq, dp])
+        rows = np.lexsort((rank[entry], cols[2], cols[1], cols[0]))
+        cols = cols[:, rows]
+        slot = _starts(cols)
+        index = slot.cumsum()  # from 1: sums[0] takes no row
+        sums = np.zeros(index[-1] + 1, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(sums, index, coefficients[rows])
+        nonzero = sums[1:] != 0
+        slot[slot] = nonzero
+        return self._take(keys, *cols[:, slot], sums[1:][nonzero])
 
-        The merge checks its output coefficients only: every key must already be
-        checked at hbar (the key of a term at hbar, or _checked_key's output), every
-        amplitude complex and every pair an (int monomial, number) pair; a sum or
-        product that overflows to inf or nan raises ValueError.  Then each output
-        term is built by BilinearPhaseTerm._canonical."""
-        keyed = sorted(entries, key=itemgetter(0))
-        cells: dict[tuple, tuple[tuple, dict]] = {}
-        for key, amp, pairs in keyed:
-            if amp == 0:
-                continue
-            cell = tuple([round(k / hbar / PHASE_MERGE_TOL) for k in key])
-            pref = cells.setdefault(cell, (key, {}))[1]
-            for mon, c in pairs:
-                pref[mon] = pref.get(mon, 0j) + amp * c
-        canon = []
-        make = BilinearPhaseTerm._canonical
-        for key, pref in cells.values():
-            pref = _nonzero_sorted(pref)
-            if pref:
-                if not all(map(cmath.isfinite, pref.values())):
-                    raise _not_finite(key, *next((mon, c) for mon, c in pref.items()
-                                                 if not cmath.isfinite(c)))
-                canon.append(make(key, pref, hbar))
-        self.hbar, self.terms = hbar, tuple(canon)
+    def _take(self, keys, rows, dq, dp, coefficients, source=None) -> "WaveFunction":
+        """Give self, and return it, the terms (_canonical) of nonzero
+        coefficients sorted by (row, dq, dp): one per row r that has any, under
+        keys[r], or under the key objects of source[r], the terms a key-keeping
+        map read.  ValueError if a coefficient is not finite."""
+        values = coefficients.tolist()
+        if not all(map(cmath.isfinite, values)):  # inf and nan are nonzero
+            i = next(i for i, c in enumerate(values) if not cmath.isfinite(c))
+            raise ValueError(f"prefactor[{int(dq[i]), int(dp[i])}]={values[i]} of the term at "
+                             f"phase key {tuple(keys[rows[i]].tolist())} is not finite")
+        counts = np.bincount(rows, minlength=len(keys)).tolist()
+        if np.maximum.reduce(dq, initial=0) < 16 and np.maximum.reduce(dp, initial=0) < 16:
+            pairs = zip(map(_MONOMIALS.__getitem__, (dq * 16 + dp).tolist()), values)
+        else:
+            pairs = zip(zip(dq.tolist(), dp.tolist()), values)
+        make, hbar = BilinearPhaseTerm._canonical, self.hbar
+        named = zip(*keys.T.tolist()) if source is None else (t.phase_key for t in source)
+        self.terms = tuple([make(key, dict(islice(pairs, n)), hbar)
+                            for key, n in zip(named, counts) if n])
         return self
 
     @classmethod
@@ -313,13 +365,18 @@ class WaveFunction:
         return complex(out) if out.ndim == 0 else out
 
     def _packed(self) -> _Pack:
-        """The terms as arrays (_Pack), packed on first use and kept until the
-        terms tuple is replaced.  Called by _map_terms, under its errstate."""
+        """The terms as dense arrays (_Pack), packed on first use and kept until
+        the terms tuple is replaced.  A pack above _UNGUARDED_PACK_BYTES that
+        the memory guard finds too large raises MemoryError before it is
+        allocated.  Called by _map_terms, under its errstate."""
         pack = getattr(self, "_pack", None)
         if pack is not None and pack.terms is self.terms:
             return pack
         terms, hbar = self.terms, self.hbar
         size = 1 + max((max(mon) for t in terms for mon in t.prefactor), default=0)
+        need = 16 * len(terms) * (size * size + 4 * size * (size + 1))
+        if need > _UNGUARDED_PACK_BYTES:
+            _require_memory(f"packing {len(terms)} terms with exponents below {size}", need)
         coeffs = np.zeros((len(terms), size, size), dtype=complex)
         flat = [(i * size + dq) * size + dp for i, t in enumerate(terms) for dq, dp in t.prefactor]
         coeffs.put(flat, [c for t in terms for c in t.prefactor.values()])
@@ -331,36 +388,27 @@ class WaveFunction:
         self._pack = pack = _Pack(terms, keys, coeffs, factors, down, images)
         return pack
 
+    def _rows(self) -> tuple:
+        """The terms as _flat reads them, in order by term and monomial: off
+        the pack where self is packed, else from the terms."""
+        pack = getattr(self, "_pack", None)
+        if pack is None or pack.terms is not self.terms:
+            return _flat(self.terms)
+        term, dq, dp = pack.coeffs.nonzero()
+        return pack.keys, term, dq, dp, pack.coeffs[term, dq, dp]
+
     def _map_terms(self, image) -> "WaveFunction":
-        """Each term of self under its own key with the prefactor read from
-        image(self._packed()), a (T, Dq, Dp) complex array like its coeffs:
-        its nonzero entries by term, sorted by monomial.  Terms left without
-        one are dropped.  The keys of self are strictly ascending, one per
-        merge cell, so keeping them keeps the form canonical with no sort,
-        cell or merge.  image sums each entry from 0 in the merge's order, so
-        for finite coefficients the result is the merge's to the last bit; a
-        coefficient that overflows to inf or nan raises ValueError.  Terms
-        come from _canonical."""
+        """Each term of self under its own key, with the nonzero entries of
+        image(self._packed()), a (T, Dq, Dp) complex array, as its prefactor
+        (_take): the keys stay one per cell, ascending, with no merge.  image
+        sums each entry from 0 in the merge's order: the merge's bits."""
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = image(self._packed())
-        canon = []
-        rows, dq, dp = np.nonzero(coeffs)
-        if rows.size:  # else every term is dropped
-            coefficients = coeffs[rows, dq, dp].tolist()
-            mons = list(zip(dq.tolist(), dp.tolist()))
-            if not all(map(cmath.isfinite, coefficients)):  # inf and nan are nonzero
-                i = next(i for i, c in enumerate(coefficients) if not cmath.isfinite(c))
-                raise _not_finite(self.terms[rows[i]].phase_key, mons[i], coefficients[i])
-            ends = accumulate(np.bincount(rows, minlength=len(self.terms)).tolist())
-            start, make = 0, BilinearPhaseTerm._canonical
-            for t, end in zip(self.terms, ends):
-                if end > start:
-                    pref = dict(zip(mons[start:end], coefficients[start:end]))
-                    canon.append(make(t.phase_key, pref, self.hbar))
-                start = end
+            pack = self._packed()
+            coeffs = image(pack)
+        rows, dq, dp = coeffs.nonzero()
         out = WaveFunction.__new__(WaveFunction)
-        out.hbar, out.terms = self.hbar, tuple(canon)
-        return out
+        out.hbar = self.hbar
+        return out._take(pack.keys, rows, dq, dp, coeffs[rows, dq, dp], self.terms)
 
     def scale(self, factor: complex) -> "WaveFunction":
         f = complex(factor)
@@ -380,17 +428,19 @@ class WaveFunction:
         return self._map_terms(image)
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
-        return self._combine((self, 1.0 + 0.0j), (other, 1.0 + 0.0j))
+        return self._combine(other, negate=False)
 
     def __sub__(self, other: "WaveFunction") -> "WaveFunction":
-        return self._combine((self, 1.0 + 0.0j), (other, -1.0 + 0.0j))
+        return self._combine(other, negate=True)
 
-    def _combine(self, *parts) -> "WaveFunction":
-        """The sum of factor * wf over parts (wf, factor), in one merge."""
-        if any(wf.hbar != self.hbar for wf, _ in parts):
+    def _combine(self, other: "WaveFunction", negate: bool) -> "WaveFunction":
+        """self + other, or self - other, in one merge."""
+        if other.hbar != self.hbar:
             raise ValueError("cannot add wave functions with different hbar")
-        entries = ((t.phase_key, f, t.prefactor.items()) for wf, f in parts for t in wf.terms)
-        return WaveFunction.__new__(WaveFunction)._merge(entries, self.hbar)
+        sign = -1.0 + 0.0j if negate else 1.0 + 0.0j
+        flat = _flat(self.terms + other.terms,
+                     [1.0 + 0.0j] * len(self.terms) + [sign] * len(other.terms))
+        return WaveFunction.__new__(WaveFunction)._merge(*flat, self.hbar)
 
     def max_coeff_residual(self, other: "WaveFunction") -> float:
         """Largest coefficient of (self - other); zero iff coefficient-equal.
@@ -404,39 +454,53 @@ class WaveFunction:
     # -- canonical JSON serialization ------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({
-            "hbar": self.hbar,
-            "terms": [
-                {
-                    "amp": [t.amplitude.real, t.amplitude.imag],
-                    "c0": t.c0,
-                    "cq": t.cq,
-                    "cp": t.cp,
-                    "cqp": t.cqp,
-                    "prefactor": [
-                        [dq, dp, c.real, c.imag]
-                        for (dq, dp), c in sorted(t.prefactor.items())
-                    ],
-                }
-                for t in self.terms
-            ],
-        })
+        _, term, dq, dp, coefficients = self._rows()
+        entries = zip(dq.tolist(), dp.tolist(), coefficients.real.tolist(),
+                      coefficients.imag.tolist())
+        counts = np.bincount(term, minlength=len(self.terms)).tolist()
+        return json.dumps({"hbar": self.hbar, "terms": [
+            {"amp": [t.amplitude.real, t.amplitude.imag], "c0": t.c0, "cq": t.cq, "cp": t.cp,
+             "cqp": t.cqp, "prefactor": list(islice(entries, n))}
+            for t, n in zip(self.terms, counts)]})
 
     @classmethod
     def from_json(cls, text: str) -> "WaveFunction":
         data = json.loads(text)
         hbar = float(data["hbar"])
-        return cls([
-            BilinearPhaseTerm(
-                complex(*td["amp"]), td["c0"], td["cq"], td["cp"], td["cqp"],
-                prefactor={(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]},
-                hbar=hbar,
-            )
-            for td in data["terms"]
-        ], hbar=hbar)
+        try:
+            flat = _parsed(data["terms"], hbar)
+        except (KeyError, TypeError, ValueError):  # the term constructor refuses or mends it
+            pass
+        else:
+            return WaveFunction.__new__(WaveFunction)._merge(*flat, hbar)
+        return cls([BilinearPhaseTerm(
+            complex(*td["amp"]), td["c0"], td["cq"], td["cp"], td["cqp"],
+            prefactor={(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]},
+            hbar=hbar) for td in data["terms"]], hbar=hbar)
 
     def __repr__(self):
         return f"WaveFunction({len(self.terms)} terms, hbar={self.hbar})"
+
+
+def _parsed(terms: list, hbar: float) -> tuple:
+    """The input of WaveFunction._merge for the JSON terms of from_json if they
+    are as to_json writes them: a valid hbar, checked keys, amplitudes [1, 0],
+    finite coefficients and integer exponents in [0, 2^53), strictly ascending
+    in each term.  Otherwise KeyError, TypeError or ValueError: then from_json
+    builds each term, which normalises the input or refuses it."""
+    _check_hbar(hbar)
+    keys = _checked_key([[td["c0"], td["cq"], td["cp"], td["cqp"]] for td in terms], hbar)
+    rows = np.array([row for td in terms for row in td["prefactor"]], dtype=float).reshape(-1, 4)
+    entry = np.arange(len(terms)).repeat([len(td["prefactor"]) for td in terms])
+    exps = rows[:, :2]
+    if not (all(td["amp"] == [1.0, 0.0] for td in terms) and np.isfinite(rows).all()
+            and ((exps >= 0) & (exps < 2**53)).all()):
+        raise ValueError("not as to_json writes it")
+    mons = exps.astype(np.int64)
+    step, dq, dp = np.diff([entry, *mons.T])
+    if not ((mons == exps).all() and ((step > 0) | (dq > 0) | ((dq == 0) & (dp > 0))).all()):
+        raise ValueError("not as to_json writes it")
+    return keys.reshape(-1, 4), entry, *mons.T, rows[:, 2:].copy().view(complex).ravel()
 
 
 # -- the four operators ---------------------------------------------------
@@ -451,12 +515,10 @@ def _row_image(coeffs: np.ndarray, factors: np.ndarray, down: np.ndarray) -> np.
 
         0 + coeffs[t, i, j-1] up + coeffs[t, i, j] self + coeffs[t, i+1, j] down[i]
 
-    summed in that order, the order in which the dict form adds each monomial
-    over a sorted prefactor: y raises j, d/dx lowers i.  Under a row of
-    OperatorKind (apply_operator's formula) the up factor is multiplies -
-    sign cqp, the self factor -sign c_x and the down factor sign i hbar d
-    (_Pack); the pack holds every row's image of its coefficients, and
-    commutator_apply applies the formula once more, to two of them."""
+    summed in that order, the order in which the merge adds each monomial's
+    contributions: y raises j, d/dx lowers i.  Under a row of OperatorKind the
+    factors are those of _Pack, and commutator_apply applies the formula to
+    two of the pack's images once more."""
     size, other = coeffs.shape[-2:]
     products = coeffs[..., None] * factors[..., None, None, :]
     out = np.zeros(products.shape[:-2] + (other + 1,), dtype=complex)
@@ -562,7 +624,7 @@ def exp_key_map(kind: OperatorKind, coefficient: float):
     (aq, ap) is added, then the translation (sq, sp) of exp_affine_map, along
     one axis so that sq sp = 0 and no cqp sq sp term arises, is substituted
     into the phase polynomial.  The map takes floats or numpy arrays of keys
-    alike; exp_operator_apply applies it to each term, and
+    alike: exp_operator_apply applies it to the keys of all terms, and
     torusq.finite.table1_verify to whole arrays of basis-state keys.
     """
     (sq, sp), (aq, ap) = exp_affine_map(kind, coefficient)
@@ -584,34 +646,36 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
         Q_LEFT:  exp(+i s Q_LEFT / hbar)   f(q, p) -> e^{i s q/hbar} f(q, p - s)
         P_RIGHT: exp(+i s P_RIGHT / hbar)  f(q, p) -> e^{i s p/hbar} f(q - s, p)
 
-    (see exp_affine_map).  Each map agrees term by term with the operator
-    Taylor series because the family is closed under translations and
-    linear-phase multiplication; no input can leave the family, and only a
-    key or a coefficient that overflows raises ValueError.  The phase and
-    the translation act on different coordinates, so they commute and are
-    applied in one pass: the phase coefficients are added first, then the
-    shifted phase polynomial (exp_key_map) and the binomial expansion of each
-    monomial along the one translated axis give f(q - sq, p - sp).
+    (see exp_affine_map), which agree term by term with the operator Taylor
+    series, so no input leaves the family.  The (T, 4) keys go through
+    exp_key_map and one _checked_key call; each monomial of degree d along
+    the translated axis gives d + 1 rows of degrees i = 0 .. d, times the
+    float C(d, i) (-s)^(d - i) as real and imaginary parts (numpy's complex
+    product may fuse a multiply and an add); one merge sums them in the
+    per-term expansion's order.  Only an overflowing key or coefficient
+    raises ValueError.
     """
-    s = float(coefficient)
-    axis = kind.value.axis
-    key_map = exp_key_map(kind, s)
-
-    def pairs(prefactor):
-        for (a, b), c in prefactor.items():
-            degree = (a, b)[axis]
-            for i in range(degree + 1):
-                yield ((i, b), (a, i))[axis], c * (math.comb(degree, i) * (-s) ** (degree - i))
-
-    # The only transform that makes new phase keys, so the only one that checks
-    # them and the only one that merges: two keys may land in one cell.
+    s, axis = float(coefficient), kind.value.axis
+    keys, entry, dq, dp, coefficients = wf._rows()
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = _checked_key(np.stack(exp_key_map(kind, s)(*keys.T), axis=-1), wf.hbar)
+    degree = (dq, dp)[axis]
+    source = np.arange(len(degree)).repeat(degree + 1)
+    i = np.arange(len(source)) - ((degree + 1).cumsum() - degree - 1)[source]
+    degrees = np.unique(degree)  # the weights of degree d start at table[start[d]]
+    start = ((degrees + 1).cumsum() - degrees - 1)[degrees.searchsorted(degree)]
     try:
-        return WaveFunction.__new__(WaveFunction)._merge(
-            ((_checked_key(key_map(*t.phase_key), t.hbar), 1.0 + 0.0j, pairs(t.prefactor))
-             for t in wf.terms), wf.hbar)
+        table = np.array([math.comb(d, k) * (-s) ** (d - k)
+                          for d in degrees.tolist() for k in range(d + 1)])
     except OverflowError as exc:  # a binomial factor beyond the float range
         raise ValueError(f"a prefactor coefficient of exp({kind.name}) with coefficient {s} "
                          f"is not finite: {exc}") from None
+    weight, out = table[start[source] + i], coefficients[source]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real *= weight
+        out.imag *= weight
+    mons = (i, dp[source]) if axis == 0 else (dq[source], i)
+    return WaveFunction.__new__(WaveFunction)._merge(keys, entry[source], *mons, out, wf.hbar)
 
 
 def is_eigenstate(kind: OperatorKind, wf: WaveFunction):
@@ -665,13 +729,8 @@ def random_wavefunction(draw, hbar: float = 1.0) -> WaveFunction:
         amp_re = 0.0
         while amp_re == 0.0:
             amp_re = dyadic(draw)
-        terms.append(
-            BilinearPhaseTerm(
-                complex(amp_re, dyadic(draw)),
-                dyadic(draw), dyadic(draw), dyadic(draw), dyadic(draw),
-                prefactor=pref, hbar=hbar,
-            )
-        )
+        terms.append(BilinearPhaseTerm(complex(amp_re, dyadic(draw)), dyadic(draw), dyadic(draw),
+                                       dyadic(draw), dyadic(draw), prefactor=pref, hbar=hbar))
     wf = WaveFunction(terms, hbar=hbar)
     if wf.is_zero():
         return WaveFunction.single(1.0, 0.0, 0.25, -0.5, 1.0, hbar=hbar)

@@ -131,32 +131,6 @@ def _require_quantized(geometry: TorusGeometry) -> int:
     return geometry.N
 
 
-def _available_memory() -> int | None:
-    """MemAvailable in bytes, or None where /proc/meminfo cannot be read.
-
-    Read as bytes through a small buffer and stopped at that line: a text
-    read of the whole file holds about 16 kB, as much as the smallest runs
-    the check guards, and would set their peak itself."""
-    try:
-        with open("/proc/meminfo", "rb", buffering=256) as meminfo:
-            for line in meminfo:
-                if line.startswith(b"MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, IndexError, ValueError):
-        pass
-    return None
-
-
-def _require_memory(name: str, N: int, need: int) -> None:
-    """Raise MemoryError, before the caller allocates anything, when its
-    estimated peak of `need` bytes exceeds the available memory; where that
-    is unknown the caller runs."""
-    available = _available_memory()
-    if available is not None and need > available:
-        raise MemoryError(f"{name} at N={N} needs ~{need / 2**30:.3g} GiB, "
-                          f"but {available / 2**30:.3g} GiB is available")
-
-
 def _basis_key(geometry: TorusGeometry, basis: str, n, m, primed: bool = False) -> tuple:
     """The phase key (c0, cq, cp, cqp) of basis state (n, m) of basis "P" or
     "Q": the plane key (plane._basis_key) at the lattice eigenvalues

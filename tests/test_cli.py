@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import patch_key, square_torus
-from torusq import cli, finite, suites, torus
+from torusq import cli, finite, memory, suites, torus
 from torusq.symbolic import WaveFunction
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -246,14 +246,14 @@ class TestVerify:
         monkeypatch.setattr(WaveFunction, "_map_terms", counted_map)
         monkeypatch.setattr(suites, "_basis_key", lambda *args, **kwargs: (
             calls.append("key") or torus._basis_key(*args, **kwargs)))
-        monkeypatch.setattr(torus, "_available_memory", lambda: 1024)
+        monkeypatch.setattr(memory, "_available_memory", lambda: 1024)
         with pytest.raises(MemoryError, match="N=4 needs"):
             suites.suite_orthonormality(square_torus(4))
         assert calls == []
         # Where the available memory is unknown the suite runs as before: at
         # N = 2 the keys of each basis are evaluated once, as 1-D label
         # arrays, and no state is built or sampled.
-        monkeypatch.setattr(torus, "_available_memory", lambda: None)
+        monkeypatch.setattr(memory, "_available_memory", lambda: None)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(2)))
         assert [calls.count(name) for name in ("sampled", "built", "key")] == [0, 0, 2]
 
@@ -261,10 +261,10 @@ class TestVerify:
         # The stated peak, 16 (3 N^2 + 2 N M + M) bytes at M = 8N, is the threshold.
         N, M = 4, 32
         need = 16 * (3 * N**2 + 2 * N * M + M)
-        monkeypatch.setattr(torus, "_available_memory", lambda: need - 1)
+        monkeypatch.setattr(memory, "_available_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match="orthonormality at N=4 needs"):
             suites.suite_orthonormality(square_torus(N))
-        monkeypatch.setattr(torus, "_available_memory", lambda: need)
+        monkeypatch.setattr(memory, "_available_memory", lambda: need)
         assert all(c.passed for c in suites.suite_orthonormality(square_torus(N)))
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs /proc/meminfo")
@@ -314,11 +314,11 @@ class TestVerify:
             monkeypatch.setattr(suites, name, counted(name, getattr(suites, name)))
         for N in (4, 20):
             need = self.ESTIMATES[suite](N)
-            monkeypatch.setattr(torus, "_available_memory", lambda: need - 1)
+            monkeypatch.setattr(memory, "_available_memory", lambda: need - 1)
             with pytest.raises(MemoryError, match=f"{suite} at N={N} needs"):
                 suites.SUITES[suite](square_torus(N))
             assert calls == []
-        monkeypatch.setattr(torus, "_available_memory", lambda: self.ESTIMATES[suite](4))
+        monkeypatch.setattr(memory, "_available_memory", lambda: self.ESTIMATES[suite](4))
         assert all(c.passed for c in suites.SUITES[suite](square_torus(4)))
         assert calls
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_bras, patch_key, sampling_error_bound, square_torus
-from torusq import cli, finite, suites, symbolic, torus
+from torusq import cli, finite, memory, suites, symbolic, torus
 from torusq.finite import (
     LABEL_ACTION,
     RAISE,
@@ -767,7 +767,7 @@ class TestMemoryRefusal:
         keys = counting_keys(monkeypatch)
         # 512 bytes is below both stated peaks at N = 4 (table1's 17784, the
         # dft oracle's 1024).
-        monkeypatch.setattr(torus, "_available_memory", lambda: 512)
+        monkeypatch.setattr(memory, "_available_memory", lambda: 512)
         with pytest.raises(MemoryError, match=f"^{name} at N=4 needs ~"):
             func(square_torus(4))
         assert sampled == [] and built == [] and keys == []

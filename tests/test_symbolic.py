@@ -3,11 +3,14 @@ import json
 import math
 import random
 import time
+import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from conftest import dyadic, random_points, random_wavefunction, square_torus
+from torusq import memory
 from torusq.symbolic import (
     PHASE_MERGE_TOL,
     BilinearPhaseTerm,
@@ -16,6 +19,7 @@ from torusq.symbolic import (
     apply_operator,
     commutator_apply,
     differentiate,
+    exp_key_map,
     exp_operator_apply,
     is_eigenstate,
 )
@@ -413,11 +417,75 @@ def _transforms(rng, a, b):
     return ops
 
 
-# -- the key-preserving transforms against the general merge ---------------
+# -- the dict merge: the reference for every producer ----------------------
 
 def _merged(entries, hbar):
-    return WaveFunction.__new__(WaveFunction)._merge(entries, hbar)
+    """The canonical sum of entries (checked phase key, amplitude, pairs), an
+    entry being amplitude * sum(c q^dq p^dp) e^{i phase/hbar} over its
+    (monomial, c) pairs: the reference for WaveFunction._merge.  The entries
+    are sorted by key; a nonzero amplitude's entry opens its cell at its key
+    unless an earlier one did, and adds each amp * c into the cell's dict from
+    0j, in order."""
+    cells = {}
+    for key, amp, pairs in sorted(entries, key=itemgetter(0)):
+        if amp == 0:
+            continue
+        cell = tuple([round(k / hbar / PHASE_MERGE_TOL) for k in key])
+        pref = cells.setdefault(cell, (key, {}))[1]
+        for mon, c in pairs:
+            pref[mon] = pref.get(mon, 0j) + amp * c
+    terms = []
+    for key, pref in cells.values():
+        pref = {mon: c for mon, c in sorted(pref.items()) if c != 0}
+        if pref:
+            for mon, c in pref.items():
+                if not cmath.isfinite(c):
+                    raise ValueError(f"prefactor[{mon}]={c} of the term at phase key {key} "
+                                     "is not finite")
+            terms.append(BilinearPhaseTerm._canonical(key, pref, hbar))
+    out = WaveFunction.__new__(WaveFunction)
+    out.hbar, out.terms = hbar, tuple(terms)
+    return out
 
+
+def merged_build(terms, hbar):
+    """WaveFunction(terms, hbar) by the dict merge."""
+    return _merged([(t.phase_key, t.amplitude, t.prefactor.items()) for t in terms], hbar)
+
+
+def merged_sum(a, b, factor):
+    """a + factor * b by the dict merge, factor 1 or -1 as in + and -."""
+    return _merged([(t.phase_key, 1.0 + 0.0j, t.prefactor.items()) for t in a.terms]
+                   + [(t.phase_key, complex(factor), t.prefactor.items()) for t in b.terms],
+                   a.hbar)
+
+
+def merged_exp(kind, s, wf):
+    """exp_operator_apply by the per-term binomial expansion and the dict merge."""
+    axis = kind.value.axis
+    key_map = exp_key_map(kind, s)
+
+    def pairs(prefactor):
+        for (a, b), c in prefactor.items():
+            degree = (a, b)[axis]
+            for i in range(degree + 1):
+                yield ((i, b), (a, i))[axis], c * (math.comb(degree, i) * (-s) ** (degree - i))
+
+    return _merged([(tuple(float(k) or 0.0 for k in key_map(*t.phase_key)), 1.0 + 0.0j,
+                     pairs(t.prefactor)) for t in wf.terms], wf.hbar)
+
+
+def merged_from_json(text):
+    """from_json as each term built by its constructor, then the dict merge."""
+    data = json.loads(text)
+    hbar = float(data["hbar"])
+    return merged_build([BilinearPhaseTerm(
+        complex(*td["amp"]), td["c0"], td["cq"], td["cp"], td["cqp"],
+        prefactor={(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]},
+        hbar=hbar) for td in data["terms"]], hbar)
+
+
+# -- the key-preserving transforms against the dict merge ------------------
 
 def merged_apply(kind, wf):
     """apply_operator as every contribution of every term fed to the merge."""
@@ -661,12 +729,171 @@ class TestTermByTerm:
         a, b = random_wavefunction(rng.integers), random_wavefunction(rng.integers)
         calls = self.counting_merges(monkeypatch)
         ops = [lambda k=k: exp_operator_apply(k, 0.25, a) for k in ALL_KINDS]
-        ops += [lambda: a + b, lambda: a - b, lambda: WaveFunction(a.terms + b.terms)]
+        ops += [lambda: a + b, lambda: a - b, lambda: WaveFunction(a.terms + b.terms),
+                lambda: WaveFunction.from_json(a.to_json())]
         for op in ops:
             calls.clear()
             out = op()
             assert calls == [out]
 
+
+# -- the key-making producers against the dict merge ------------------------
+
+def term_bytes(wf):
+    """Every bit of a wave function's terms, signed zeros included, read
+    without to_json."""
+    return repr((wf.hbar, [(t.amplitude, t.phase_key, list(t.prefactor.items()))
+                           for t in wf.terms]))
+
+
+def non_dyadic_terms(rng, hbar=0.37):
+    """1-6 terms with non-dyadic keys, amplitudes and coefficients, so that
+    every product and sum rounds.  Keys repeat or sit one ulp apart, so that
+    cells merge and three or more coefficients meet in one sum, whose order
+    then shows in the bits; about one amplitude in ten is 0."""
+    keys = [tuple(rng.uniform(-2, 2, 4).tolist()) for _ in range(int(rng.integers(1, 3)))]
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        key = keys[int(rng.integers(len(keys)))]
+        if rng.random() < 0.3:
+            key = tuple(np.nextafter(key, np.inf).tolist())
+        amp = 0.0 if rng.random() < 0.1 else complex(*rng.normal(size=2))
+        pref = {(int(i), int(j)): complex(*rng.normal(size=2))
+                for i, j in rng.integers(0, [4, 2], size=(int(rng.integers(1, 4)), 2))}
+        terms.append(BilinearPhaseTerm(amp, *key, prefactor=pref, hbar=hbar))
+    return terms
+
+
+class TestKeyMakingProducers:
+    """The constructor, the exponentials, + and - and from_json merge flat
+    rows on arrays; each gives the bits of the per-term dict merge."""
+
+    def test_same_bytes_as_the_dict_merge(self):
+        rng = np.random.default_rng(61)
+        merged_cells = 0
+        for _ in range(300):
+            terms, other = non_dyadic_terms(rng), WaveFunction(non_dyadic_terms(rng), 0.37)
+            wf = WaveFunction(terms, 0.37)
+            merged_cells += len(wf.terms) < len({t.phase_key for t in terms if t.amplitude})
+            pairs = [("build", wf, merged_build(terms, 0.37)),
+                     ("+", wf + other, merged_sum(wf, other, 1)),
+                     ("-", wf - other, merged_sum(wf, other, -1)),
+                     ("from_json", WaveFunction.from_json(wf.to_json()),
+                      merged_from_json(wf.to_json()))]
+            for kind in ALL_KINDS:
+                s = float(rng.uniform(-1.5, 1.5))
+                pairs.append((f"exp {kind.name}", exp_operator_apply(kind, s, wf),
+                              merged_exp(kind, s, wf)))
+            for label, got, want in pairs:
+                assert term_bytes(got) == term_bytes(want), label
+                assert got.to_json() == want.to_json(), label
+                assert_canonical(got)
+        assert merged_cells > 30  # the inputs do merge cells
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                                       (2, 1, 0)])
+    def test_cells_that_are_not_adjacent_in_key_order(self, order):
+        # The three c0 sit in one cell; the middle cq does not share the cell
+        # of the outer two.  In key order the outer two are not neighbours,
+        # yet they merge, under the first key.
+        hbar = 0.37
+        tol = hbar * PHASE_MERGE_TOL
+        x = 6.6 * tol
+        terms = [BilinearPhaseTerm(1.0, x, 5.0, 0.0, 0.0, {(0, 0): 1.0}, hbar),
+                 BilinearPhaseTerm(1.0, x + 0.4 * tol, 3.0, 0.0, 0.0, {(0, 0): 4.0}, hbar),
+                 BilinearPhaseTerm(1.0, x + 0.8 * tol, 5.0, 0.0, 0.0, {(0, 0): 2.0, (1, 0): 1.0},
+                                   hbar)]
+        wf = WaveFunction([terms[i] for i in order], hbar)
+        assert [t.phase_key for t in wf.terms] == [terms[0].phase_key, terms[1].phase_key]
+        assert [t.prefactor for t in wf.terms] == [{(0, 0): 3.0 + 0j, (1, 0): 1.0 + 0j},
+                                                   {(0, 0): 4.0 + 0j}]
+        assert term_bytes(wf) == term_bytes(merged_build([terms[i] for i in order], hbar))
+
+    @pytest.mark.parametrize("text", [
+        # prefactor entries out of order, a repeated monomial (the last one
+        # counts), an amplitude other than 1, a zero amplitude, exponents
+        # written as floats, and an empty prefactor
+        '{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": [[2, 0, 1.5, 0.0], [0, 1, 0.25, -1.0]]}]}',
+        '{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": [[0, 1, 1.5, 0.0], [0, 1, 0.25, -1.0]]}]}',
+        '{"hbar": 0.5, "terms": [{"amp": [0.5, 2.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": [[0, 1, 1.5, 0.0]]}, {"amp": [1, 0], "c0": 0.5, "cq": 0, "cp": 0,'
+        ' "cqp": 0, "prefactor": [[0, 1, 0.5, 0.0]]}]}',
+        '{"hbar": 0.5, "terms": [{"amp": [0.0, 0.0], "c0": 0.25, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": [[0, 1, 1.5, 0.0]]}, {"amp": [1, 0], "c0": 0.5, "cq": 0, "cp": 0,'
+        ' "cqp": 0, "prefactor": [[0, 1, 0.5, 0.0]]}]}',
+        '{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": [[1.0, 2.0, 1.5, 0.0]]}]}',
+        '{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": []}, {"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
+        ' "prefactor": [[0, 0, 1.0, 0.0]]}]}',
+    ])
+    def test_json_not_as_written_is_read_term_by_term(self, text):
+        assert term_bytes(WaveFunction.from_json(text)) == term_bytes(merged_from_json(text))
+
+    def test_exponent_of_2_to_the_63_refused(self):
+        # The merge and the pack index exponents as int64, so the term
+        # constructor refuses what would not fit, in from_json too.
+        BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 0.0, {(2**63 - 1, 0): 1.0})
+        text = json.dumps({"hbar": 1.0, "terms": [{"amp": [1.0, 0.0], "c0": 0.0, "cq": 0.0,
+                                                   "cp": 0.0, "cqp": 0.0,
+                                                   "prefactor": [[0, 2**63, 1.0, 0.0]]}]})
+        for make in (lambda: BilinearPhaseTerm(1.0, 0.0, 0.0, 0.0, 0.0, {(0, 2**63): 1.0}),
+                     lambda: WaveFunction.from_json(text)):
+            with pytest.raises(ValueError, match=r"prefactor\[\(0, 9223372036854775808\)\] has an "
+                                                 r"exponent of 2\^63 or more"):
+                make()
+
+    @staticmethod
+    def traced_peak(make):
+        tracemalloc.start()
+        try:
+            make()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_high_degrees_stay_sparse(self):
+        # Memory is linear in the monomials: no producer that merges makes a
+        # dense array of the degrees.  A (3001, 3001) array would be 144 MB.
+        # The exponential makes d + 1 rows of a degree d monomial; C(3000, i)
+        # is beyond the float range, so it translates degree 1000.
+        term = BilinearPhaseTerm(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (3000, 3000): 1.0})
+        wf = WaveFunction([term])
+        text = wf.to_json()
+        lower = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (1000, 1000): 1.0})
+        for make in (lambda: WaveFunction([term]), lambda: wf + wf,
+                     lambda: WaveFunction.from_json(text),
+                     lambda: exp_operator_apply(P_RIGHT, 0.5, lower)):
+            assert self.traced_peak(make) <= 2**20
+
+    def test_pack_refused_before_it_is_allocated(self, monkeypatch):
+        # The pack of T terms with exponents below D takes 16 (T D^2 + 4 T D
+        # (D + 1)) bytes.  Above 1 MiB it asks the memory guard, and one byte
+        # less than that available is refused before any of it is allocated.
+        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (3000, 3000): 1.0})
+        monkeypatch.setattr(memory, "_available_memory", lambda: 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="^packing 1 terms with exponents below 3001 "
+                                                  "needs"):
+                apply_operator(Q_LEFT, wf)
+            assert tracemalloc.get_traced_memory()[1] <= 2**20
+        finally:
+            tracemalloc.stop()
+        wide = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(129, 0): 1.0, (0, 3): 0.5})
+        need = 16 * (130 * 130 + 4 * 130 * 131)
+        assert need > 2**20
+        monkeypatch.setattr(memory, "_available_memory", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            apply_operator(Q_LEFT, wide)
+        monkeypatch.setattr(memory, "_available_memory", lambda: need)
+        assert apply_operator(Q_LEFT, wide).to_json() == merged_apply(Q_LEFT, wide).to_json()
+        # A pack of at most 1 MiB does not ask.
+        monkeypatch.setattr(memory, "_available_memory", lambda: 0)
+        small = equivalence_input("seed3")
+        assert apply_operator(Q_LEFT, small).to_json() == merged_apply(Q_LEFT, small).to_json()
 
 
 def is_dyadic(wf):
