@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -45,15 +45,6 @@ PHASE_MERGE_TOL = 1e-12
 EIGEN_RATIO_TOL = 1e-10
 
 _PHASE_NAMES = ("c0", "cq", "cp", "cqp")  # BilinearPhaseTerm.phase_key order
-
-# A pack (WaveFunction._packed) of at most this many bytes is made without
-# asking the memory guard, whose read of /proc/meminfo costs more than it.
-_UNGUARDED_PACK_BYTES = 1 << 20
-
-# The exponent pairs (dq, dp) below 16, shared by the prefactors of every
-# produced term instead of a new tuple per entry: fewer objects to hold and
-# for the garbage collector to visit.
-_MONOMIALS = tuple((dq, dp) for dq in range(16) for dp in range(16))
 
 
 class OperatorRow(NamedTuple):
@@ -144,8 +135,8 @@ class BilinearPhaseTerm:
         key = [float(k) or 0.0 for k in self.phase_key]  # -0.0 becomes 0.0
         if not all(math.isfinite(k / self.hbar / PHASE_MERGE_TOL) for k in key):
             _checked_key(key, self.hbar)  # raises its message
-        for name, k in zip(_PHASE_NAMES, key):
-            object.__setattr__(self, name, k)
+        for set_key, k in zip((_set_c0, _set_cq, _set_cp, _set_cqp), key):
+            set_key(self, k)
         amplitude = complex(self.amplitude)
         prefactor = {(int(dq), int(dp)): complex(c) for (dq, dp), c in self.prefactor.items()}
         # Finite in both parts: the merge's complex products would turn an
@@ -159,8 +150,8 @@ class BilinearPhaseTerm:
                 raise ValueError(f"prefactor[{(dq, dp)}] has a negative exponent")
             if max(dq, dp) >= 2**63:  # the merge and the pack index exponents as int64
                 raise ValueError(f"prefactor[{(dq, dp)}] has an exponent of 2^63 or more")
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "prefactor", prefactor)
+        _set_amplitude(self, amplitude)
+        _set_prefactor(self, prefactor)
 
     @property
     def phase_key(self) -> tuple[float, float, float, float]:
@@ -202,44 +193,36 @@ class BilinearPhaseTerm:
         return complex(values) if values.ndim == 0 else values
 
 
-# The slots' own setters, which the frozen class's __setattr__ would refuse.
+# The slots' own setters, the one way a field is set after __init__: object.__setattr__ is slower.
 (_set_amplitude, _set_c0, _set_cq, _set_cp, _set_cqp, _set_prefactor,
  _set_hbar) = (getattr(BilinearPhaseTerm, name).__set__ for name in BilinearPhaseTerm.__slots__)
 
 
-def _flat(terms, amplitudes=None) -> tuple:
-    """The (E, 4) keys of terms and one row (entry, dq, dp, c) per monomial, in
-    term and prefactor order, as _merge takes them.  Given amplitudes, one per
-    term, each c is times its term's, and a term of amplitude 0 is left out:
-    it opens no merge cell."""
-    if amplitudes is not None:
-        live = [(t, a) for t, a in zip(terms, amplitudes) if a != 0]
-        terms = [t for t, _ in live]
-        coefficients = [a * c for t, a in live for c in t.prefactor.values()]
-    else:
-        coefficients = [c for t in terms for c in t.prefactor.values()]
-    keys = np.array([t.phase_key for t in terms], dtype=float).reshape(-1, 4)
-    rows = np.array([(e, *mon) for e, t in enumerate(terms) for mon in t.prefactor],
-                    dtype=np.int64).reshape(-1, 3).T
-    return keys, *rows, np.array(coefficients, dtype=complex)
-
-
-def _starts(cols: np.ndarray) -> np.ndarray:
-    """Whether each column of cols (k, n) opens a run: the first, or unequal
-    to the one before."""
-    new = np.empty(cols.shape[1], dtype=bool)
-    new[:1] = True
-    np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0, out=new[1:])
-    return new
+def _flat(terms, amplitudes) -> tuple:
+    """The (E, 4) keys of terms and one row (entry, dq, dp, a c) per monomial c
+    q^dq p^dp, by term and monomial, as _merge takes them, with a the term's entry
+    in amplitudes.  A term of amplitude 0 is left out: it opens no merge cell."""
+    live = [(t, a) for t, a in zip(terms, amplitudes) if a != 0]
+    keys = np.array([t.phase_key for t, _ in live], dtype=float).reshape(-1, 4)
+    entry = np.arange(len(live)).repeat([len(t.prefactor) for t, _ in live])
+    mons = chain.from_iterable(chain.from_iterable(t.prefactor for t, _ in live))
+    dq, dp = np.fromiter(mons, dtype=np.int64).reshape(-1, 2).T
+    return keys, entry, dq, dp, np.array([a * c for t, a in live for c in t.prefactor.values()],
+                                         dtype=complex)
 
 
 class _Pack(NamedTuple):
-    """A wave function's T terms as dense arrays (WaveFunction._packed).
-    coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where it
-    has none.  Under the row of the k-th OperatorKind, factors[k, t] are term
-    t's up and self factors (multiplies - sign cqp, -sign c_axis), down[k, d-1]
-    the down factor sign i hbar d (_row_image), and images[k] the image of
-    coeffs, axis first, which apply_operator reads and commutator_apply maps."""
+    """A wave function's T terms as arrays (WaveFunction._packed).
+
+    coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where
+    the term has none, for exponents below D; _turned(coeffs, axis == 1) has
+    the differentiated axis of a row first.  factors[k, t] holds the up and
+    self factors of term t under the row of the k-th OperatorKind,
+    (multiplies - sign cqp, -sign c_axis), and down[k, d - 1] its down
+    factor for degree d, sign i hbar d, for d = 1 .. D (see _row_image).
+    images[k] is the image of coeffs under that row, axis first:
+    apply_operator reads it, and commutator_apply applies the second
+    operator to it."""
 
     terms: tuple            # the terms packed, so a reassigned tuple is packed anew
     keys: np.ndarray        # (T, 4) phase keys
@@ -257,10 +240,12 @@ class WaveFunction:
     addition under the cell's smallest tuple, whatever the input order; zero
     coefficients are dropped, amplitudes are folded into the prefactor, and
     terms are sorted by (c0, cq, cp, cqp).  The zero wave function has no
-    terms.  Producers that make keys or meet two operands merge flat rows
-    (_merge); those that keep every key map a dense pack (_map_terms).  A key
-    is checked once, where it is made: by the term constructor, by from_json
-    and by one _checked_key call on all keys of an exponential.
+    terms.  The constructor (so single and from_json), +, - and the
+    exponentials make keys or meet two operands: they merge flat arrays of
+    rows (_merge), on a stable lexsort of the keys.  The transforms that keep
+    every key map a dense pack of coefficients instead (_map_terms).  Each key
+    is checked once, where it is made: by the term constructor, or by one
+    _checked_key call on all keys of an exponential.
 
     The form is not unique for equal functions: a constant phase can sit in
     c0 or in the coefficients, so single(1, 0.5, 0, 0, 0) and
@@ -285,57 +270,52 @@ class WaveFunction:
     def _merge(self, keys, entry, dq, dp, coefficients, hbar: float) -> "WaveFunction":
         """Make this the canonical sum of entries at a valid hbar and return it.
         Entry e has the key keys[e], checked at hbar (_checked_key), and the
-        prefactor of its rows (e, dq, dp, c) in the flat arrays entry, dq, dp,
-        coefficients: memory linear in entries and rows.  A stable lexsort puts
-        the entries in key order; their cells rint(key / hbar /
-        PHASE_MERGE_TOL), which rounds half to even as round does, are grouped
-        in order of first appearance (equal cells need not be adjacent), under
-        the first, least, key.  np.add.at adds the coefficients into a zero per
-        group and monomial, unbuffered, in key and then row order: 0j + ... as
-        a running sum.  Zero sums are dropped; _take makes the terms."""
+        rows (e, dq, dp, c) of the flat arrays entry, dq, dp, coefficients:
+        memory linear in entries and rows.  A stable lexsort puts the entries
+        in key order.  Their cells rint(key / hbar / PHASE_MERGE_TOL), half to
+        even as round, group them in order of first appearance, under each
+        cell's first, least, key: a second lexsort brings equal cells together
+        where other keys sit between them.  Per group and monomial, bincount
+        sums the real and the imaginary parts from 0 in key, then row order:
+        the running sum 0j + c1 + c2 + ... of complex addition, which sets no
+        floating-point flag.  Zero sums are dropped; _take makes the terms."""
         self.hbar, self.terms = hbar, ()
         if not entry.size:  # no monomial at all
             return self
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
-        cells = np.rint(keys.T / hbar / PHASE_MERGE_TOL)
-        by_cell = np.lexsort(cells[::-1])
-        new = _starts(cells[:, by_cell])
-        # Per entry, its place in key order and that of the first key of its cell.
-        rank, first = np.empty_like(order), np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        first[order[by_cell]] = by_cell[new][new.cumsum() - 1]
-        cols = np.array([first[entry], dq, dp])
-        rows = np.lexsort((rank[entry], cols[2], cols[1], cols[0]))
-        cols = cols[:, rows]
-        slot = _starts(cols)
-        index = slot.cumsum()  # from 1: sums[0] takes no row
-        sums = np.zeros(index[-1] + 1, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(sums, index, coefficients[rows])
-        nonzero = sums[1:] != 0
+        cells = np.rint(keys / hbar / PHASE_MERGE_TOL)
+        by_cell = np.lexsort(cells.T[::-1])  # in key order within a cell
+        cells = cells[by_cell]
+        new = np.concatenate(([True], (cells[1:] != cells[:-1]).any(1)))
+        # Per row, its entry's place in cell order and the key-order place of
+        # the first key of its cell.
+        place = order[by_cell].argsort(kind="stable")[entry]
+        first = by_cell[new][new.cumsum() - 1][place]
+        rows = np.lexsort((place, dp, dq, first))
+        cols = np.array([first, dq, dp])[:, rows]
+        slot = np.concatenate(([True], (cols[:, 1:] != cols[:, :-1]).any(0)))
+        index, parts = slot.cumsum() - 1, coefficients[rows]
+        sums = np.empty(index[-1] + 1, dtype=complex)
+        sums.real, sums.imag = np.bincount(index, parts.real), np.bincount(index, parts.imag)
+        nonzero = sums != 0
         slot[slot] = nonzero
-        return self._take(keys, *cols[:, slot], sums[1:][nonzero])
+        return self._take(keys.tolist(), *cols[:, slot], sums[nonzero])
 
-    def _take(self, keys, rows, dq, dp, coefficients, source=None) -> "WaveFunction":
-        """Give self, and return it, the terms (_canonical) of nonzero
-        coefficients sorted by (row, dq, dp): one per row r that has any, under
-        keys[r], or under the key objects of source[r], the terms a key-keeping
-        map read.  ValueError if a coefficient is not finite."""
+    def _take(self, keys, rows, dq, dp, coefficients) -> "WaveFunction":
+        """Give self, and return it, the terms (_canonical) of nonzero coefficients sorted
+        by (row, dq, dp), one per row r with any, under keys[r]; ValueError if not finite."""
         values = coefficients.tolist()
         if not all(map(cmath.isfinite, values)):  # inf and nan are nonzero
             i = next(i for i, c in enumerate(values) if not cmath.isfinite(c))
             raise ValueError(f"prefactor[{int(dq[i]), int(dp[i])}]={values[i]} of the term at "
-                             f"phase key {tuple(keys[rows[i]].tolist())} is not finite")
+                             f"phase key {tuple(keys[rows[i]])} is not finite")
         counts = np.bincount(rows, minlength=len(keys)).tolist()
-        if np.maximum.reduce(dq, initial=0) < 16 and np.maximum.reduce(dp, initial=0) < 16:
-            pairs = zip(map(_MONOMIALS.__getitem__, (dq * 16 + dp).tolist()), values)
-        else:
-            pairs = zip(zip(dq.tolist(), dp.tolist()), values)
+        shared = {}  # one tuple per distinct monomial: fewer objects to hold and collect
+        pairs = zip([shared.setdefault(mon, mon) for mon in zip(dq.tolist(), dp.tolist())], values)
         make, hbar = BilinearPhaseTerm._canonical, self.hbar
-        named = zip(*keys.T.tolist()) if source is None else (t.phase_key for t in source)
         self.terms = tuple([make(key, dict(islice(pairs, n)), hbar)
-                            for key, n in zip(named, counts) if n])
+                            for key, n in zip(keys, counts) if n])
         return self
 
     @classmethod
@@ -365,17 +345,17 @@ class WaveFunction:
         return complex(out) if out.ndim == 0 else out
 
     def _packed(self) -> _Pack:
-        """The terms as dense arrays (_Pack), packed on first use and kept until
-        the terms tuple is replaced.  A pack above _UNGUARDED_PACK_BYTES that
-        the memory guard finds too large raises MemoryError before it is
-        allocated.  Called by _map_terms, under its errstate."""
+        """The terms as arrays (_Pack), packed on first use and kept until the
+        terms tuple is replaced.  Above 1 MiB the memory guard refuses it with
+        MemoryError before it is allocated, asked for its traced peak: 16 T (9 D^2
+        + 4 D (D + 1) + 32) bytes + 512 KiB.  Called by _map_terms, under its errstate."""
         pack = getattr(self, "_pack", None)
         if pack is not None and pack.terms is self.terms:
             return pack
         terms, hbar = self.terms, self.hbar
         size = 1 + max((max(mon) for t in terms for mon in t.prefactor), default=0)
-        need = 16 * len(terms) * (size * size + 4 * size * (size + 1))
-        if need > _UNGUARDED_PACK_BYTES:
+        need = 16 * len(terms) * (9 * size * size + 4 * size * (size + 1) + 32) + 2**19
+        if need > 1 << 20:  # a smaller pack costs less than the guard's read of meminfo
             _require_memory(f"packing {len(terms)} terms with exponents below {size}", need)
         coeffs = np.zeros((len(terms), size, size), dtype=complex)
         flat = [(i * size + dq) * size + dp for i, t in enumerate(terms) for dq, dp in t.prefactor]
@@ -388,15 +368,6 @@ class WaveFunction:
         self._pack = pack = _Pack(terms, keys, coeffs, factors, down, images)
         return pack
 
-    def _rows(self) -> tuple:
-        """The terms as _flat reads them, in order by term and monomial: off
-        the pack where self is packed, else from the terms."""
-        pack = getattr(self, "_pack", None)
-        if pack is None or pack.terms is not self.terms:
-            return _flat(self.terms)
-        term, dq, dp = pack.coeffs.nonzero()
-        return pack.keys, term, dq, dp, pack.coeffs[term, dq, dp]
-
     def _map_terms(self, image) -> "WaveFunction":
         """Each term of self under its own key, with the nonzero entries of
         image(self._packed()), a (T, Dq, Dp) complex array, as its prefactor
@@ -408,7 +379,7 @@ class WaveFunction:
         rows, dq, dp = coeffs.nonzero()
         out = WaveFunction.__new__(WaveFunction)
         out.hbar = self.hbar
-        return out._take(pack.keys, rows, dq, dp, coeffs[rows, dq, dp], self.terms)
+        return out._take([t.phase_key for t in self.terms], rows, dq, dp, coeffs[rows, dq, dp])
 
     def scale(self, factor: complex) -> "WaveFunction":
         f = complex(factor)
@@ -428,18 +399,17 @@ class WaveFunction:
         return self._map_terms(image)
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
-        return self._combine(other, negate=False)
+        return self._combine((self, 1.0 + 0.0j), (other, 1.0 + 0.0j))
 
     def __sub__(self, other: "WaveFunction") -> "WaveFunction":
-        return self._combine(other, negate=True)
+        return self._combine((self, 1.0 + 0.0j), (other, -1.0 + 0.0j))
 
-    def _combine(self, other: "WaveFunction", negate: bool) -> "WaveFunction":
-        """self + other, or self - other, in one merge."""
-        if other.hbar != self.hbar:
+    def _combine(self, *parts) -> "WaveFunction":
+        """The sum of factor * wf over parts (wf, factor), in one merge."""
+        if any(wf.hbar != self.hbar for wf, _ in parts):
             raise ValueError("cannot add wave functions with different hbar")
-        sign = -1.0 + 0.0j if negate else 1.0 + 0.0j
-        flat = _flat(self.terms + other.terms,
-                     [1.0 + 0.0j] * len(self.terms) + [sign] * len(other.terms))
+        flat = _flat([t for wf, _ in parts for t in wf.terms],
+                     [f for wf, f in parts for _ in wf.terms])
         return WaveFunction.__new__(WaveFunction)._merge(*flat, self.hbar)
 
     def max_coeff_residual(self, other: "WaveFunction") -> float:
@@ -449,58 +419,46 @@ class WaveFunction:
         Equal functions that split a constant phase differently between c0 and
         the coefficients have a nonzero residual; compare them pointwise.
         """
+        if self.hbar == other.hbar and self.terms == other.terms:  # each sum is c - c = 0
+            return 0.0
         return (self - other).max_abs_coeff()
 
     # -- canonical JSON serialization ------------------------------------
 
     def to_json(self) -> str:
-        _, term, dq, dp, coefficients = self._rows()
-        entries = zip(dq.tolist(), dp.tolist(), coefficients.real.tolist(),
-                      coefficients.imag.tolist())
-        counts = np.bincount(term, minlength=len(self.terms)).tolist()
-        return json.dumps({"hbar": self.hbar, "terms": [
-            {"amp": [t.amplitude.real, t.amplitude.imag], "c0": t.c0, "cq": t.cq, "cp": t.cp,
-             "cqp": t.cqp, "prefactor": list(islice(entries, n))}
-            for t, n in zip(self.terms, counts)]})
+        return json.dumps({
+            "hbar": self.hbar,
+            "terms": [
+                {
+                    "amp": [t.amplitude.real, t.amplitude.imag],
+                    "c0": t.c0,
+                    "cq": t.cq,
+                    "cp": t.cp,
+                    "cqp": t.cqp,
+                    "prefactor": [
+                        [dq, dp, c.real, c.imag]
+                        for (dq, dp), c in sorted(t.prefactor.items())
+                    ],
+                }
+                for t in self.terms
+            ],
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "WaveFunction":
         data = json.loads(text)
         hbar = float(data["hbar"])
-        try:
-            flat = _parsed(data["terms"], hbar)
-        except (KeyError, TypeError, ValueError):  # the term constructor refuses or mends it
-            pass
-        else:
-            return WaveFunction.__new__(WaveFunction)._merge(*flat, hbar)
-        return cls([BilinearPhaseTerm(
-            complex(*td["amp"]), td["c0"], td["cq"], td["cp"], td["cqp"],
-            prefactor={(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]},
-            hbar=hbar) for td in data["terms"]], hbar=hbar)
+        return cls([
+            BilinearPhaseTerm(
+                complex(*td["amp"]), td["c0"], td["cq"], td["cp"], td["cqp"],
+                prefactor={(dq, dp): complex(re, im) for dq, dp, re, im in td["prefactor"]},
+                hbar=hbar,
+            )
+            for td in data["terms"]
+        ], hbar=hbar)
 
     def __repr__(self):
         return f"WaveFunction({len(self.terms)} terms, hbar={self.hbar})"
-
-
-def _parsed(terms: list, hbar: float) -> tuple:
-    """The input of WaveFunction._merge for the JSON terms of from_json if they
-    are as to_json writes them: a valid hbar, checked keys, amplitudes [1, 0],
-    finite coefficients and integer exponents in [0, 2^53), strictly ascending
-    in each term.  Otherwise KeyError, TypeError or ValueError: then from_json
-    builds each term, which normalises the input or refuses it."""
-    _check_hbar(hbar)
-    keys = _checked_key([[td["c0"], td["cq"], td["cp"], td["cqp"]] for td in terms], hbar)
-    rows = np.array([row for td in terms for row in td["prefactor"]], dtype=float).reshape(-1, 4)
-    entry = np.arange(len(terms)).repeat([len(td["prefactor"]) for td in terms])
-    exps = rows[:, :2]
-    if not (all(td["amp"] == [1.0, 0.0] for td in terms) and np.isfinite(rows).all()
-            and ((exps >= 0) & (exps < 2**53)).all()):
-        raise ValueError("not as to_json writes it")
-    mons = exps.astype(np.int64)
-    step, dq, dp = np.diff([entry, *mons.T])
-    if not ((mons == exps).all() and ((step > 0) | (dq > 0) | ((dq == 0) & (dp > 0))).all()):
-        raise ValueError("not as to_json writes it")
-    return keys.reshape(-1, 4), entry, *mons.T, rows[:, 2:].copy().view(complex).ravel()
 
 
 # -- the four operators ---------------------------------------------------
@@ -520,11 +478,10 @@ def _row_image(coeffs: np.ndarray, factors: np.ndarray, down: np.ndarray) -> np.
     factors are those of _Pack, and commutator_apply applies the formula to
     two of the pack's images once more."""
     size, other = coeffs.shape[-2:]
-    products = coeffs[..., None] * factors[..., None, None, :]
-    out = np.zeros(products.shape[:-2] + (other + 1,), dtype=complex)
+    out = np.zeros(coeffs.shape[:-1] + (other + 1,), dtype=complex)
     up, here = out[..., 1:], out[..., :-1]
-    np.add(up, products[..., 0], out=up)
-    np.add(here, products[..., 1], out=here)
+    np.add(up, coeffs * factors[..., 0, None, None], out=up)
+    np.add(here, coeffs * factors[..., 1, None, None], out=here)
     here = here[..., :-1, :]
     np.add(here, coeffs[..., 1:, :] * down[..., :size - 1, None], out=here)
     return out
@@ -636,6 +593,7 @@ def exp_key_map(kind: OperatorKind, coefficient: float):
     return key_map
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflows raise ValueError, not warnings
 def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction) -> WaveFunction:
     """Apply the exponential of an operator as an exact affine substitution.
 
@@ -647,33 +605,30 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
         P_RIGHT: exp(+i s P_RIGHT / hbar)  f(q, p) -> e^{i s p/hbar} f(q - s, p)
 
     (see exp_affine_map), which agree term by term with the operator Taylor
-    series, so no input leaves the family.  The (T, 4) keys go through
-    exp_key_map and one _checked_key call; each monomial of degree d along
-    the translated axis gives d + 1 rows of degrees i = 0 .. d, times the
-    float C(d, i) (-s)^(d - i) as real and imaginary parts (numpy's complex
-    product may fuse a multiply and an add); one merge sums them in the
-    per-term expansion's order.  Only an overflowing key or coefficient
-    raises ValueError.
+    series, so no input leaves the family.  All (T, 4) keys go through
+    exp_key_map and one _checked_key call.  Each monomial of degree d along
+    the translated axis gives d + 1 rows of degrees i = 0 .. d; its real and
+    imaginary parts are multiplied by the float C(d, i) (-s)^(d - i) apart,
+    since numpy's complex product may fuse a multiply and an add.  One merge
+    sums the rows.  Only an overflowing key or coefficient raises ValueError.
     """
     s, axis = float(coefficient), kind.value.axis
-    keys, entry, dq, dp, coefficients = wf._rows()
-    with np.errstate(over="ignore", invalid="ignore"):
-        keys = _checked_key(np.stack(exp_key_map(kind, s)(*keys.T), axis=-1), wf.hbar)
+    keys, entry, dq, dp, coefficients = _flat(wf.terms, [1.0 + 0.0j] * len(wf.terms))
+    keys = _checked_key(np.stack(exp_key_map(kind, s)(*keys.T), axis=-1), wf.hbar)
     degree = (dq, dp)[axis]
     source = np.arange(len(degree)).repeat(degree + 1)
     i = np.arange(len(source)) - ((degree + 1).cumsum() - degree - 1)[source]
-    degrees = np.unique(degree)  # the weights of degree d start at table[start[d]]
-    start = ((degrees + 1).cumsum() - degrees - 1)[degrees.searchsorted(degree)]
-    try:
+    degrees, which = np.unique(degree, return_inverse=True)
+    try:  # the weights of degree d, i = 0 .. d, one block per distinct d
         table = np.array([math.comb(d, k) * (-s) ** (d - k)
                           for d in degrees.tolist() for k in range(d + 1)])
     except OverflowError as exc:  # a binomial factor beyond the float range
         raise ValueError(f"a prefactor coefficient of exp({kind.name}) with coefficient {s} "
                          f"is not finite: {exc}") from None
-    weight, out = table[start[source] + i], coefficients[source]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out.real *= weight
-        out.imag *= weight
+    weight = table[((degrees + 1).cumsum() - degrees - 1)[which][source] + i]
+    out = coefficients[source]
+    out.real *= weight
+    out.imag *= weight
     mons = (i, dp[source]) if axis == 0 else (dq[source], i)
     return WaveFunction.__new__(WaveFunction)._merge(keys, entry[source], *mons, out, wf.hbar)
 
@@ -729,8 +684,13 @@ def random_wavefunction(draw, hbar: float = 1.0) -> WaveFunction:
         amp_re = 0.0
         while amp_re == 0.0:
             amp_re = dyadic(draw)
-        terms.append(BilinearPhaseTerm(complex(amp_re, dyadic(draw)), dyadic(draw), dyadic(draw),
-                                       dyadic(draw), dyadic(draw), prefactor=pref, hbar=hbar))
+        terms.append(
+            BilinearPhaseTerm(
+                complex(amp_re, dyadic(draw)),
+                dyadic(draw), dyadic(draw), dyadic(draw), dyadic(draw),
+                prefactor=pref, hbar=hbar,
+            )
+        )
     wf = WaveFunction(terms, hbar=hbar)
     if wf.is_zero():
         return WaveFunction.single(1.0, 0.0, 0.25, -0.5, 1.0, hbar=hbar)

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 from operator import itemgetter
@@ -736,6 +737,22 @@ class TestTermByTerm:
             out = op()
             assert calls == [out]
 
+    def test_residual_of_equal_terms_needs_no_merge(self, monkeypatch):
+        # Equal terms make every merged sum c - c = 0, so the residual is
+        # 0.0 without a merge; any other pair is merged, as a - b is.
+        rng = np.random.default_rng(53)
+        inputs = [random_wavefunction(rng.integers, hbar=0.37) for _ in range(5)]
+        inputs += [WaveFunction(non_dyadic_terms(rng)) for _ in range(5)]
+        calls = self.counting_merges(monkeypatch)
+        for a in inputs:
+            calls.clear()
+            assert a.max_coeff_residual(WaveFunction.from_json(a.to_json())) == 0.0
+            assert len(calls) == 1  # from_json only
+            for b in (a.scale(0.5), a + a, WaveFunction.zero(a.hbar)):
+                calls.clear()
+                assert a.max_coeff_residual(b) == (a - b).max_abs_coeff()
+                assert len(calls) == 2
+
 
 # -- the key-making producers against the dict merge ------------------------
 
@@ -828,9 +845,31 @@ class TestKeyMakingProducers:
         '{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
         ' "prefactor": []}, {"amp": [1.0, 0.0], "c0": 0.5, "cq": 0, "cp": 0, "cqp": 0,'
         ' "prefactor": [[0, 0, 1.0, 0.0]]}]}',
+        # strings and booleans the term constructor converts
+        '{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": "0.5", "cq": 0.0, "cp": 0.0,'
+        ' "cqp": 0.0, "prefactor": [["1", 0, 1.5, 0.0], [2, 0, true, false]]}]}',
     ])
     def test_json_not_as_written_is_read_term_by_term(self, text):
         assert term_bytes(WaveFunction.from_json(text)) == term_bytes(merged_from_json(text))
+
+    @pytest.mark.parametrize("row, key", [
+        # a string coefficient, an exponent beyond the float range, a negative
+        # exponent, an infinite coefficient, a row of five, a list as a key
+        ('[1, 0, "1.5", 0.0]', "0.5"), (f"[1, {10**400}, 1.0, 0.0]", "0.5"),
+        ("[1, -1, 1.0, 0.0]", "0.5"), ("[1, 0, Infinity, 0.0]", "0.5"),
+        ("[1, 0, 1.0, 0.0, 0.0]", "0.5"), ("[1, 0, 1.0, 0.0]", "[0.5]"),
+        ("[1, 0, 1.0, 0.0]", "Infinity"),
+    ], ids=["string", "huge-exponent", "negative-exponent", "infinite", "row-of-five",
+            "list-key", "infinite-key"])
+    def test_json_refused_as_term_by_term(self, row, key):
+        # JSON is input from outside: each is refused with the exception and
+        # message of the term constructor, whatever path from_json takes.
+        text = ('{"hbar": 0.5, "terms": [{"amp": [1.0, 0.0], "c0": %s, "cq": 0.0, "cp": 0.0,'
+                ' "cqp": 0.0, "prefactor": [[0, 0, 1.0, 0.0], %s]}]}' % (key, row))
+        with pytest.raises(Exception) as want:
+            merged_from_json(text)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            WaveFunction.from_json(text)
 
     def test_exponent_of_2_to_the_63_refused(self):
         # The merge and the pack index exponents as int64, so the term
@@ -869,9 +908,11 @@ class TestKeyMakingProducers:
             assert self.traced_peak(make) <= 2**20
 
     def test_pack_refused_before_it_is_allocated(self, monkeypatch):
-        # The pack of T terms with exponents below D takes 16 (T D^2 + 4 T D
-        # (D + 1)) bytes.  Above 1 MiB it asks the memory guard, and one byte
-        # less than that available is refused before any of it is allocated.
+        # The pack of T terms with exponents below D peaks at 16 T (9 D^2 +
+        # 4 D (D + 1)) bytes of arrays, plus under 512 bytes a term and 512 KiB
+        # of lists and numpy buffers.  Above 1 MiB it asks the memory guard,
+        # and one byte less than that available is refused before any of it
+        # is allocated.
         wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (3000, 3000): 1.0})
         monkeypatch.setattr(memory, "_available_memory", lambda: 2**20)
         tracemalloc.start()
@@ -883,7 +924,7 @@ class TestKeyMakingProducers:
         finally:
             tracemalloc.stop()
         wide = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(129, 0): 1.0, (0, 3): 0.5})
-        need = 16 * (130 * 130 + 4 * 130 * 131)
+        need = 16 * (9 * 130 * 130 + 4 * 130 * 131 + 32) + 2**19
         assert need > 2**20
         monkeypatch.setattr(memory, "_available_memory", lambda: need - 1)
         with pytest.raises(MemoryError):
@@ -894,6 +935,20 @@ class TestKeyMakingProducers:
         monkeypatch.setattr(memory, "_available_memory", lambda: 0)
         small = equivalence_input("seed3")
         assert apply_operator(Q_LEFT, small).to_json() == merged_apply(Q_LEFT, small).to_json()
+
+    @pytest.mark.parametrize("count, size", [(2000, 1), (2000, 3), (400, 8), (60, 40)])
+    def test_pack_peak_within_the_guard_estimate(self, count, size):
+        # The bytes the guard is asked for bound the traced peak of packing.
+        wf = WaveFunction([BilinearPhaseTerm(1.0, k / 8, 0.0, 0.0, 0.0,
+                                             {(0, 0): 2.0, (size - 1, size - 1): 1.0})
+                           for k in range(count)])
+        tracemalloc.start()
+        try:
+            wf._packed()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * count * (9 * size * size + 4 * size * (size + 1) + 32) + 2**19
 
 
 def is_dyadic(wf):
