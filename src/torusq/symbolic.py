@@ -198,21 +198,19 @@ class BilinearPhaseTerm:
  _set_hbar) = (getattr(BilinearPhaseTerm, name).__set__ for name in BilinearPhaseTerm.__slots__)
 
 
-def _flat(terms, amplitudes) -> tuple:
-    """The (E, 4) keys of terms and one row (entry, dq, dp, a c) per monomial c
-    q^dq p^dp, by term and monomial, as _merge takes them, with a the term's entry
-    in amplitudes.  A term of amplitude 0 is left out: it opens no merge cell."""
-    live = [(t, a) for t, a in zip(terms, amplitudes) if a != 0]
-    keys = np.array([t.phase_key for t, _ in live], dtype=float).reshape(-1, 4)
-    entry = np.arange(len(live)).repeat([len(t.prefactor) for t, _ in live])
-    mons = chain.from_iterable(chain.from_iterable(t.prefactor for t, _ in live))
+def _flat(terms, coefficients) -> tuple:
+    """The (T, 4) keys of terms and one row (entry, dq, dp, c) per monomial q^dq
+    p^dp, by term and monomial, as _merge takes them: entry is the term's place
+    and c the monomial's entry of coefficients."""
+    keys = np.array([t.phase_key for t in terms], dtype=float).reshape(-1, 4)
+    entry = np.arange(len(terms)).repeat([len(t.prefactor) for t in terms])
+    mons = chain.from_iterable(chain.from_iterable(t.prefactor for t in terms))
     dq, dp = np.fromiter(mons, dtype=np.int64).reshape(-1, 2).T
-    return keys, entry, dq, dp, np.array([a * c for t, a in live for c in t.prefactor.values()],
-                                         dtype=complex)
+    return keys, entry, dq, dp, np.array(coefficients, dtype=complex)
 
 
 class _Pack(NamedTuple):
-    """A wave function's T terms as arrays (WaveFunction._packed).
+    """A wave function's T terms as dense arrays (WaveFunction._packed).
 
     coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where
     the term has none, for exponents below D; _turned(coeffs, axis == 1) has
@@ -224,7 +222,6 @@ class _Pack(NamedTuple):
     apply_operator reads it, and commutator_apply applies the second
     operator to it."""
 
-    terms: tuple            # the terms packed, so a reassigned tuple is packed anew
     keys: np.ndarray        # (T, 4) phase keys
     coeffs: np.ndarray      # (T, D, D) complex
     factors: np.ndarray     # (4, T, 2) float
@@ -240,12 +237,16 @@ class WaveFunction:
     addition under the cell's smallest tuple, whatever the input order; zero
     coefficients are dropped, amplitudes are folded into the prefactor, and
     terms are sorted by (c0, cq, cp, cqp).  The zero wave function has no
-    terms.  The constructor (so single and from_json), +, - and the
-    exponentials make keys or meet two operands: they merge flat arrays of
-    rows (_merge), on a stable lexsort of the keys.  The transforms that keep
-    every key map a dense pack of coefficients instead (_map_terms).  Each key
-    is checked once, where it is made: by the term constructor, or by one
-    _checked_key call on all keys of an exponential.
+    terms.  The state is arrays (_store): the sorted (K, 4) keys, and one
+    row (term, dq, dp, coefficient) per nonzero monomial, sorted by (term,
+    dq, dp), in the tuple _state = (keys, rows, dq, dp, coefficients).
+    terms, one BilinearPhaseTerm per key, is built from them on first read
+    and then cached.  The constructor (so single and from_json), +, - and
+    the exponentials make keys or meet two operands: they merge flat arrays
+    of rows (_merge), on a stable lexsort of the keys.  The transforms that
+    keep every key map a dense pack of coefficients instead (_map_terms).
+    Each key is checked once, where it is made: by the term constructor, or
+    by one _checked_key call on all keys of an exponential.
 
     The form is not unique for equal functions: a constant phase can sit in
     c0 or in the coefficients, so single(1, 0.5, 0, 0, 0) and
@@ -253,7 +254,7 @@ class WaveFunction:
     max_coeff_residual 1.0.  Compare such functions pointwise.
     """
 
-    __slots__ = ("hbar", "terms", "_pack")
+    __slots__ = ("hbar", "_state", "_terms", "_pack")
 
     def __init__(self, terms: Iterable[BilinearPhaseTerm], hbar: float | None = None):
         terms = list(terms)
@@ -265,7 +266,9 @@ class WaveFunction:
         for t in terms:
             if t.hbar != hbar:  # so every key below was checked at this hbar
                 raise ValueError("all terms must share one hbar")
-        self._merge(*_flat(terms, [t.amplitude for t in terms]), hbar)
+        live = [t for t in terms if t.amplitude != 0]  # a zero amplitude opens no cell
+        self._merge(*_flat(live, [t.amplitude * c for t in live for c in t.prefactor.values()]),
+                    hbar)
 
     def _merge(self, keys, entry, dq, dp, coefficients, hbar: float) -> "WaveFunction":
         """Make this the canonical sum of entries at a valid hbar and return it.
@@ -278,10 +281,10 @@ class WaveFunction:
         where other keys sit between them.  Per group and monomial, bincount
         sums the real and the imaginary parts from 0 in key, then row order:
         the running sum 0j + c1 + c2 + ... of complex addition, which sets no
-        floating-point flag.  Zero sums are dropped; _take makes the terms."""
-        self.hbar, self.terms = hbar, ()
+        floating-point flag.  Zero sums are dropped (_store)."""
+        self.hbar = hbar
         if not entry.size:  # no monomial at all
-            return self
+            return self._store(keys, entry, dq, dp, coefficients)
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
         cells = np.rint(keys / hbar / PHASE_MERGE_TOL)
@@ -300,23 +303,43 @@ class WaveFunction:
         sums.real, sums.imag = np.bincount(index, parts.real), np.bincount(index, parts.imag)
         nonzero = sums != 0
         slot[slot] = nonzero
-        return self._take(keys.tolist(), *cols[:, slot], sums[nonzero])
+        return self._store(keys, *cols[:, slot], sums[nonzero])
 
-    def _take(self, keys, rows, dq, dp, coefficients) -> "WaveFunction":
-        """Give self, and return it, the terms (_canonical) of nonzero coefficients sorted
-        by (row, dq, dp), one per row r with any, under keys[r]; ValueError if not finite."""
-        values = coefficients.tolist()
-        if not all(map(cmath.isfinite, values)):  # inf and nan are nonzero
-            i = next(i for i, c in enumerate(values) if not cmath.isfinite(c))
-            raise ValueError(f"prefactor[{int(dq[i]), int(dp[i])}]={values[i]} of the term at "
-                             f"phase key {tuple(keys[rows[i]])} is not finite")
-        counts = np.bincount(rows, minlength=len(keys)).tolist()
-        shared = {}  # one tuple per distinct monomial: fewer objects to hold and collect
-        pairs = zip([shared.setdefault(mon, mon) for mon in zip(dq.tolist(), dp.tolist())], values)
-        make, hbar = BilinearPhaseTerm._canonical, self.hbar
-        self.terms = tuple([make(key, dict(islice(pairs, n)), hbar)
-                            for key, n in zip(keys, counts) if n])
+    def _store(self, keys, rows, dq, dp, coefficients) -> "WaveFunction":
+        """Make the nonzero coefficients sorted by (row, dq, dp), each of the key
+        keys[row], the state of self and return it; keys with no row are left
+        out.  ValueError for the first coefficient that is not finite."""
+        finite = np.isfinite(coefficients)  # inf and nan are nonzero
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"prefactor[{int(dq[i]), int(dp[i])}]={coefficients[i].item()} of the "
+                             f"term at phase key {tuple(keys[rows[i]].tolist())} is not finite")
+        live = np.bincount(rows, minlength=len(keys)).nonzero()[0]  # keys with a row
+        self._state = (keys[live], live.searchsorted(rows), dq, dp, coefficients)
+        self._terms = self._pack = None
         return self
+
+    @property
+    def terms(self) -> tuple:
+        """One BilinearPhaseTerm (_canonical) per key, built on first read and
+        then cached; the prefactors share one tuple per distinct monomial."""
+        if self._terms is None:
+            keys, rows, dq, dp, coefficients = self._state
+            counts = np.bincount(rows, minlength=len(keys)).tolist()
+            shared = {}
+            mons = [shared.setdefault(mon, mon) for mon in zip(dq.tolist(), dp.tolist())]
+            pairs, make = zip(mons, coefficients.tolist()), BilinearPhaseTerm._canonical
+            self._terms = tuple([make(key, dict(islice(pairs, n)), self.hbar)
+                                 for key, n in zip(keys.tolist(), counts)])
+        return self._terms
+
+    @terms.setter
+    def terms(self, terms) -> None:
+        """Set canonical terms (unit amplitudes, sorted prefactors) in place,
+        unchecked: the state arrays are read off them."""
+        self._terms = terms = tuple(terms)
+        self._state = _flat(terms, [c for t in terms for c in t.prefactor.values()])
+        self._pack = None
 
     @classmethod
     def zero(cls, hbar: float = 1.0) -> "WaveFunction":
@@ -329,11 +352,11 @@ class WaveFunction:
         return cls([BilinearPhaseTerm(amplitude, c0, cq, cp, cqp, prefactor, hbar)], hbar)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self._state[0])
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient magnitude over all terms and monomials."""
-        return max((abs(c) for t in self.terms for c in t.prefactor.values()), default=0.0)
+        return max(map(abs, self._state[-1].tolist()), default=0.0)
 
     def evaluate(self, q, p):
         """Pointwise value; accepts scalars or broadcastable numpy arrays.
@@ -345,33 +368,30 @@ class WaveFunction:
         return complex(out) if out.ndim == 0 else out
 
     def _packed(self) -> _Pack:
-        """The terms as arrays (_Pack), packed on first use and kept until the
-        terms tuple is replaced.  Above 1 MiB the memory guard refuses it with
+        """The state arrays as a dense pack (_Pack), made on first use and kept
+        until the state is replaced.  Above 1 MiB the memory guard refuses it with
         MemoryError before it is allocated, asked for its traced peak: 16 T (9 D^2
         + 4 D (D + 1) + 32) bytes + 512 KiB.  Called by _map_terms, under its errstate."""
-        pack = getattr(self, "_pack", None)
-        if pack is not None and pack.terms is self.terms:
-            return pack
-        terms, hbar = self.terms, self.hbar
-        size = 1 + max((max(mon) for t in terms for mon in t.prefactor), default=0)
-        need = 16 * len(terms) * (9 * size * size + 4 * size * (size + 1) + 32) + 2**19
+        if self._pack is not None:
+            return self._pack
+        (keys, rows, dq, dp, coefficients), hbar = self._state, self.hbar
+        size = 1 + int(max(dq.max(initial=0), dp.max(initial=0)))
+        need = 16 * len(keys) * (9 * size * size + 4 * size * (size + 1) + 32) + 2**19
         if need > 1 << 20:  # a smaller pack costs less than the guard's read of meminfo
-            _require_memory(f"packing {len(terms)} terms with exponents below {size}", need)
-        coeffs = np.zeros((len(terms), size, size), dtype=complex)
-        flat = [(i * size + dq) * size + dp for i, t in enumerate(terms) for dq, dp in t.prefactor]
-        coeffs.put(flat, [c for t in terms for c in t.prefactor.values()])
-        keys = np.array([t.phase_key for t in terms], dtype=float).reshape(-1, 4)
+            _require_memory(f"packing {len(keys)} terms with exponents below {size}", need)
+        coeffs = np.zeros((len(keys), size, size), dtype=complex)
+        coeffs[rows, dq, dp] = coefficients
         factors = (keys @ _FACTOR_MAP).reshape(-1, 4, 2).swapaxes(0, 1) + _FACTOR_SHIFT[:, None]
         down = (_SIGN * (1j * hbar)) * np.arange(1, size + 1)
         axis_first = np.array([_turned(coeffs, row.axis == 1) for row in _ROWS])
         images = _row_image(axis_first, factors, down[:, None])
-        self._pack = pack = _Pack(terms, keys, coeffs, factors, down, images)
+        self._pack = pack = _Pack(keys, coeffs, factors, down, images)
         return pack
 
     def _map_terms(self, image) -> "WaveFunction":
         """Each term of self under its own key, with the nonzero entries of
         image(self._packed()), a (T, Dq, Dp) complex array, as its prefactor
-        (_take): the keys stay one per cell, ascending, with no merge.  image
+        (_store): the keys stay one per cell, ascending, with no merge.  image
         sums each entry from 0 in the merge's order: the merge's bits."""
         with np.errstate(over="ignore", invalid="ignore"):
             pack = self._packed()
@@ -379,7 +399,7 @@ class WaveFunction:
         rows, dq, dp = coeffs.nonzero()
         out = WaveFunction.__new__(WaveFunction)
         out.hbar = self.hbar
-        return out._take([t.phase_key for t in self.terms], rows, dq, dp, coeffs[rows, dq, dp])
+        return out._store(self._state[0], rows, dq, dp, coeffs[rows, dq, dp])
 
     def scale(self, factor: complex) -> "WaveFunction":
         f = complex(factor)
@@ -399,17 +419,18 @@ class WaveFunction:
         return self._map_terms(image)
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
-        return self._combine((self, 1.0 + 0.0j), (other, 1.0 + 0.0j))
+        return self._combine(other, 1.0 + 0.0j)
 
     def __sub__(self, other: "WaveFunction") -> "WaveFunction":
-        return self._combine((self, 1.0 + 0.0j), (other, -1.0 + 0.0j))
+        return self._combine(other, -1.0 + 0.0j)
 
-    def _combine(self, *parts) -> "WaveFunction":
-        """The sum of factor * wf over parts (wf, factor), in one merge."""
-        if any(wf.hbar != self.hbar for wf, _ in parts):
+    def _combine(self, other: "WaveFunction", factor: complex) -> "WaveFunction":
+        """self + factor * other, factor 1 or -1, in one merge of both states."""
+        if other.hbar != self.hbar:
             raise ValueError("cannot add wave functions with different hbar")
-        flat = _flat([t for wf, _ in parts for t in wf.terms],
-                     [f for wf, f in parts for _ in wf.terms])
+        keys, rows, dq, dp, coefficients = other._state
+        scaled = (keys, rows + len(self._state[0]), dq, dp, coefficients * factor)
+        flat = [np.concatenate(pair) for pair in zip(self._state, scaled)]
         return WaveFunction.__new__(WaveFunction)._merge(*flat, self.hbar)
 
     def max_coeff_residual(self, other: "WaveFunction") -> float:
@@ -419,30 +440,22 @@ class WaveFunction:
         Equal functions that split a constant phase differently between c0 and
         the coefficients have a nonzero residual; compare them pointwise.
         """
-        if self.hbar == other.hbar and self.terms == other.terms:  # each sum is c - c = 0
-            return 0.0
+        pairs = zip(self._state, other._state)
+        if self.hbar == other.hbar and all(a.tobytes() == b.tobytes() for a, b in pairs):
+            return 0.0  # equal terms: each sum is c - c = 0
         return (self - other).max_abs_coeff()
 
     # -- canonical JSON serialization ------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps({
-            "hbar": self.hbar,
-            "terms": [
-                {
-                    "amp": [t.amplitude.real, t.amplitude.imag],
-                    "c0": t.c0,
-                    "cq": t.cq,
-                    "cp": t.cp,
-                    "cqp": t.cqp,
-                    "prefactor": [
-                        [dq, dp, c.real, c.imag]
-                        for (dq, dp), c in sorted(t.prefactor.items())
-                    ],
-                }
-                for t in self.terms
-            ],
-        })
+        """The terms as JSON, written from the state arrays: unit amplitudes."""
+        keys, rows, dq, dp, coefficients = self._state
+        counts = np.bincount(rows, minlength=len(keys)).tolist()
+        mons = zip(dq.tolist(), dp.tolist(), coefficients.real.tolist(), coefficients.imag.tolist())
+        return json.dumps({"hbar": self.hbar, "terms": [
+            {"amp": [1.0, 0.0], "c0": c0, "cq": cq, "cp": cp, "cqp": cqp,
+             "prefactor": list(islice(mons, n))}
+            for (c0, cq, cp, cqp), n in zip(keys.tolist(), counts)]})
 
     @classmethod
     def from_json(cls, text: str) -> "WaveFunction":
@@ -458,7 +471,7 @@ class WaveFunction:
         ], hbar=hbar)
 
     def __repr__(self):
-        return f"WaveFunction({len(self.terms)} terms, hbar={self.hbar})"
+        return f"WaveFunction({len(self._state[0])} terms, hbar={self.hbar})"
 
 
 # -- the four operators ---------------------------------------------------
@@ -613,7 +626,7 @@ def exp_operator_apply(kind: OperatorKind, coefficient: float, wf: WaveFunction)
     sums the rows.  Only an overflowing key or coefficient raises ValueError.
     """
     s, axis = float(coefficient), kind.value.axis
-    keys, entry, dq, dp, coefficients = _flat(wf.terms, [1.0 + 0.0j] * len(wf.terms))
+    keys, entry, dq, dp, coefficients = wf._state
     keys = _checked_key(np.stack(exp_key_map(kind, s)(*keys.T), axis=-1), wf.hbar)
     degree = (dq, dp)[axis]
     source = np.arange(len(degree)).repeat(degree + 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import dyadic, random_points, random_wavefunction, square_torus
-from torusq import memory
+from torusq import memory, suites
 from torusq.symbolic import (
     PHASE_MERGE_TOL,
     BilinearPhaseTerm,
@@ -353,11 +353,13 @@ class TestTransformOutputsAreCanonical:
         with pytest.raises(ValueError, match="negative exponent"):
             WaveFunction.from_json(text)
 
-    def test_one_term_built_per_output_term(self, monkeypatch):
-        # Each output term comes from the one canonical constructor, which
-        # skips __post_init__: the merge reuses keys that are already checked.
-        # single checks its one input term, the last thunk, as the term
-        # constructor does.
+    def test_no_term_built_until_terms_is_read(self, monkeypatch):
+        # Every producer stores its arrays, and to_json writes them: the chain
+        # build, four applies, four exponentials, 16 commutators, + and -, and
+        # to_json makes no term object, nor do the residual and the other
+        # readers.  The first read of terms makes one term per key, through
+        # the one canonical constructor, which skips __post_init__; a second
+        # read returns the same tuple.
         calls = {"canonical": 0, "post_init": 0}
 
         def counted(name, real):
@@ -373,12 +375,33 @@ class TestTransformOutputsAreCanonical:
         rng = np.random.default_rng(31)
         for i in range(20):
             hbar = (1.0, 0.5)[i % 2]
-            a, b = random_wavefunction(rng.integers, hbar=hbar), random_wavefunction(rng.integers, hbar=hbar)
-            ops = _transforms(rng, a, b)
-            for op in ops:
-                calls.update(canonical=0, post_init=0)
-                out = op()
-                assert calls == {"canonical": len(out.terms), "post_init": int(op is ops[-1])}
+            terms = non_dyadic_terms(rng, hbar) if i % 4 else dyadic_sum(rng, 60, hbar=hbar).terms
+            calls.update(canonical=0, post_init=0)
+            wf = WaveFunction(terms, hbar)
+            outs = [wf] + [apply_operator(k, wf) for k in ALL_KINDS]
+            outs += [exp_operator_apply(k, dyadic(rng.integers), wf) for k in ALL_KINDS]
+            outs += [commutator_apply(a, b, wf) for a in ALL_KINDS for b in ALL_KINDS]
+            outs += [outs[1] + outs[5], outs[1] - outs[5], differentiate(wf, "p"), wf.scale(0.5)]
+            texts = [out.to_json() for out in outs]
+            for out in outs:
+                repr(out), out.is_zero(), out.max_abs_coeff(), out.max_coeff_residual(wf)
+            assert outs[-1].max_coeff_residual(wf.scale(0.5)) == 0.0
+            assert calls == {"canonical": 0, "post_init": 0}
+            for out, text in zip(outs, texts):
+                calls["canonical"] = 0
+                first = out.terms
+                assert calls["canonical"] == len(first) == len(json.loads(text)["terms"])
+                assert out.terms is first and calls["canonical"] == len(first)
+                assert out.to_json() == text
+            assert calls["post_init"] == 0
+
+    def test_suite_commutators_builds_no_term(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a term object was built")
+
+        want = [r.max_residual for r in suites.suite_commutators(square_torus(4))]
+        monkeypatch.setattr(BilinearPhaseTerm, "_canonical", staticmethod(refuse))
+        assert [r.max_residual for r in suites.suite_commutators(square_torus(4))] == want
 
     def test_output_terms_are_what_the_term_constructor_makes(self):
         # Skipping __post_init__ must not change a field's value or type.
@@ -674,30 +697,36 @@ class TestTermByTerm:
             (0.0, 0.5, 0.0, 0.0), {(0, 0): complex(math.inf, 0.0), (1, 0): 1.0 + 0j}, 1.0),)
         assert wf.scale(0).terms == () and merged_scale(wf, 0).terms == ()
 
-    def test_transforms_pack_each_wave_function_once(self, monkeypatch):
-        # The coefficient array is packed on the first transform and read by
-        # the next ones; replacing the terms packs them anew.
+    def test_each_wave_function_packed_once(self, monkeypatch):
+        # The dense pack is made from the state arrays on the first transform
+        # of a wave function and read by the next ones; terms set in place
+        # replace the state and are packed anew.
         wf, other = equivalence_input("seed3"), equivalence_input("seed4")
-        packs = []
+        made = []
         real = WaveFunction._packed
 
         def packed(self):
-            pack = real(self)
-            if self is wf and not any(pack is seen for seen in packs):
-                packs.append(pack)
-            return pack
+            if self._pack is None:
+                made.append(self)
+            return real(self)
 
         monkeypatch.setattr(WaveFunction, "_packed", packed)
+        outs = []
         for kind in ALL_KINDS:
-            apply_operator(kind, wf)
+            outs.append(apply_operator(kind, wf))
             for other_kind in ALL_KINDS:
                 commutator_apply(kind, other_kind, wf)
         differentiate(wf, "q")
         wf.scale(2)
-        assert len(packs) == 1 and packs[0].terms is wf.terms
+        assert made == [wf]
+        for out in outs:
+            for kind in ALL_KINDS:
+                apply_operator(kind, out)
+            out.scale(2)
+        assert made == [wf] + outs
         wf.hbar, wf.terms = other.hbar, other.terms
         assert wf.scale(2).to_json() == other.scale(2).to_json()
-        assert len(packs) == 2 and packs[1].terms is other.terms
+        assert made == [wf] + outs + [wf, other]
 
     @staticmethod
     def counting_merges(monkeypatch):
@@ -1097,7 +1126,52 @@ class TestPointwiseConsistency:
             assert abs(differentiate(wf, "p").evaluate(q, p) - fd_p) <= 1e-6 * max(1.0, abs(fd_p))
 
 
+def terms_json(wf):
+    """to_json written term by term from wf.terms: the reference for the
+    serializer, which writes the state arrays."""
+    return json.dumps({
+        "hbar": wf.hbar,
+        "terms": [
+            {
+                "amp": [t.amplitude.real, t.amplitude.imag],
+                "c0": t.c0,
+                "cq": t.cq,
+                "cp": t.cp,
+                "cqp": t.cqp,
+                "prefactor": [
+                    [dq, dp, c.real, c.imag]
+                    for (dq, dp), c in sorted(t.prefactor.items())
+                ],
+            }
+            for t in wf.terms
+        ],
+    })
+
+
 class TestSerialization:
+    @staticmethod
+    def outputs(name):
+        """A member of EQUIVALENCE_INPUTS and outputs of every producer on it."""
+        wf = equivalence_input(name)
+        outs = [wf, wf + wf, wf - wf, wf.scale(0.3 + 0.7j), WaveFunction.from_json(wf.to_json())]
+        outs += [apply_operator(k, wf) for k in ALL_KINDS]
+        outs += [exp_operator_apply(k, 0.375, wf) for k in ALL_KINDS]
+        return outs + [commutator_apply(Q_LEFT, P_LEFT, wf)]
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_INPUTS)
+    def test_same_bytes_as_written_term_by_term(self, name):
+        for out in self.outputs(name):
+            assert out.to_json() == terms_json(out)
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_INPUTS)
+    def test_readers_agree_with_the_terms(self, name):
+        # max_abs_coeff, is_zero and repr read the state arrays.
+        for out in self.outputs(name):
+            values = [c for t in out.terms for c in t.prefactor.values()]
+            assert out.max_abs_coeff() == max(map(abs, values), default=0.0)
+            assert out.is_zero() == (not out.terms)
+            assert repr(out) == f"WaveFunction({len(out.terms)} terms, hbar={out.hbar})"
+
     def test_roundtrip_preserves_canonical_form(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
