@@ -1,6 +1,6 @@
 """The memory guard: refuse a computation before it allocates more than the
-machine has available.  torusq.symbolic, torusq.torus and the suites all
-import it, so it sits below every other module."""
+machine has available.  torusq.symbolic, torusq.finite and torusq.suites
+import it, and it imports no other module of torusq."""
 
 from __future__ import annotations
 

@@ -76,19 +76,8 @@ class OperatorKind(Enum):
     P_RIGHT = OperatorRow(axis=0, sign=+1, multiplies=True)   # p + i hbar d/dq
 
 
-# The rows in OperatorKind order, each kind's place in that order, and the
-# rows' signs as a (4, 1) column.
-_ROWS = [kind.value for kind in OperatorKind]
+# Each kind's place in OperatorKind order.
 _KIND_INDEX = {kind: k for k, kind in enumerate(OperatorKind)}
-_SIGN = np.array([[row.sign] for row in _ROWS])
-# The up and self factors of each row (see _row_image), (multiplies - sign cqp,
-# -sign c_axis), as an affine map of the phase key (c0, cq, cp, cqp):
-# key @ _FACTOR_MAP + _FACTOR_SHIFT, flat in (kind, factor) order.  The map's
-# entries are 0 and -sign, so the product is exact, and adding the shift
-# rounds as multiplies - sign * cqp does.
-_FACTOR_MAP = np.array([[[-row.sign * (i == 3), -row.sign * (i == 1 + row.axis)] for row in _ROWS]
-                        for i in range(4)], dtype=float).reshape(4, 8)
-_FACTOR_SHIFT = np.array([[float(row.multiplies), 0.0] for row in _ROWS])
 
 
 def _check_hbar(hbar) -> None:
@@ -215,14 +204,12 @@ class _Pack(NamedTuple):
     coeffs[t, dq, dp] is the coefficient of q^dq p^dp in term t, zero where
     the term has none, for exponents below D; _turned(coeffs, axis == 1) has
     the differentiated axis of a row first.  factors[k, t] holds the up and
-    self factors of term t under the row of the k-th OperatorKind,
-    (multiplies - sign cqp, -sign c_axis), and down[k, d - 1] its down
-    factor for degree d, sign i hbar d, for d = 1 .. D (see _row_image).
-    images[k] is the image of coeffs under that row, axis first:
-    apply_operator reads it, and commutator_apply applies the second
-    operator to it."""
+    self factors of term t under the row of the k-th OperatorKind, and
+    down[k, d - 1] its down factor for degree d = 1 .. D, as apply_operator
+    states them.  images[k] is the image of coeffs under that row, axis
+    first (_row_image): apply_operator reads it, and commutator_apply
+    applies the second operator to it."""
 
-    keys: np.ndarray        # (T, 4) phase keys
     coeffs: np.ndarray      # (T, D, D) complex
     factors: np.ndarray     # (4, T, 2) float
     down: np.ndarray        # (4, D) complex
@@ -244,7 +231,8 @@ class WaveFunction:
     and then cached.  The constructor (so single and from_json), +, - and
     the exponentials make keys or meet two operands: they merge flat arrays
     of rows (_merge), on a stable lexsort of the keys.  The transforms that
-    keep every key map a dense pack of coefficients instead (_map_terms).
+    keep every key merge nothing: scale maps the coefficients, and the
+    operators and derivatives map a dense pack of them (_map_terms).
     Each key is checked once, where it is made: by the term constructor, or
     by one _checked_key call on all keys of an exponential.
 
@@ -282,9 +270,8 @@ class WaveFunction:
         sums the real and the imaginary parts from 0 in key, then row order:
         the running sum 0j + c1 + c2 + ... of complex addition, which sets no
         floating-point flag.  Zero sums are dropped (_store)."""
-        self.hbar = hbar
         if not entry.size:  # no monomial at all
-            return self._store(keys, entry, dq, dp, coefficients)
+            return self._store(keys, entry, dq, dp, coefficients, hbar)
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
         cells = np.rint(keys / hbar / PHASE_MERGE_TOL)
@@ -303,18 +290,19 @@ class WaveFunction:
         sums.real, sums.imag = np.bincount(index, parts.real), np.bincount(index, parts.imag)
         nonzero = sums != 0
         slot[slot] = nonzero
-        return self._store(keys, *cols[:, slot], sums[nonzero])
+        return self._store(keys, *cols[:, slot], sums[nonzero], hbar)
 
-    def _store(self, keys, rows, dq, dp, coefficients) -> "WaveFunction":
+    def _store(self, keys, rows, dq, dp, coefficients, hbar: float) -> "WaveFunction":
         """Make the nonzero coefficients sorted by (row, dq, dp), each of the key
-        keys[row], the state of self and return it; keys with no row are left
-        out.  ValueError for the first coefficient that is not finite."""
+        keys[row], at hbar the state of self and return it; keys with no row
+        are left out.  ValueError for the first coefficient that is not finite."""
         finite = np.isfinite(coefficients)  # inf and nan are nonzero
         if not finite.all():
             i = int(finite.argmin())
             raise ValueError(f"prefactor[{int(dq[i]), int(dp[i])}]={coefficients[i].item()} of the "
                              f"term at phase key {tuple(keys[rows[i]].tolist())} is not finite")
         live = np.bincount(rows, minlength=len(keys)).nonzero()[0]  # keys with a row
+        self.hbar = hbar
         self._state = (keys[live], live.searchsorted(rows), dq, dp, coefficients)
         self._terms = self._pack = None
         return self
@@ -381,12 +369,13 @@ class WaveFunction:
             _require_memory(f"packing {len(keys)} terms with exponents below {size}", need)
         coeffs = np.zeros((len(keys), size, size), dtype=complex)
         coeffs[rows, dq, dp] = coefficients
-        factors = (keys @ _FACTOR_MAP).reshape(-1, 4, 2).swapaxes(0, 1) + _FACTOR_SHIFT[:, None]
-        down = (_SIGN * (1j * hbar)) * np.arange(1, size + 1)
-        axis_first = np.array([_turned(coeffs, row.axis == 1) for row in _ROWS])
-        images = _row_image(axis_first, factors, down[:, None])
-        self._pack = pack = _Pack(keys, coeffs, factors, down, images)
-        return pack
+        kind_rows = [kind.value for kind in OperatorKind]
+        factors = np.array([(multiplies - sign * keys[:, 3], -sign * keys[:, 1 + axis])
+                            for axis, sign, multiplies in kind_rows]).swapaxes(1, 2)
+        down = np.array([[sign] for _, sign, _ in kind_rows]) * (1j * hbar) * np.arange(1, size + 1)
+        axis_first = np.array([_turned(coeffs, axis == 1) for axis, _, _ in kind_rows])
+        self._pack = _Pack(coeffs, factors, down, _row_image(axis_first, factors, down[:, None]))
+        return self._pack
 
     def _map_terms(self, image) -> "WaveFunction":
         """Each term of self under its own key, with the nonzero entries of
@@ -397,26 +386,23 @@ class WaveFunction:
             pack = self._packed()
             coeffs = image(pack)
         rows, dq, dp = coeffs.nonzero()
-        out = WaveFunction.__new__(WaveFunction)
-        out.hbar = self.hbar
-        return out._store(self._state[0], rows, dq, dp, coeffs[rows, dq, dp])
+        return WaveFunction.__new__(WaveFunction)._store(self._state[0], rows, dq, dp,
+                                                         coeffs[rows, dq, dp], self.hbar)
 
     def scale(self, factor: complex) -> "WaveFunction":
+        """factor times self, each key kept (_store): a map of the coefficient
+        array, in memory linear in the monomials."""
         f = complex(factor)
-
-        def image(pack):
-            coeffs = pack.coeffs
-            if f == 0:
-                # As in the merge, a zero factor contributes nothing, whatever
-                # it multiplies.
-                return np.zeros_like(coeffs)
-            # f c as f.real c + (i f.imag) c: a product with a real or an
-            # imaginary factor is exact, where numpy's complex product may fuse
-            # a multiply and an add.  + 0.0 turns a -0.0 part into 0.0, as the
-            # merge's sums do.
-            return coeffs * f.real + coeffs * (1j * f.imag) + 0.0
-
-        return self._map_terms(image)
+        keys, rows, dq, dp, coefficients = self._state
+        # f c as f.real c + (i f.imag) c: a product with a real or an imaginary
+        # factor is exact, where numpy's complex product may fuse a multiply
+        # and an add.  + 0.0 turns a -0.0 part into 0.0, as the merge's sums do.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = coefficients * f.real + coefficients * (1j * f.imag) + 0.0
+        # As in the merge, a zero factor contributes nothing, whatever it multiplies.
+        live = (scaled != 0) & (f != 0)
+        return WaveFunction.__new__(WaveFunction)._store(keys, rows[live], dq[live], dp[live],
+                                                         scaled[live], self.hbar)
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
         return self._combine(other, 1.0 + 0.0j)
@@ -488,8 +474,8 @@ def _row_image(coeffs: np.ndarray, factors: np.ndarray, down: np.ndarray) -> np.
 
     summed in that order, the order in which the merge adds each monomial's
     contributions: y raises j, d/dx lowers i.  Under a row of OperatorKind the
-    factors are those of _Pack, and commutator_apply applies the formula to
-    two of the pack's images once more."""
+    factors are those apply_operator states, and commutator_apply applies the
+    formula to two of the pack's images once more."""
     size, other = coeffs.shape[-2:]
     out = np.zeros(coeffs.shape[:-1] + (other + 1,), dtype=complex)
     up, here = out[..., 1:], out[..., :-1]
@@ -513,11 +499,12 @@ def apply_operator(kind: OperatorKind, wf: WaveFunction) -> WaveFunction:
 
         ((multiplies - sign cqp) y - sign c_x) P + sign i hbar dP/dx
 
-    times the same phase.  Differentiation lowers prefactor exponents and
-    multiplication by y raises them by one.  No division by hbar occurs,
-    which keeps results exact for exactly representable inputs.  Every
-    phase key is kept, so the coefficient array of all terms is mapped at
-    once (_map_terms, _row_image).
+    times the same phase.  Per term, multiplication by y raises an exponent
+    with the up factor multiplies - sign cqp, the self factor is -sign c_x,
+    and differentiation lowers x^d with the down factor sign i hbar d
+    (_row_image).  No division by hbar occurs, which keeps results
+    exact for exactly representable inputs.  Every phase key is kept, so
+    the coefficient array of all terms is mapped at once (_map_terms).
     """
     axis, index = kind.value.axis, _KIND_INDEX[kind]
     return wf._map_terms(lambda pack: _turned(pack.images[index], axis == 1))
@@ -562,7 +549,7 @@ def differentiate(wf: WaveFunction, var: str) -> WaveFunction:
     def image(pack):
         # With y the other variable: dP/dx + (i/hbar)(c_x + cqp y) P
         coeffs = _turned(pack.coeffs, axis == 1)
-        factors = 1j * (pack.keys[:, [3, 1 + axis]] / wf.hbar)
+        factors = 1j * (wf._state[0][:, [3, 1 + axis]] / wf.hbar)
         degrees = np.arange(1, coeffs.shape[-2])[None]
         return _turned(_row_image(coeffs, factors, degrees), axis == 1)
 

@@ -698,9 +698,10 @@ class TestTermByTerm:
         assert wf.scale(0).terms == () and merged_scale(wf, 0).terms == ()
 
     def test_each_wave_function_packed_once(self, monkeypatch):
-        # The dense pack is made from the state arrays on the first transform
-        # of a wave function and read by the next ones; terms set in place
-        # replace the state and are packed anew.
+        # The dense pack is made from the state arrays on the first operator
+        # or derivative of a wave function and read by the next ones; scale
+        # maps the state arrays and makes none; terms set in place replace the
+        # state and are packed anew.
         wf, other = equivalence_input("seed3"), equivalence_input("seed4")
         made = []
         real = WaveFunction._packed
@@ -720,12 +721,16 @@ class TestTermByTerm:
         wf.scale(2)
         assert made == [wf]
         for out in outs:
+            out.scale(2)
+        assert made == [wf]
+        for out in outs:
             for kind in ALL_KINDS:
                 apply_operator(kind, out)
-            out.scale(2)
         assert made == [wf] + outs
         wf.hbar, wf.terms = other.hbar, other.terms
         assert wf.scale(2).to_json() == other.scale(2).to_json()
+        assert made == [wf] + outs
+        assert apply_operator(Q_LEFT, wf).to_json() == apply_operator(Q_LEFT, other).to_json()
         assert made == [wf] + outs + [wf, other]
 
     @staticmethod
@@ -935,6 +940,22 @@ class TestKeyMakingProducers:
                      lambda: WaveFunction.from_json(text),
                      lambda: exp_operator_apply(P_RIGHT, 0.5, lower)):
             assert self.traced_peak(make) <= 2**20
+
+    def test_scale_and_readers_stay_sparse(self, monkeypatch):
+        # scale maps the state arrays, and is_zero and max_abs_coeff read
+        # them: none makes a dense array of the degrees or asks the memory
+        # guard for one.  The dense pack of this member would be 1.9 GB.
+        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (3000, 3000): 1.0})
+
+        def unasked():
+            raise AssertionError("the memory guard was asked")
+
+        monkeypatch.setattr(memory, "_available_memory", unasked)
+        for make in (lambda: wf.scale(0.5 - 2j), lambda: wf.scale(0), wf.is_zero,
+                     wf.max_abs_coeff):
+            assert self.traced_peak(make) <= 2**20
+        assert wf.scale(0.5 - 2j).terms[0].prefactor == {(0, 0): 0.5 - 2j, (3000, 3000): 0.5 - 2j}
+        assert wf.scale(0).is_zero() and wf.max_abs_coeff() == 1.0
 
     def test_pack_refused_before_it_is_allocated(self, monkeypatch):
         # The pack of T terms with exponents below D peaks at 16 T (9 D^2 +
