@@ -927,31 +927,26 @@ class TestKeyMakingProducers:
         finally:
             tracemalloc.stop()
 
-    def test_high_degrees_stay_sparse(self):
-        # Memory is linear in the monomials: no producer that merges makes a
-        # dense array of the degrees.  A (3001, 3001) array would be 144 MB.
-        # The exponential makes d + 1 rows of a degree d monomial; C(3000, i)
-        # is beyond the float range, so it translates degree 1000.
+    def test_high_degrees_stay_sparse(self, monkeypatch):
+        # Memory is linear in the monomials: no producer that merges, and
+        # neither scale nor the readers of the coefficients, makes a dense
+        # array of the degrees or asks the memory guard for one.  A (3001,
+        # 3001) array would be 144 MB.  The exponential makes d + 1 rows of a
+        # degree d monomial; C(3000, i) is beyond the float range, so it
+        # translates degree 1000.
         term = BilinearPhaseTerm(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (3000, 3000): 1.0})
         wf = WaveFunction([term])
         text = wf.to_json()
         lower = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (1000, 1000): 1.0})
-        for make in (lambda: WaveFunction([term]), lambda: wf + wf,
-                     lambda: WaveFunction.from_json(text),
-                     lambda: exp_operator_apply(P_RIGHT, 0.5, lower)):
-            assert self.traced_peak(make) <= 2**20
-
-    def test_scale_and_readers_stay_sparse(self, monkeypatch):
-        # scale maps the state arrays, and is_zero and max_abs_coeff read
-        # them: none makes a dense array of the degrees or asks the memory
-        # guard for one.  The dense pack of this member would be 1.9 GB.
-        wf = WaveFunction.single(1.0, 0.0, 0.5, 0.0, 0.0, {(0, 0): 1.0, (3000, 3000): 1.0})
 
         def unasked():
             raise AssertionError("the memory guard was asked")
 
         monkeypatch.setattr(memory, "_available_memory", unasked)
-        for make in (lambda: wf.scale(0.5 - 2j), lambda: wf.scale(0), wf.is_zero,
+        for make in (lambda: WaveFunction([term]), lambda: wf + wf,
+                     lambda: WaveFunction.from_json(text),
+                     lambda: exp_operator_apply(P_RIGHT, 0.5, lower),
+                     lambda: wf.scale(0.5 - 2j), lambda: wf.scale(0), wf.is_zero,
                      wf.max_abs_coeff):
             assert self.traced_peak(make) <= 2**20
         assert wf.scale(0.5 - 2j).terms[0].prefactor == {(0, 0): 0.5 - 2j, (3000, 3000): 0.5 - 2j}
